@@ -40,6 +40,7 @@ fn bench_add_rule(c: &mut Criterion) {
                         extra.clone(),
                         true,
                         &exec,
+                        &EvalBudget::unlimited(),
                     )
                     .unwrap()
                 },
@@ -86,7 +87,15 @@ fn bench_threshold_edits(c: &mut Criterion) {
                         };
                         let new = (pred.threshold + dir).clamp(0.0, 1.0);
                         em_core::set_threshold(
-                            &mut func, &mut state, &w.ctx, &w.cands, pid, new, true, &exec,
+                            &mut func,
+                            &mut state,
+                            &w.ctx,
+                            &w.cands,
+                            pid,
+                            new,
+                            true,
+                            &exec,
+                            &EvalBudget::unlimited(),
                         )
                         .unwrap()
                     },
@@ -110,8 +119,17 @@ fn bench_remove_rule(c: &mut Criterion) {
                 || setup(&w, 40, &exec),
                 |(mut func, mut state)| {
                     let rid = func.rules()[0].id;
-                    em_core::remove_rule(&mut func, &mut state, &w.ctx, &w.cands, rid, true, &exec)
-                        .unwrap()
+                    em_core::remove_rule(
+                        &mut func,
+                        &mut state,
+                        &w.ctx,
+                        &w.cands,
+                        rid,
+                        true,
+                        &exec,
+                        &EvalBudget::unlimited(),
+                    )
+                    .unwrap()
                 },
                 criterion::BatchSize::LargeInput,
             )
@@ -134,7 +152,14 @@ fn bench_session_loop(c: &mut Criterion) {
                 |(mut func, mut state)| {
                     let extra: Rule = w.rule_pool[30].clone();
                     let (rid, _) = em_core::add_rule(
-                        &mut func, &mut state, &w.ctx, &w.cands, extra, true, &exec,
+                        &mut func,
+                        &mut state,
+                        &w.ctx,
+                        &w.cands,
+                        extra,
+                        true,
+                        &exec,
+                        &EvalBudget::unlimited(),
                     )
                     .unwrap();
                     let pid = func.rule(rid).unwrap().preds[0].id;
@@ -148,19 +173,43 @@ fn bench_session_loop(c: &mut Criterion) {
                         (t + 0.1).min(1.0),
                         true,
                         &exec,
+                        &EvalBudget::unlimited(),
                     )
                     .unwrap();
                     em_core::set_threshold(
-                        &mut func, &mut state, &w.ctx, &w.cands, pid, t, true, &exec,
+                        &mut func,
+                        &mut state,
+                        &w.ctx,
+                        &w.cands,
+                        pid,
+                        t,
+                        true,
+                        &exec,
+                        &EvalBudget::unlimited(),
                     )
                     .unwrap();
                     let pred = w.rule_pool[31].predicates()[0];
                     let (pid2, _) = em_core::add_predicate(
-                        &mut func, &mut state, &w.ctx, &w.cands, rid, pred, true, &exec,
+                        &mut func,
+                        &mut state,
+                        &w.ctx,
+                        &w.cands,
+                        rid,
+                        pred,
+                        true,
+                        &exec,
+                        &EvalBudget::unlimited(),
                     )
                     .unwrap();
                     em_core::remove_predicate(
-                        &mut func, &mut state, &w.ctx, &w.cands, pid2, true, &exec,
+                        &mut func,
+                        &mut state,
+                        &w.ctx,
+                        &w.cands,
+                        pid2,
+                        true,
+                        &exec,
+                        &EvalBudget::unlimited(),
                     )
                     .unwrap();
                 },
@@ -195,6 +244,7 @@ fn bench_budget_overhead(c: &mut Criterion) {
                         extra.clone(),
                         true,
                         &exec,
+                        &EvalBudget::unlimited(),
                     )
                     .unwrap()
                 },
@@ -209,7 +259,7 @@ fn bench_budget_overhead(c: &mut Criterion) {
                     let budget = EvalBudget::unlimited()
                         .with_token(CancelToken::new())
                         .with_deadline(Duration::from_secs(3600));
-                    em_core::add_rule_budgeted(
+                    em_core::add_rule(
                         &mut func,
                         &mut state,
                         &w.ctx,

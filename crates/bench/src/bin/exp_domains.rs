@@ -4,8 +4,8 @@
 //! domains to substantiate the claim the paper leaves as text.
 
 use em_bench::{header, ms, row, scale, Workload, SEED};
-use em_core::Executor;
 use em_core::{run_early_exit, run_memo, MatchState, MatchingFunction};
+use em_core::{EvalBudget, Executor};
 use em_datagen::Domain;
 
 const N_RULES: usize = 40;
@@ -47,6 +47,7 @@ fn main() {
                 r,
                 true,
                 &Executor::serial(),
+                &EvalBudget::unlimited(),
             )
             .unwrap();
         }
@@ -67,6 +68,7 @@ fn main() {
             extra,
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
 

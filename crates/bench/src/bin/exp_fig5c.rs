@@ -15,8 +15,8 @@
 //! forces fresh feature computations.
 
 use em_bench::{header, ms, row, scale, Workload, SEED};
-use em_core::Executor;
 use em_core::{run_full, MatchState, MatchingFunction};
+use em_core::{EvalBudget, Executor};
 use std::time::Instant;
 
 const MAX_RULES: usize = 240;
@@ -67,6 +67,7 @@ fn main() {
             rule,
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .expect("non-empty rule");
 

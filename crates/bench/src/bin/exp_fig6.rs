@@ -13,8 +13,8 @@
 //! compute fresh feature values for previously-skipped pairs.
 
 use em_bench::{header, row, scale, Workload, SEED};
-use em_core::Executor;
 use em_core::{run_full, MatchState, MatchingFunction, PredId, RuleId};
+use em_core::{EvalBudget, Executor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -104,6 +104,7 @@ fn main() {
             pid,
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         let (_, report) = em_core::add_predicate(
@@ -115,6 +116,7 @@ fn main() {
             bp.pred,
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         lat.push(report.elapsed);
@@ -135,6 +137,7 @@ fn main() {
             pid,
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         lat.push(report.elapsed);
@@ -147,6 +150,7 @@ fn main() {
             bp.pred,
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
     }
@@ -168,7 +172,7 @@ fn main() {
             } else {
                 (pred.threshold - delta).max(0.0)
             };
-            let report = em_core::set_threshold(
+            let (report, _) = em_core::set_threshold(
                 &mut b.func,
                 &mut b.state,
                 &b.w.ctx,
@@ -177,6 +181,7 @@ fn main() {
                 new,
                 true,
                 &Executor::serial(),
+                &EvalBudget::unlimited(),
             )
             .unwrap();
             lat.push(report.elapsed);
@@ -190,6 +195,7 @@ fn main() {
                 pred.threshold,
                 true,
                 &Executor::serial(),
+                &EvalBudget::unlimited(),
             )
             .unwrap();
         }
@@ -219,6 +225,7 @@ fn main() {
             rid,
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         lat.push(report.elapsed);
@@ -230,6 +237,7 @@ fn main() {
             em_core::Rule::with(rule.preds.iter().map(|bp| bp.pred)),
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
     }
@@ -249,6 +257,7 @@ fn main() {
             rid,
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         let (_, report) = em_core::add_rule(
@@ -259,6 +268,7 @@ fn main() {
             em_core::Rule::with(rule.preds.iter().map(|bp| bp.pred)),
             true,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         lat.push(report.elapsed);

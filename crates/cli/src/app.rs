@@ -2,13 +2,10 @@
 //! an optional durable home) and executes parsed commands, returning their
 //! output as strings (stdout-free, so the whole app is unit-testable).
 
-use crate::command::{Command, HELP};
-use em_core::{
-    ChangeLine, DebugSession, HistoryLine, LintLine, Memo, SessionConfig, SessionError,
-    SessionStore,
-};
+use crate::command::Command;
+use em_core::command::{self, CommandError};
+use em_core::{DebugSession, Edit, SessionConfig, SessionError, SessionStore};
 use em_types::LabeledPair;
-use std::fmt::Write as _;
 
 /// The CLI's typed error. Every failure path through [`App::execute`]
 /// lands here — no I/O `unwrap` can kill the REPL, and callers that need
@@ -55,6 +52,17 @@ impl std::error::Error for AppError {
 impl From<SessionError> for AppError {
     fn from(e: SessionError) -> Self {
         AppError::Session(e)
+    }
+}
+
+impl From<CommandError> for AppError {
+    fn from(e: CommandError) -> Self {
+        match e {
+            CommandError::Usage(m) => AppError::Usage(m),
+            CommandError::Session(e) => AppError::Session(e),
+            CommandError::Persist(e) => AppError::Session(SessionError::Persist(e)),
+            CommandError::NotSessionCommand => AppError::Usage("not a session command".to_string()),
+        }
     }
 }
 
@@ -131,9 +139,9 @@ impl App {
         self.lock = Some(lock);
     }
 
-    /// Switches edit and history output to machine-readable porcelain:
-    /// one line of JSON per record, the same shapes the `em_server` wire
-    /// protocol speaks (see [`em_core::porcelain`]).
+    /// Switches session-command output to machine-readable porcelain: the
+    /// exact payload the `em_server` wire protocol sends for the same
+    /// command (see [`em_core::porcelain`]).
     pub fn set_porcelain(&mut self, porcelain: bool) {
         self.porcelain = porcelain;
     }
@@ -170,37 +178,15 @@ impl App {
 
     /// Executes one command, returning its printable output.
     ///
-    /// Edits that *introduce* static-analysis findings (a rule that can
-    /// never fire, a newly subsumed rule, …) get the new findings appended
-    /// as advisories — as `lint` porcelain lines in porcelain mode, as
-    /// `lint:` text lines otherwise. Run `lint` for the full report.
+    /// Session commands run through [`em_core::command::execute`] and
+    /// print as human text ([`crate::human`]) or, under porcelain, as the
+    /// wire payload ([`em_core::porcelain::render`]). Edits that
+    /// *introduce* static-analysis findings (a rule that can never fire, a
+    /// newly subsumed rule, …) carry the new findings as advisories. The
+    /// verbs that touch the CLI's own files or replace its store are
+    /// handled here.
     pub fn execute(&mut self, cmd: Command) -> Result<String, AppError> {
-        let watch = matches!(
-            cmd,
-            Command::AddRule(_)
-                | Command::RemoveRule(_)
-                | Command::AddPredicate(..)
-                | Command::RemovePredicate(_)
-                | Command::SetThreshold(..)
-        );
-        let before = watch.then(|| self.session().analyze());
-        let mut out = self.execute_inner(cmd)?;
-        if let Some(before) = before {
-            let after = self.session().analyze();
-            for d in em_core::new_diagnostics(&before, &after) {
-                if self.porcelain {
-                    let _ = write!(out, "\n{}", LintLine::new(d).to_json());
-                } else {
-                    let _ = write!(out, "\nlint: {}", render_diagnostic(d));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn execute_inner(&mut self, cmd: Command) -> Result<String, AppError> {
         match cmd {
-            Command::Help => Ok(HELP.to_string()),
             Command::Quit => {
                 self.quit = true;
                 // Best-effort compaction on the way out: losing it costs
@@ -212,404 +198,6 @@ impl App {
                     },
                     None => Ok("bye".to_string()),
                 }
-            }
-            Command::AddRule(text) => {
-                let (rid, report) = self.store.add_rule_text(&text)?;
-                if self.porcelain {
-                    return Ok(ChangeLine::new("add_rule", Some(rid), None, &report).to_json());
-                }
-                Ok(format!(
-                    "added rule {rid}: +{} / -{} verdicts, {} pairs examined, {:?}{}",
-                    report.newly_matched.len(),
-                    report.newly_unmatched.len(),
-                    report.pairs_examined,
-                    report.elapsed,
-                    report_suffix(&report)
-                ))
-            }
-            Command::ListRules => {
-                if self.session().function().is_empty() {
-                    return Ok("(no rules)".to_string());
-                }
-                let mut out = String::new();
-                for rule in self.session().function().rules() {
-                    let preds: Vec<String> = rule
-                        .preds
-                        .iter()
-                        .map(|bp| {
-                            format!(
-                                "[{}] {} {} {}",
-                                bp.id,
-                                self.session().context().feature_name(bp.pred.feature),
-                                bp.pred.op,
-                                bp.pred.threshold
-                            )
-                        })
-                        .collect();
-                    let _ = writeln!(out, "{}: {}", rule.id, preds.join(" AND "));
-                }
-                let _ = write!(
-                    out,
-                    "{} rules / {} predicates, {} matches",
-                    self.session().function().n_rules(),
-                    self.session().function().n_predicates(),
-                    self.session().n_matches()
-                );
-                Ok(out)
-            }
-            Command::RemoveRule(rid) => {
-                let report = self.store.remove_rule(rid)?;
-                if self.porcelain {
-                    return Ok(ChangeLine::new("remove_rule", Some(rid), None, &report).to_json());
-                }
-                Ok(format!(
-                    "removed {rid}: +{} / -{} verdicts in {:?}{}",
-                    report.newly_matched.len(),
-                    report.newly_unmatched.len(),
-                    report.elapsed,
-                    report_suffix(&report)
-                ))
-            }
-            Command::AddPredicate(rid, text) => {
-                let pred = self.parse_predicate(&text)?;
-                let (pid, report) = self.store.add_predicate(rid, pred)?;
-                if self.porcelain {
-                    return Ok(
-                        ChangeLine::new("add_predicate", Some(rid), Some(pid), &report).to_json(),
-                    );
-                }
-                Ok(format!(
-                    "added {pid} to {rid}: -{} verdicts, {} pairs examined, {:?}{}",
-                    report.newly_unmatched.len(),
-                    report.pairs_examined,
-                    report.elapsed,
-                    report_suffix(&report)
-                ))
-            }
-            Command::RemovePredicate(pid) => {
-                let report = self.store.remove_predicate(pid)?;
-                if self.porcelain {
-                    return Ok(
-                        ChangeLine::new("remove_predicate", None, Some(pid), &report).to_json(),
-                    );
-                }
-                Ok(format!(
-                    "removed {pid}: +{} verdicts in {:?}{}",
-                    report.newly_matched.len(),
-                    report.elapsed,
-                    report_suffix(&report)
-                ))
-            }
-            Command::SetThreshold(pid, threshold) => {
-                let report = self.store.set_threshold(pid, threshold)?;
-                if self.porcelain {
-                    return Ok(ChangeLine::new("set_threshold", None, Some(pid), &report).to_json());
-                }
-                Ok(format!(
-                    "set {pid} to {threshold}: +{} / -{} verdicts, {} pairs examined, {:?}{}",
-                    report.newly_matched.len(),
-                    report.newly_unmatched.len(),
-                    report.pairs_examined,
-                    report.elapsed,
-                    report_suffix(&report)
-                ))
-            }
-            Command::Undo => match self.store.undo()? {
-                None => Ok("nothing to undo".to_string()),
-                Some(report) if self.porcelain => {
-                    Ok(ChangeLine::new("undo", None, None, &report).to_json())
-                }
-                Some(report) => Ok(format!(
-                    "undone: +{} / -{} verdicts in {:?} ({} edits remain undoable){}",
-                    report.newly_matched.len(),
-                    report.newly_unmatched.len(),
-                    report.elapsed,
-                    self.session().undo_depth(),
-                    report_suffix(&report)
-                )),
-            },
-            Command::Resume => match self.store.resume()? {
-                None => Ok("nothing to resume".to_string()),
-                Some(report) if self.porcelain => {
-                    Ok(ChangeLine::new("resume", None, None, &report).to_json())
-                }
-                Some(report) => Ok(format!(
-                    "resumed: +{} / -{} verdicts, {} pairs examined, {:?}{}",
-                    report.newly_matched.len(),
-                    report.newly_unmatched.len(),
-                    report.pairs_examined,
-                    report.elapsed,
-                    report_suffix(&report)
-                )),
-            },
-            Command::Simplify => {
-                let report = self.store.simplify()?;
-                if report.is_noop() {
-                    Ok("already minimal".to_string())
-                } else {
-                    Ok(format!(
-                        "simplified: removed {} dominated predicates, {} unsatisfiable rules, {} subsumed rules ({} rules remain)",
-                        report.dominated_predicates.len(),
-                        report.unsatisfiable_rules.len(),
-                        report.subsumed_rules.len(),
-                        self.session().function().n_rules()
-                    ))
-                }
-            }
-            Command::Lint => {
-                let diags = self.session().analyze();
-                if self.porcelain {
-                    let lines: Vec<String> =
-                        diags.iter().map(|d| LintLine::new(d).to_json()).collect();
-                    return Ok(lines.join("\n"));
-                }
-                if diags.is_empty() {
-                    return Ok("no findings".to_string());
-                }
-                let count = |s: em_core::Severity| diags.iter().filter(|d| d.severity == s).count();
-                let mut out = format!(
-                    "{} finding(s): {} error(s), {} warning(s), {} info",
-                    diags.len(),
-                    count(em_core::Severity::Error),
-                    count(em_core::Severity::Warning),
-                    count(em_core::Severity::Info),
-                );
-                for d in &diags {
-                    let _ = write!(out, "\n  {}", render_diagnostic(d));
-                }
-                Ok(out)
-            }
-            Command::Run => {
-                let start = std::time::Instant::now();
-                let stats = self.store.run_full()?;
-                let mut out = format!(
-                    "full run in {:?}: {} matches, {} computations, {} lookups",
-                    start.elapsed(),
-                    self.session().n_matches(),
-                    stats.feature_computations,
-                    stats.memo_lookups
-                );
-                if !self.session().quarantined().is_empty() {
-                    let _ = write!(
-                        out,
-                        "\nquarantined {} pair(s): {}",
-                        self.session().quarantined().len(),
-                        preview(self.session().quarantined())
-                    );
-                }
-                Ok(out)
-            }
-            Command::Matches(limit) => {
-                let matches = self.session().matches();
-                let mut out = format!("{} matches", matches.len());
-                for &i in matches.iter().take(limit) {
-                    let pair = self.session().candidates().pair(i);
-                    let a = self.session().context().table_a().record(pair.a);
-                    let b = self.session().context().table_b().record(pair.b);
-                    let fired = self
-                        .session()
-                        .state()
-                        .fired_rule(i)
-                        .map(|r| r.to_string())
-                        .unwrap_or_default();
-                    let _ = write!(
-                        out,
-                        "\n  #{i} [{fired}] {} ({:?}) ~ {} ({:?})",
-                        a.id(),
-                        a.value(0).unwrap_or(""),
-                        b.id(),
-                        b.value(0).unwrap_or("")
-                    );
-                }
-                if matches.len() > limit {
-                    let _ = write!(out, "\n  … and {} more", matches.len() - limit);
-                }
-                Ok(out)
-            }
-            Command::Explain(i) => {
-                if i >= self.session().candidates().len() {
-                    return Err(AppError::Usage(format!(
-                        "pair index {i} out of range (0..{})",
-                        self.session().candidates().len()
-                    )));
-                }
-                Ok(self.session().explain(i).to_string())
-            }
-            Command::NearMisses(fid, n) => {
-                if fid.index() >= self.session().context().registry().len() {
-                    return Err(AppError::Usage(format!(
-                        "unknown feature {fid}; see `features`"
-                    )));
-                }
-                let misses = self.session_mut().near_misses(fid, n);
-                let name = self.session().context().feature_name(fid);
-                let mut out = format!("top {} unmatched pairs by {name}:", misses.len());
-                for (i, v) in misses {
-                    let pair = self.session().candidates().pair(i);
-                    let a = self.session().context().table_a().record(pair.a);
-                    let b = self.session().context().table_b().record(pair.b);
-                    let _ = write!(
-                        out,
-                        "\n  #{i} {v:.4}  {} ({:?}) ~ {} ({:?})",
-                        a.id(),
-                        a.value(0).unwrap_or(""),
-                        b.id(),
-                        b.value(0).unwrap_or("")
-                    );
-                }
-                Ok(out)
-            }
-            Command::Quality => {
-                if self.labels.is_empty() {
-                    return Ok("no labels loaded".to_string());
-                }
-                let q = self.session().quality(&self.labels);
-                Ok(format!(
-                    "P = {:.3}  R = {:.3}  F1 = {:.3}  (tp {} fp {} fn {} tn {})",
-                    q.precision(),
-                    q.recall(),
-                    q.f1(),
-                    q.true_positives,
-                    q.false_positives,
-                    q.false_negatives,
-                    q.true_negatives
-                ))
-            }
-            Command::Stats => {
-                if self.session().function().is_empty() {
-                    return Ok("(no rules — nothing to estimate)".to_string());
-                }
-                // Cache the sampled stats on the session so later `explain`
-                // output carries per-predicate cost annotations.
-                let stats = self.session_mut().refresh_stats();
-                let mut out = String::from("feature costs (ns/eval):");
-                for f in self.session().function().features() {
-                    let _ = write!(
-                        out,
-                        "\n  {:<40} {:>12.0}",
-                        self.session().context().feature_name(f),
-                        stats.cost(f)
-                    );
-                }
-                let _ = write!(out, "\nmemo lookup δ: {:.0} ns", stats.lookup_cost());
-                let _ = write!(out, "\npredicate selectivities:");
-                for (rid, bp) in self.session().function().predicates() {
-                    let _ = write!(out, "\n  {rid}/{} sel = {:.4}", bp.id, stats.sel(bp.id));
-                }
-                Ok(out)
-            }
-            Command::Status => {
-                let (store_bytes, journal_bytes) = self.store.usage();
-                let disk_free = self.store.store_dir().and_then(em_core::disk_free);
-                if self.porcelain {
-                    #[derive(serde::Serialize)]
-                    struct StatusOut {
-                        event: String,
-                        store_dir: Option<String>,
-                        epoch: Option<u64>,
-                        journal_records: usize,
-                        store_bytes: u64,
-                        journal_bytes: u64,
-                        disk_free: Option<u64>,
-                    }
-                    return Ok(serde_json::to_string(&StatusOut {
-                        event: "status".to_string(),
-                        store_dir: self.store.store_dir().map(|d| d.display().to_string()),
-                        epoch: self.store.epoch(),
-                        journal_records: self.store.records_since_save(),
-                        store_bytes,
-                        journal_bytes,
-                        disk_free,
-                    })
-                    .expect("StatusOut serializes"));
-                }
-                let Some(dir) = self.store.store_dir() else {
-                    return Ok("ephemeral session — no store directory".to_string());
-                };
-                let mb = |b: u64| b as f64 / (1024.0 * 1024.0);
-                Ok(format!(
-                    "store: {} (epoch {}, {} journal records since save)\n\
-                     snapshots: {:.2} MB | journals: {:.2} MB | disk free: {}",
-                    dir.display(),
-                    self.store.epoch().unwrap_or(0),
-                    self.store.records_since_save(),
-                    mb(store_bytes),
-                    mb(journal_bytes),
-                    disk_free.map_or("unknown".to_string(), |b| format!("{:.2} MB", mb(b))),
-                ))
-            }
-            Command::Optimize(algo) => {
-                let start = std::time::Instant::now();
-                self.store.optimize(algo)?;
-                Ok(format!(
-                    "reordered with {} and re-ran in {:?} ({} matches unchanged-correct)",
-                    algo.label(),
-                    start.elapsed(),
-                    self.session().n_matches()
-                ))
-            }
-            Command::MemoryReport => {
-                let m = self.session().memory_report();
-                let mb = |b: usize| b as f64 / (1024.0 * 1024.0);
-                Ok(format!(
-                    "memo: {:.2} MB ({} values) | bitmaps: {:.2} MB ({} rule + {} predicate) | total {:.2} MB",
-                    mb(m.memo_bytes),
-                    self.session().state().memo.stored(),
-                    mb(m.bitmap_bytes),
-                    m.n_rule_bitmaps,
-                    m.n_pred_bitmaps,
-                    mb(m.total_bytes())
-                ))
-            }
-            Command::History => {
-                if self.porcelain {
-                    let lines: Vec<String> = self
-                        .session()
-                        .history()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, e)| HistoryLine::new(i + 1, e).to_json())
-                        .collect();
-                    return Ok(lines.join("\n"));
-                }
-                if self.session().history().is_empty() {
-                    return Ok("(no edits yet)".to_string());
-                }
-                let mut out = String::new();
-                for (i, e) in self.session().history().iter().enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "{:>3}. {:<40} {:>5} changed {:>7} examined {:>12?}",
-                        i + 1,
-                        e.description,
-                        e.n_changed,
-                        e.pairs_examined,
-                        e.elapsed
-                    );
-                }
-                out.pop();
-                Ok(out)
-            }
-            Command::Features => {
-                let reg = self.session().context().registry();
-                if reg.is_empty() {
-                    return Ok("(no features interned)".to_string());
-                }
-                let mut out = String::new();
-                for (fid, _) in reg.iter() {
-                    let _ = writeln!(out, "{fid}: {}", self.session().context().feature_name(fid));
-                }
-                out.pop();
-                Ok(out)
-            }
-            Command::Save(None) => {
-                let epoch = self.store.save().map_err(SessionError::Persist)?;
-                let dir = self
-                    .store
-                    .store_dir()
-                    .map(|d| d.display().to_string())
-                    .unwrap_or_default();
-                Ok(format!("saved snapshot epoch {epoch} to {dir}"))
             }
             Command::Save(Some(path)) => {
                 let text = self.session().function_text();
@@ -653,104 +241,71 @@ impl App {
                 })?;
                 let snapshot: em_core::SessionSnapshot = serde_json::from_str(&json)
                     .map_err(|e| AppError::Codec(format!("import {path}: {e}")))?;
-                self.store.restore(&snapshot)?;
+                self.store.apply(Edit::Restore { snapshot })?;
                 Ok(format!(
                     "imported {} rules from {path}: {} matches",
                     self.session().function().n_rules(),
                     self.session().n_matches()
                 ))
             }
-            Command::Load(path) => {
-                let text = std::fs::read_to_string(&path).map_err(|e| AppError::Io {
-                    what: format!("load {path}"),
-                    source: e,
-                })?;
-                // Replace: remove existing rules, then add the loaded ones
-                // (each applied incrementally, reusing the memo).
-                let existing: Vec<_> = self
-                    .session()
-                    .function()
-                    .rules()
-                    .iter()
-                    .map(|r| r.id)
-                    .collect();
-                for rid in existing {
-                    self.store.remove_rule(rid)?;
-                }
-                let mut added = 0;
-                for line in text.lines() {
-                    if line.trim().is_empty() || line.trim_start().starts_with('#') {
-                        continue;
-                    }
-                    self.store
-                        .add_rule_text(line)
-                        .map_err(|e| AppError::Usage(format!("line {:?}: {e}", line)))?;
-                    added += 1;
-                }
-                Ok(format!(
-                    "loaded {added} rules from {path}: {} matches",
-                    self.session().n_matches()
-                ))
+            Command::Load(path) => self.load(&path),
+            cmd => {
+                let outcome = command::execute(&mut self.store, &self.labels, &cmd)?;
+                Ok(if self.porcelain {
+                    em_core::porcelain::render(&outcome)
+                } else {
+                    crate::human::render(&outcome)
+                })
             }
         }
     }
 
-    fn parse_predicate(&mut self, text: &str) -> Result<em_core::Predicate, AppError> {
-        // A predicate is a one-predicate rule in the rule language; the
-        // session interns the feature and grows the memo (the interning is
-        // journaled with the edit that uses it).
-        Ok(self.store.parse_predicate(text)?)
-    }
-}
-
-/// One human-readable lint finding: `severity[kind] message (fix: `…`)`.
-fn render_diagnostic(d: &em_core::Diagnostic) -> String {
-    let mut out = format!("{}[{}] {}", d.severity, d.kind, d.message);
-    if let Some(fix) = &d.fix {
-        let _ = write!(
-            out,
-            " (fix: `{}`{})",
-            fix.command_text(),
-            if d.safe { ", safe" } else { "" }
-        );
-    }
-    out
-}
-
-/// Extra report lines for an interrupted or fault-isolated edit; empty
-/// when the edit completed cleanly.
-fn report_suffix(report: &em_core::ChangeReport) -> String {
-    use em_core::{Completion, StopReason};
-    let mut out = String::new();
-    if let Completion::Partial { remaining, reason } = &report.completion {
-        let why = match reason {
-            StopReason::Deadline => "deadline",
-            StopReason::Cancelled => "cancelled",
-        };
-        let _ = write!(
-            out,
-            "\npartial ({why}): {} pairs pending — `resume` to continue",
-            remaining.len()
-        );
-    }
-    if !report.quarantined.is_empty() {
-        let _ = write!(
-            out,
-            "\nquarantined {} pair(s): {}",
-            report.quarantined.len(),
-            preview(&report.quarantined)
-        );
-    }
-    out
-}
-
-/// Formats up to eight pair indices, eliding the rest.
-fn preview(pairs: &[usize]) -> String {
-    let shown: Vec<String> = pairs.iter().take(8).map(|i| format!("#{i}")).collect();
-    if pairs.len() > 8 {
-        format!("{} … and {} more", shown.join(" "), pairs.len() - 8)
-    } else {
-        shown.join(" ")
+    /// `load <path>`: replaces the rule set with the file's, one rule per
+    /// non-blank, non-`#` line. All or nothing: every line is parsed
+    /// before the first edit, so a malformed line leaves the rule set as
+    /// it was. The edits then apply incrementally, reusing the memo.
+    fn load(&mut self, path: &str) -> Result<String, AppError> {
+        let text = std::fs::read_to_string(path).map_err(|e| AppError::Io {
+            what: format!("load {path}"),
+            source: e,
+        })?;
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
+            .collect();
+        let line_error =
+            |line: &str, e: SessionError| AppError::Usage(format!("line {line:?}: {e}"));
+        let mut trial = self.session().context().clone();
+        for line in &lines {
+            em_core::parse::parse_rule(line, &mut trial)
+                .map_err(|e| line_error(line, SessionError::Parse(e)))?;
+        }
+        let existing: Vec<_> = self
+            .session()
+            .function()
+            .rules()
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        for rid in existing {
+            self.store.apply(Edit::RemoveRule { rid })?;
+        }
+        for line in &lines {
+            let applied = self
+                .store
+                .session_mut()
+                .parse_rule_text(line)
+                .and_then(|rule| {
+                    let preds = rule.predicates().to_vec();
+                    self.store.apply(Edit::AddRule { preds })
+                });
+            applied.map_err(|e| line_error(line, e))?;
+        }
+        Ok(format!(
+            "loaded {} rules from {path}: {} matches",
+            lines.len(),
+            self.session().n_matches()
+        ))
     }
 }
 
@@ -758,6 +313,7 @@ fn preview(pairs: &[usize]) -> String {
 mod tests {
     use super::*;
     use crate::command::parse;
+    use em_core::{ChangeLine, LintLine};
     use em_datagen::Domain;
 
     fn demo_app() -> App {
@@ -872,6 +428,27 @@ mod tests {
     }
 
     #[test]
+    fn load_is_all_or_nothing() {
+        let dir = std::env::temp_dir().join("rulem_cli_load_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("broken-{}.rules", std::process::id()));
+        std::fs::write(
+            &path,
+            "jaccard_ws(title, title) >= 0.6\nexact(modelno, modelno) >= 1\nbogus(title, title) >= 1\n",
+        )
+        .unwrap();
+
+        let mut app = demo_app();
+        exec(&mut app, "add jaro(title, title) >= 0.9").unwrap();
+        let (rules, history) = (app.session().function_text(), app.session().history().len());
+        let err = exec(&mut app, &format!("load {}", path.display())).unwrap_err();
+        assert!(err.to_string().contains("bogus"), "{err}");
+        assert_eq!(app.session().function_text(), rules, "rule set unchanged");
+        assert_eq!(app.session().history().len(), history, "no edit applied");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn export_import_roundtrip() {
         let dir = std::env::temp_dir().join("rulem_cli_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -932,15 +509,16 @@ mod tests {
         assert_eq!(lint.other_rule.as_deref(), Some("r0"));
         assert_eq!(lint.fix.as_deref(), Some("rm r1"));
         assert!(lint.safe);
-        // The lint command emits one line per finding.
+        // The lint command emits the wire's report header, then one line
+        // per finding.
         let out = exec(&mut app, "lint").unwrap();
-        assert_eq!(out.lines().count(), 1);
-        assert_eq!(
-            LintLine::from_json(out.lines().next().unwrap())
-                .unwrap()
-                .severity,
-            "warning"
-        );
+        let mut lines = out.lines();
+        let header = lines.next().unwrap();
+        assert!(header.contains("\"event\":\"lint_report\""), "{out}");
+        assert!(header.contains("\"warnings\":1"), "{out}");
+        let lint = LintLine::from_json(lines.next().unwrap()).unwrap();
+        assert_eq!(lint.severity, "warning");
+        assert_eq!(lines.next(), None, "{out}");
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //! set p0 to 0.75: +0 / -13 verdicts, 71 pairs examined, 305µs
 //! ```
 //!
-//! The parser ([`command`]) and executor ([`app`]) are stdout-free library
-//! code; the binary is a thin loop.
+//! The parser ([`command`]), the app ([`app`]) and the human renderer
+//! ([`human`]) are stdout-free library code; the binary is a thin loop.
+//! Commands execute through `em_core::command::execute`, the executor the
+//! server shares.
 
 pub mod app;
 pub mod command;
+pub mod human;
 
 pub use app::{App, AppError};
 pub use command::{parse, Command};

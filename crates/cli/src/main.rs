@@ -70,8 +70,9 @@ it applies, `save` folds the journal into a fresh snapshot, and starting
 with the same --store recovers the session (snapshot + journal replay),
 printing a recovery report.
 
---porcelain renders edits and history as one-line JSON records (the same
-shapes the server's wire protocol speaks) for scripted use.";
+--porcelain prints every session command's result as the payload the
+server's wire protocol sends for it (one JSON record per line) for
+scripted use.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

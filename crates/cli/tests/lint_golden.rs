@@ -1,8 +1,9 @@
 //! Golden test for the static analyzer's two front ends: one ruleset
 //! exhibiting every diagnostic kind, linted through the CLI's
 //! `--porcelain` output and through the server's wire protocol. The
-//! findings must be deterministic, severity-ordered, and byte-identical
-//! across the two surfaces.
+//! findings must be deterministic, severity-ordered, and the whole
+//! payload — `lint_report` header and rows — byte-identical across the
+//! two surfaces.
 
 use em_cli::{parse, App};
 use em_core::{DebugSession, LintLine, SessionConfig};
@@ -167,8 +168,8 @@ fn exec(app: &mut App, line: &str) -> String {
 }
 
 /// Runs the golden ruleset through the CLI's porcelain surface and
-/// returns the `lint` output lines.
-fn cli_lint_lines() -> Vec<String> {
+/// returns the `lint` payload.
+fn cli_lint_payload() -> String {
     let (a, b) = tables();
     let cands = CandidateSet::cartesian(&a, &b);
     let mut session = DebugSession::new(a, b, cands, SessionConfig::default());
@@ -181,20 +182,23 @@ fn cli_lint_lines() -> Vec<String> {
     let out = exec(&mut app, "lint");
     // Deterministic: a second run renders byte-identically.
     assert_eq!(out, exec(&mut app, "lint"), "lint must be deterministic");
-    out.lines().map(String::from).collect()
+    out
 }
 
 #[test]
 fn every_diagnostic_kind_matches_the_golden_sequence_on_both_surfaces() {
-    let cli_lines = cli_lint_lines();
-    let lints: Vec<LintLine> = cli_lines
-        .iter()
-        .map(|l| LintLine::from_json(l).unwrap())
-        .collect();
+    let cli_payload = cli_lint_payload();
+    let mut lines = cli_payload.lines();
+    let header = lines.next().unwrap();
+    assert_eq!(
+        header,
+        r#"{"event":"lint_report","total":7,"errors":1,"warnings":5,"infos":1}"#
+    );
+    let lints: Vec<LintLine> = lines.map(|l| LintLine::from_json(l).unwrap()).collect();
     assert_golden(&lints);
 
-    // Same ruleset over the wire: the server's `lint` rows must be
-    // byte-identical to the CLI's porcelain lines.
+    // Same ruleset over the wire: the server's `lint` payload, header
+    // included, must be byte-identical to the CLI's porcelain output.
     let (a, b) = tables();
     let cands = CandidateSet::cartesian(&a, &b);
     let template = SessionTemplate::new(a, b, cands, Vec::new(), SessionConfig::default())
@@ -206,15 +210,7 @@ fn every_diagnostic_kind_matches_the_golden_sequence_on_both_surfaces() {
         c.expect_ok(line).unwrap();
     }
     let payload = c.expect_ok("lint").unwrap();
-    let mut lines = payload.lines();
-    let header = lines.next().unwrap();
-    assert!(header.contains("\"event\":\"lint_report\""), "{header}");
-    assert!(header.contains("\"total\":7"), "{header}");
-    assert!(header.contains("\"errors\":1"), "{header}");
-    assert!(header.contains("\"warnings\":5"), "{header}");
-    assert!(header.contains("\"infos\":1"), "{header}");
-    let wire_lines: Vec<String> = lines.map(String::from).collect();
-    assert_eq!(wire_lines, cli_lines, "wire and CLI lint must agree");
+    assert_eq!(payload, cli_payload, "wire and CLI lint must agree");
 }
 
 /// Repeatedly applying every safe fix-it reaches a clean fixpoint

@@ -3,10 +3,11 @@
 //! The paper's premise is an *interactive* (<1 s) debug loop, so no edit may
 //! block unboundedly. An [`EvalBudget`] bounds an evaluation pass with an
 //! optional deadline and an optional [`CancelToken`] (wired to Ctrl-C in the
-//! CLI). Engines poll the budget through a [`BudgetChecker`] every few pairs;
-//! when it trips they stop early and report a [`Completion::Partial`] with
-//! the untouched pair indices, which the session stores so `resume()` can
-//! finish the remainder later.
+//! CLI). Incremental edits poll the budget through a [`BudgetChecker`]
+//! every few pairs; when it trips they stop early and report a
+//! [`Completion::Partial`] with the untouched pair indices, which the session
+//! stores so `resume()` can finish the remainder later. Full runs take no
+//! budget: they always complete.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

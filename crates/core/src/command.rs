@@ -1,15 +1,28 @@
 //! The textual command grammar shared by the CLI REPL and the server's
-//! wire protocol.
+//! wire protocol, and its one executor.
 //!
-//! Kept separate from execution so the parser is a pure, exhaustively
-//! testable function — and kept in `em-core` so the two front ends
-//! (`em-cli`'s REPL and `em-server`'s line protocol) cannot drift: both
-//! parse exactly this grammar.
+//! Both front ends (`em-cli`'s REPL and `em-server`'s line protocol) parse
+//! exactly this grammar and run it through [`execute`], which owns every
+//! session call, argument check and lint advisory and returns a typed
+//! [`Outcome`]. Only rendering differs per surface: the wire payload is
+//! [`crate::porcelain::render`] (also what the CLI prints under
+//! `--porcelain`), the human text lives in `em-cli`.
 
+use crate::analyze::{new_diagnostics, Diagnostic};
+use crate::engine::EvalStats;
 use crate::feature::FeatureId;
+use crate::incremental::ChangeReport;
 use crate::ordering::OrderingAlgo;
+use crate::persist::{disk_free, PersistError, SessionStore};
 use crate::predicate::PredId;
+use crate::quality::QualityReport;
 use crate::rule::RuleId;
+use crate::session::{EditRecord, SessionError};
+use crate::simplify::SimplifyReport;
+use crate::state::MemoryReport;
+use em_types::LabeledPair;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// One parsed REPL command.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +86,83 @@ pub enum Command {
     Open(String),
     /// `quit` / `exit`
     Quit,
+}
+
+impl Command {
+    /// The command's grammar word: the `cmd` label of the server's
+    /// per-verb latency histogram. One value per word, never derived from
+    /// client-supplied text.
+    pub fn verb(&self) -> &'static str {
+        match self {
+            Command::Help => "help",
+            Command::AddRule(_) => "add",
+            Command::ListRules => "rules",
+            Command::RemoveRule(_) => "rm",
+            Command::AddPredicate(..) => "addpred",
+            Command::RemovePredicate(_) => "rmpred",
+            Command::SetThreshold(..) => "set",
+            Command::Undo => "undo",
+            Command::Resume => "resume",
+            Command::Simplify => "simplify",
+            Command::Lint => "lint",
+            Command::Run => "run",
+            Command::Matches(_) => "matches",
+            Command::Explain(_) => "explain",
+            Command::NearMisses(..) => "misses",
+            Command::Quality => "quality",
+            Command::Stats => "stats",
+            Command::Status => "status",
+            Command::Optimize(_) => "optimize",
+            Command::MemoryReport => "memory",
+            Command::History => "history",
+            Command::Features => "features",
+            Command::Save(_) => "save",
+            Command::Load(_) => "load",
+            Command::Export(_) => "export",
+            Command::Import(_) => "import",
+            Command::Open(_) => "open",
+            Command::Quit => "quit",
+        }
+    }
+
+    /// True when the command changes session state (every such change is
+    /// journaled on a leader and shipped to followers) — a read-only
+    /// replica or a degraded store must refuse it rather than fork its own
+    /// timeline. Queries that only warm caches (`stats`, `misses`) do not
+    /// mutate: the memo and cost cache are derived state, not part of the
+    /// replicated timeline.
+    pub fn mutates(&self) -> bool {
+        match self {
+            Command::AddRule(_)
+            | Command::RemoveRule(_)
+            | Command::AddPredicate(..)
+            | Command::RemovePredicate(_)
+            | Command::SetThreshold(..)
+            | Command::Undo
+            | Command::Resume
+            | Command::Simplify
+            | Command::Run
+            | Command::Optimize(_)
+            | Command::Save(_)
+            | Command::Load(_)
+            | Command::Import(_)
+            | Command::Open(_) => true,
+            Command::Help
+            | Command::ListRules
+            | Command::Lint
+            | Command::Status
+            | Command::Matches(_)
+            | Command::Explain(_)
+            | Command::NearMisses(..)
+            | Command::Quality
+            | Command::Stats
+            | Command::MemoryReport
+            | Command::History
+            | Command::Features
+            | Command::Export(_)
+            | Command::Quit => false,
+        }
+    }
 }
 
 /// Parses one input line. Empty lines and `#` comments yield `None`.
@@ -235,6 +325,444 @@ commands:
   import <path>         restore a JSON session snapshot
   open <dir>            open (recover) a durable session store
   quit                  exit";
+
+/// What one command produced: the typed result both renderers print.
+#[derive(Debug)]
+pub enum Outcome {
+    /// Prose: `help`, `explain`, `stats`, and `quality` without labels.
+    Text(String),
+    /// An edit, `undo` or `resume` that ran a delta.
+    Change(Change),
+    /// `undo` with an empty stack or `resume` with nothing parked: the
+    /// verb that had nothing to do.
+    Noop(&'static str),
+    /// `run`.
+    Run {
+        /// Matches after the run.
+        matches: usize,
+        /// The run's work counters.
+        stats: EvalStats,
+        /// Pairs under panic quarantine after the run, ascending.
+        quarantined: Vec<usize>,
+        /// Wall-clock time of the run.
+        elapsed: Duration,
+    },
+    /// `lint`: every finding, in the analyzer's order.
+    Lint(Vec<Diagnostic>),
+    /// `simplify`.
+    Simplify {
+        /// What was removed.
+        report: SimplifyReport,
+        /// Rules remaining.
+        rules: usize,
+    },
+    /// `optimize`.
+    Optimize {
+        /// The ordering algorithm applied.
+        algo: OrderingAlgo,
+        /// Matches after the re-run (unchanged by construction).
+        matches: usize,
+        /// Wall-clock time of the reorder and re-run.
+        elapsed: Duration,
+    },
+    /// `rules`.
+    Rules {
+        /// Each rule with its predicates rendered in the rule language.
+        rules: Vec<(RuleId, Vec<(PredId, String)>)>,
+        /// Predicates across all rules.
+        n_predicates: usize,
+        /// Current match count.
+        matches: usize,
+    },
+    /// `matches <n>`.
+    Matches {
+        /// Total match count.
+        total: usize,
+        /// The first `n` matches with the rule that fired for each.
+        shown: Vec<(PairRow, Option<RuleId>)>,
+    },
+    /// `misses f<k> <n>`.
+    NearMisses {
+        /// The feature's name.
+        feature: String,
+        /// Unmatched pairs with their feature value, best first.
+        rows: Vec<(PairRow, f64)>,
+    },
+    /// `quality` against the loaded labels.
+    Quality(QualityReport),
+    /// `status`: the store's own footprint.
+    Status {
+        /// The store directory (`None` for an ephemeral session).
+        dir: Option<PathBuf>,
+        /// Snapshot epoch.
+        epoch: Option<u64>,
+        /// Journal records since the last snapshot.
+        journal_records: usize,
+        /// Bytes across snapshot generations.
+        store_bytes: u64,
+        /// Bytes across journal generations.
+        journal_bytes: u64,
+        /// Free bytes on the store's filesystem, when known.
+        disk_free: Option<u64>,
+    },
+    /// `memory`.
+    Memory {
+        /// The materialization's footprint.
+        report: MemoryReport,
+        /// Values stored in the memo.
+        memo_values: usize,
+    },
+    /// `history`, oldest first.
+    History(Vec<EditRecord>),
+    /// `features`: every interned feature with its name.
+    Features(Vec<(FeatureId, String)>),
+    /// `save`: the snapshot epoch written and where.
+    Saved {
+        /// The new epoch.
+        epoch: u64,
+        /// The store directory.
+        dir: PathBuf,
+    },
+}
+
+/// One delta an analyst asked for, with what it changed.
+#[derive(Debug)]
+pub struct Change {
+    /// The operation and the ids it minted or targeted.
+    pub op: ChangeOp,
+    /// What the delta changed.
+    pub report: ChangeReport,
+    /// Edits left on the undo stack afterwards.
+    pub undo_depth: usize,
+    /// Static-analysis findings the edit introduced (present after, absent
+    /// before); `undo` and `resume` carry none.
+    pub advisories: Vec<Diagnostic>,
+}
+
+/// The operation behind a [`Change`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChangeOp {
+    /// `add` — the rule minted.
+    AddRule(RuleId),
+    /// `rm`.
+    RemoveRule(RuleId),
+    /// `addpred` — the rule extended and the predicate minted.
+    AddPredicate(RuleId, PredId),
+    /// `rmpred`.
+    RemovePredicate(PredId),
+    /// `set` — the predicate and its new threshold.
+    SetThreshold(PredId, f64),
+    /// `undo`.
+    Undo,
+    /// `resume`.
+    Resume,
+}
+
+impl ChangeOp {
+    /// The porcelain `op` label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ChangeOp::AddRule(_) => "add_rule",
+            ChangeOp::RemoveRule(_) => "remove_rule",
+            ChangeOp::AddPredicate(..) => "add_predicate",
+            ChangeOp::RemovePredicate(_) => "remove_predicate",
+            ChangeOp::SetThreshold(..) => "set_threshold",
+            ChangeOp::Undo => "undo",
+            ChangeOp::Resume => "resume",
+        }
+    }
+
+    /// The rule the operation minted or targeted.
+    pub fn rule(&self) -> Option<RuleId> {
+        match self {
+            ChangeOp::AddRule(r) | ChangeOp::RemoveRule(r) | ChangeOp::AddPredicate(r, _) => {
+                Some(*r)
+            }
+            _ => None,
+        }
+    }
+
+    /// The predicate the operation minted or targeted.
+    pub fn pred(&self) -> Option<PredId> {
+        match self {
+            ChangeOp::AddPredicate(_, p)
+            | ChangeOp::RemovePredicate(p)
+            | ChangeOp::SetThreshold(p, _) => Some(*p),
+            _ => None,
+        }
+    }
+}
+
+/// One candidate pair as listings show it: the record ids and, for human
+/// eyes, each record's first attribute.
+#[derive(Debug, Clone)]
+pub struct PairRow {
+    /// Candidate pair index.
+    pub pair: usize,
+    /// Left record id.
+    pub a: String,
+    /// Right record id.
+    pub b: String,
+    /// Left record's first attribute value.
+    pub a_value: String,
+    /// Right record's first attribute value.
+    pub b_value: String,
+}
+
+/// Why [`execute`] refused a command. Each surface words these itself.
+#[derive(Debug)]
+pub enum CommandError {
+    /// An argument does not fit the session (pair index out of range,
+    /// unknown feature).
+    Usage(String),
+    /// The session refused the command: a parse error, an unknown id, a
+    /// parked edit awaiting `resume`, or a failed journal write.
+    Session(SessionError),
+    /// `save` could not write its snapshot (or the session has no store).
+    Persist(PersistError),
+    /// A verb that belongs to the surface rather than the session: the
+    /// file-path commands (`save <path>`, `load`, `export`, `import`,
+    /// `open`) and `quit`.
+    NotSessionCommand,
+}
+
+impl From<SessionError> for CommandError {
+    fn from(e: SessionError) -> Self {
+        CommandError::Session(e)
+    }
+}
+
+/// Executes one command against a session store. Every change goes
+/// through the store's write-ahead [`SessionStore::apply`], so it is
+/// crash-durable whenever the store is; the five analyst edits also report
+/// the lint findings they introduced.
+pub fn execute(
+    store: &mut SessionStore,
+    labels: &[LabeledPair],
+    cmd: &Command,
+) -> Result<Outcome, CommandError> {
+    Ok(match cmd {
+        Command::Help => Outcome::Text(HELP.to_string()),
+        Command::AddRule(text) => change(store, |s| {
+            let (rid, report) = s.add_rule_text(text)?;
+            Ok((ChangeOp::AddRule(rid), report))
+        })?,
+        Command::RemoveRule(rid) => change(store, |s| {
+            Ok((ChangeOp::RemoveRule(*rid), s.remove_rule(*rid)?))
+        })?,
+        Command::AddPredicate(rid, text) => change(store, |s| {
+            let pred = s.parse_predicate(text)?;
+            let (pid, report) = s.add_predicate(*rid, pred)?;
+            Ok((ChangeOp::AddPredicate(*rid, pid), report))
+        })?,
+        Command::RemovePredicate(pid) => change(store, |s| {
+            Ok((ChangeOp::RemovePredicate(*pid), s.remove_predicate(*pid)?))
+        })?,
+        Command::SetThreshold(pid, t) => change(store, |s| {
+            Ok((ChangeOp::SetThreshold(*pid, *t), s.set_threshold(*pid, *t)?))
+        })?,
+        Command::Undo => {
+            let report = store.undo()?;
+            replayed(store, ChangeOp::Undo, report)
+        }
+        Command::Resume => {
+            let report = store.resume()?;
+            replayed(store, ChangeOp::Resume, report)
+        }
+        Command::Run => {
+            let start = Instant::now();
+            let stats = store.run_full()?;
+            Outcome::Run {
+                matches: store.session().n_matches(),
+                stats,
+                quarantined: store.session().quarantined().to_vec(),
+                elapsed: start.elapsed(),
+            }
+        }
+        Command::Lint => Outcome::Lint(store.session().analyze()),
+        Command::Simplify => Outcome::Simplify {
+            report: store.simplify()?,
+            rules: store.session().function().n_rules(),
+        },
+        Command::Optimize(algo) => {
+            let start = Instant::now();
+            store.optimize(*algo)?;
+            Outcome::Optimize {
+                algo: *algo,
+                matches: store.session().n_matches(),
+                elapsed: start.elapsed(),
+            }
+        }
+        Command::ListRules => {
+            let session = store.session();
+            let ctx = session.context();
+            let rules = session
+                .function()
+                .rules()
+                .iter()
+                .map(|rule| {
+                    let preds = rule.preds.iter().map(|bp| {
+                        let text = format!(
+                            "{} {} {}",
+                            ctx.feature_name(bp.pred.feature),
+                            bp.pred.op,
+                            bp.pred.threshold
+                        );
+                        (bp.id, text)
+                    });
+                    (rule.id, preds.collect())
+                })
+                .collect();
+            Outcome::Rules {
+                rules,
+                n_predicates: session.function().n_predicates(),
+                matches: session.n_matches(),
+            }
+        }
+        Command::Matches(limit) => {
+            let session = store.session();
+            let matches = session.matches();
+            let shown = matches.iter().take(*limit).map(|&i| {
+                let fired = session.state().fired_rule(i);
+                (pair_row(store, i), fired)
+            });
+            Outcome::Matches {
+                total: matches.len(),
+                shown: shown.collect(),
+            }
+        }
+        Command::Explain(i) => {
+            let n = store.session().candidates().len();
+            if *i >= n {
+                return Err(CommandError::Usage(format!(
+                    "pair index {i} out of range (0..{n})"
+                )));
+            }
+            Outcome::Text(store.session().explain(*i).to_string())
+        }
+        Command::NearMisses(fid, n) => {
+            if fid.index() >= store.session().context().registry().len() {
+                return Err(CommandError::Usage(format!(
+                    "unknown feature {fid}; see `features`"
+                )));
+            }
+            let misses = store.session_mut().near_misses(*fid, *n);
+            Outcome::NearMisses {
+                feature: store.session().context().feature_name(*fid),
+                rows: misses
+                    .into_iter()
+                    .map(|(i, v)| (pair_row(store, i), v))
+                    .collect(),
+            }
+        }
+        Command::Quality if labels.is_empty() => Outcome::Text("no labels loaded".to_string()),
+        Command::Quality => Outcome::Quality(store.session().quality(labels)),
+        Command::Stats => Outcome::Text(stats_text(store)),
+        Command::Status => {
+            let (store_bytes, journal_bytes) = store.usage();
+            Outcome::Status {
+                dir: store.store_dir().map(PathBuf::from),
+                epoch: store.epoch(),
+                journal_records: store.records_since_save(),
+                store_bytes,
+                journal_bytes,
+                disk_free: store.store_dir().and_then(disk_free),
+            }
+        }
+        Command::MemoryReport => Outcome::Memory {
+            report: store.session().memory_report(),
+            memo_values: {
+                use crate::memo::Memo;
+                store.session().state().memo.stored()
+            },
+        },
+        Command::History => Outcome::History(store.session().history().to_vec()),
+        Command::Features => {
+            let ctx = store.session().context();
+            let names = ctx.registry().iter().map(|(f, _)| (f, ctx.feature_name(f)));
+            Outcome::Features(names.collect())
+        }
+        Command::Save(None) => {
+            let epoch = store.save().map_err(CommandError::Persist)?;
+            let dir = store.store_dir().map(PathBuf::from).unwrap_or_default();
+            Outcome::Saved { epoch, dir }
+        }
+        Command::Save(Some(_))
+        | Command::Load(_)
+        | Command::Export(_)
+        | Command::Import(_)
+        | Command::Open(_)
+        | Command::Quit => return Err(CommandError::NotSessionCommand),
+    })
+}
+
+/// Runs one analyst edit between two lint passes; the advisories are the
+/// findings present after the edit and absent before it.
+fn change(
+    store: &mut SessionStore,
+    edit: impl FnOnce(&mut SessionStore) -> Result<(ChangeOp, ChangeReport), SessionError>,
+) -> Result<Outcome, CommandError> {
+    let before = store.session().analyze();
+    let (op, report) = edit(store)?;
+    let after = store.session().analyze();
+    let advisories = new_diagnostics(&before, &after).into_iter().cloned();
+    Ok(Outcome::Change(Change {
+        op,
+        report,
+        undo_depth: store.session().undo_depth(),
+        advisories: advisories.collect(),
+    }))
+}
+
+/// The outcome of `undo` / `resume`: a delta, or a no-op.
+fn replayed(store: &SessionStore, op: ChangeOp, report: Option<ChangeReport>) -> Outcome {
+    match report {
+        None => Outcome::Noop(op.label()),
+        Some(report) => Outcome::Change(Change {
+            op,
+            report,
+            undo_depth: store.session().undo_depth(),
+            advisories: Vec::new(),
+        }),
+    }
+}
+
+fn pair_row(store: &SessionStore, i: usize) -> PairRow {
+    let session = store.session();
+    let p = session.candidates().pair(i);
+    let a = session.context().table_a().record(p.a);
+    let b = session.context().table_b().record(p.b);
+    PairRow {
+        pair: i,
+        a: a.id().to_string(),
+        b: b.id().to_string(),
+        a_value: a.value(0).unwrap_or("").to_string(),
+        b_value: b.value(0).unwrap_or("").to_string(),
+    }
+}
+
+/// Estimated feature costs and predicate selectivities, caching the
+/// sampled statistics on the session so later `explain` output carries
+/// per-predicate cost annotations.
+fn stats_text(store: &mut SessionStore) -> String {
+    use std::fmt::Write as _;
+    if store.session().function().is_empty() {
+        return "(no rules — nothing to estimate)".to_string();
+    }
+    let stats = store.session_mut().refresh_stats();
+    let session = store.session();
+    let mut out = String::from("feature costs (ns/eval):");
+    for f in session.function().features() {
+        let name = session.context().feature_name(f);
+        let _ = write!(out, "\n  {name:<40} {:>12.0}", stats.cost(f));
+    }
+    let _ = write!(out, "\nmemo lookup δ: {:.0} ns", stats.lookup_cost());
+    out.push_str("\npredicate selectivities:");
+    for (rid, bp) in session.function().predicates() {
+        let _ = write!(out, "\n  {rid}/{} sel = {:.4}", bp.id, stats.sel(bp.id));
+    }
+    out
+}
 
 #[cfg(test)]
 mod tests {

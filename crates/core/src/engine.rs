@@ -12,7 +12,7 @@
 //! of the same code path, which is what makes "parallel ≡ serial" hold by
 //! construction rather than by testing alone.
 
-use crate::budget::{Completion, EvalBudget};
+use crate::budget::EvalBudget;
 use crate::context::EvalContext;
 use crate::executor::{partition, run_sharded, split_mut, Executor};
 use crate::feature::FeatureId;
@@ -53,15 +53,13 @@ impl EvalStats {
 #[derive(Debug, Clone)]
 pub struct MatchOutcome {
     /// `verdicts[i]` is true iff candidate pair `i` matched. For pairs the
-    /// run did not evaluate (quarantined, or unreached under a tripped
-    /// budget) the slot keeps its initial `false`.
+    /// run could not evaluate (quarantined) the slot keeps its initial
+    /// `false`.
     pub verdicts: Vec<bool>,
     /// Work counters.
     pub stats: EvalStats,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
-    /// Whether every pair was evaluated, or which remain for a resume.
-    pub completion: Completion,
     /// Pairs whose evaluation panicked and were quarantined, ascending.
     pub quarantined: Vec<usize>,
 }
@@ -83,17 +81,6 @@ pub fn run_rudimentary(
     ctx: &EvalContext,
     cands: &CandidateSet,
     exec: &Executor,
-) -> MatchOutcome {
-    run_rudimentary_budgeted(func, ctx, cands, exec, &EvalBudget::unlimited())
-}
-
-/// [`run_rudimentary`] under an [`EvalBudget`].
-pub fn run_rudimentary_budgeted(
-    func: &MatchingFunction,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    exec: &Executor,
-    budget: &EvalBudget,
 ) -> MatchOutcome {
     let start = Instant::now();
     let mut verdicts = vec![false; cands.len()];
@@ -147,7 +134,7 @@ pub fn run_rudimentary_budgeted(
         })
         .collect();
     let shards = run_sharded(exec, shards, |_, (range, verdicts, stats, drive)| {
-        let mut checker = budget.checker();
+        let mut checker = EvalBudget::unlimited().checker();
         let mut sink = Sink {
             func,
             ctx,
@@ -165,13 +152,12 @@ pub fn run_rudimentary_budgeted(
         stats.absorb(&s);
         drives.push(d);
     }
-    let (completion, quarantined, _) = fold_outcomes(drives);
+    let (_, quarantined, _) = fold_outcomes(drives);
 
     MatchOutcome {
         verdicts,
         stats,
         elapsed: start.elapsed(),
-        completion,
         quarantined,
     }
 }
@@ -183,6 +169,10 @@ pub fn run_rudimentary_budgeted(
 /// for *production precomputation*, or a superset (everything the analyst
 /// might use) for *full precomputation*. Returns the filled memo so callers
 /// can account for memory (§7.4) or reuse it.
+///
+/// Precomputation is fused per pair (fill the pair's universe row, then
+/// match the pair) so panic isolation sees a single pass; the work
+/// performed is identical to the two-phase formulation.
 pub fn run_precompute(
     func: &MatchingFunction,
     ctx: &EvalContext,
@@ -190,32 +180,6 @@ pub fn run_precompute(
     universe: &[FeatureId],
     early_exit: bool,
     exec: &Executor,
-) -> (MatchOutcome, DenseMemo) {
-    run_precompute_budgeted(
-        func,
-        ctx,
-        cands,
-        universe,
-        early_exit,
-        exec,
-        &EvalBudget::unlimited(),
-    )
-}
-
-/// [`run_precompute`] under an [`EvalBudget`].
-///
-/// Precomputation is fused per pair (fill the pair's universe row, then
-/// match the pair) so the budget and panic isolation see a single pass; the
-/// work performed is identical to the two-phase formulation.
-#[allow(clippy::too_many_arguments)]
-pub fn run_precompute_budgeted(
-    func: &MatchingFunction,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    universe: &[FeatureId],
-    early_exit: bool,
-    exec: &Executor,
-    budget: &EvalBudget,
 ) -> (MatchOutcome, DenseMemo) {
     let start = Instant::now();
     let n_features = ctx.registry().len();
@@ -307,7 +271,7 @@ pub fn run_precompute_budgeted(
     }
 
     let shards = run_sharded(exec, shards, |_, shard| {
-        let mut checker = budget.checker();
+        let mut checker = EvalBudget::unlimited().checker();
         let range = shard.range.clone();
         let mut sink = Sink {
             func,
@@ -332,14 +296,13 @@ pub fn run_precompute_budgeted(
         drives.push(shard.drive);
     }
     memo.add_stored(new_stored);
-    let (completion, quarantined, _) = fold_outcomes(drives);
+    let (_, quarantined, _) = fold_outcomes(drives);
 
     (
         MatchOutcome {
             verdicts,
             stats,
             elapsed: start.elapsed(),
-            completion,
             quarantined,
         },
         memo,
@@ -356,17 +319,6 @@ pub fn run_early_exit(
     ctx: &EvalContext,
     cands: &CandidateSet,
     exec: &Executor,
-) -> MatchOutcome {
-    run_early_exit_budgeted(func, ctx, cands, exec, &EvalBudget::unlimited())
-}
-
-/// [`run_early_exit`] under an [`EvalBudget`].
-pub fn run_early_exit_budgeted(
-    func: &MatchingFunction,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    exec: &Executor,
-    budget: &EvalBudget,
 ) -> MatchOutcome {
     let start = Instant::now();
     let mut verdicts = vec![false; cands.len()];
@@ -418,7 +370,7 @@ pub fn run_early_exit_budgeted(
         })
         .collect();
     let shards = run_sharded(exec, shards, |_, (range, verdicts, stats, drive)| {
-        let mut checker = budget.checker();
+        let mut checker = EvalBudget::unlimited().checker();
         let mut sink = Sink {
             func,
             ctx,
@@ -436,13 +388,12 @@ pub fn run_early_exit_budgeted(
         stats.absorb(&s);
         drives.push(d);
     }
-    let (completion, quarantined, _) = fold_outcomes(drives);
+    let (_, quarantined, _) = fold_outcomes(drives);
 
     MatchOutcome {
         verdicts,
         stats,
         elapsed: start.elapsed(),
-        completion,
         quarantined,
     }
 }
@@ -655,25 +606,6 @@ pub fn run_memo_with<M: Memo>(
     memo: &mut M,
     check_cache_first: bool,
 ) -> MatchOutcome {
-    run_memo_with_budgeted(
-        func,
-        ctx,
-        cands,
-        memo,
-        check_cache_first,
-        &EvalBudget::unlimited(),
-    )
-}
-
-/// [`run_memo_with`] under an [`EvalBudget`]. Serial like its parent.
-pub fn run_memo_with_budgeted<M: Memo>(
-    func: &MatchingFunction,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    memo: &mut M,
-    check_cache_first: bool,
-    budget: &EvalBudget,
-) -> MatchOutcome {
     let start = Instant::now();
     let mut stats = EvalStats::default();
     let mut verdicts = vec![false; cands.len()];
@@ -734,7 +666,7 @@ pub fn run_memo_with_budgeted<M: Memo>(
         }
     }
 
-    let mut checker = budget.checker();
+    let mut checker = EvalBudget::unlimited().checker();
     let batched = !check_cache_first && !ctx.has_fault_plan();
     let mut sink = Sink {
         func,
@@ -752,13 +684,12 @@ pub fn run_memo_with_budgeted<M: Memo>(
     } else {
         drive_pairs(&list, &mut checker, &mut sink)
     };
-    let (completion, quarantined, _) = fold_outcomes([drive]);
+    let (_, quarantined, _) = fold_outcomes([drive]);
 
     MatchOutcome {
         verdicts,
         stats,
         elapsed: start.elapsed(),
-        completion,
         quarantined,
     }
 }
@@ -779,32 +710,6 @@ pub fn run_memo_into(
     memo: &mut DenseMemo,
     check_cache_first: bool,
     exec: &Executor,
-) -> MatchOutcome {
-    run_memo_into_budgeted(
-        func,
-        ctx,
-        cands,
-        memo,
-        check_cache_first,
-        exec,
-        &EvalBudget::unlimited(),
-    )
-}
-
-/// [`run_memo_into`] under an [`EvalBudget`].
-///
-/// # Panics
-///
-/// Panics when `memo` does not have exactly one pair slot per candidate.
-#[allow(clippy::too_many_arguments)]
-pub fn run_memo_into_budgeted(
-    func: &MatchingFunction,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    memo: &mut DenseMemo,
-    check_cache_first: bool,
-    exec: &Executor,
-    budget: &EvalBudget,
 ) -> MatchOutcome {
     let start = Instant::now();
     assert_eq!(
@@ -899,7 +804,7 @@ pub fn run_memo_into_budgeted(
 
     let batched = !check_cache_first && !ctx.has_fault_plan();
     let shards = run_sharded(exec, shards, |_, shard| {
-        let mut checker = budget.checker();
+        let mut checker = EvalBudget::unlimited().checker();
         let range = shard.range.clone();
         let mut sink = Sink {
             func,
@@ -929,13 +834,12 @@ pub fn run_memo_into_budgeted(
         drives.push(shard.drive);
     }
     memo.add_stored(new_stored);
-    let (completion, quarantined, _) = fold_outcomes(drives);
+    let (_, quarantined, _) = fold_outcomes(drives);
 
     MatchOutcome {
         verdicts,
         stats,
         elapsed: start.elapsed(),
-        completion,
         quarantined,
     }
 }
@@ -950,28 +854,8 @@ pub fn run_memo(
     check_cache_first: bool,
     exec: &Executor,
 ) -> (MatchOutcome, DenseMemo) {
-    run_memo_budgeted(
-        func,
-        ctx,
-        cands,
-        check_cache_first,
-        exec,
-        &EvalBudget::unlimited(),
-    )
-}
-
-/// [`run_memo`] under an [`EvalBudget`].
-pub fn run_memo_budgeted(
-    func: &MatchingFunction,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    check_cache_first: bool,
-    exec: &Executor,
-    budget: &EvalBudget,
-) -> (MatchOutcome, DenseMemo) {
     let mut memo = DenseMemo::new(cands.len(), ctx.registry().len());
-    let outcome =
-        run_memo_into_budgeted(func, ctx, cands, &mut memo, check_cache_first, exec, budget);
+    let outcome = run_memo_into(func, ctx, cands, &mut memo, check_cache_first, exec);
     (outcome, memo)
 }
 
@@ -1196,26 +1080,9 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_budget_yields_fully_partial_outcome() {
-        let (ctx, cands, func) = fixture();
-        let token = crate::budget::CancelToken::new();
-        token.cancel();
-        let budget = EvalBudget::unlimited().with_token(token);
-        let out = run_memo_budgeted(&func, &ctx, &cands, false, &Executor::serial(), &budget).0;
-        assert!(!out.completion.is_complete());
-        assert_eq!(
-            out.completion.remaining(),
-            (0..cands.len()).collect::<Vec<_>>()
-        );
-        assert_eq!(out.n_matches(), 0, "nothing evaluated, nothing matched");
-        assert_eq!(out.stats, EvalStats::default());
-    }
-
-    #[test]
-    fn unlimited_budgeted_runs_are_complete() {
+    fn clean_runs_quarantine_nothing() {
         let (ctx, cands, func) = fixture();
         let out = run_rudimentary(&func, &ctx, &cands, &Executor::serial());
-        assert!(out.completion.is_complete());
         assert!(out.quarantined.is_empty());
     }
 

@@ -516,30 +516,8 @@ fn loosen_affected(state: &MatchState, pid: PredId) -> Vec<usize> {
 /// currently-unmatched pairs can change: every matched pair fires before
 /// reaching it. This is exact — unmatched pairs have all existing rules
 /// false, and those rules are untouched.
-pub fn add_rule(
-    func: &mut MatchingFunction,
-    state: &mut MatchState,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    rule: Rule,
-    check_cache_first: bool,
-    exec: &Executor,
-) -> Result<(RuleId, ChangeReport), EditError> {
-    add_rule_budgeted(
-        func,
-        state,
-        ctx,
-        cands,
-        rule,
-        check_cache_first,
-        exec,
-        &EvalBudget::unlimited(),
-    )
-}
-
-/// [`add_rule`] under an [`EvalBudget`].
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
-pub fn add_rule_budgeted(
+pub fn add_rule(
     func: &mut MatchingFunction,
     state: &mut MatchState,
     ctx: &EvalContext,
@@ -568,33 +546,12 @@ pub fn add_rule_budgeted(
 /// Algorithm 9 — remove a rule.
 ///
 /// Only the pairs `r` fired for can change; each is re-run through the
-/// remaining rules (robust cascade).
-pub fn remove_rule(
-    func: &mut MatchingFunction,
-    state: &mut MatchState,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    rid: RuleId,
-    check_cache_first: bool,
-    exec: &Executor,
-) -> Result<ChangeReport, EditError> {
-    remove_rule_budgeted(
-        func,
-        state,
-        ctx,
-        cands,
-        rid,
-        check_cache_first,
-        exec,
-        &EvalBudget::unlimited(),
-    )
-}
-
-/// [`remove_rule`] under an [`EvalBudget`]. Under a tripped budget the
-/// unprocessed pairs keep their stale verdict (and fired pointer) until the
-/// resume completes, so the caller must block further edits until then.
+/// remaining rules (robust cascade). Under a tripped budget the
+/// unprocessed pairs keep their stale verdict (and fired pointer) until
+/// the resume completes, so the caller must block further edits until
+/// then.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
-pub fn remove_rule_budgeted(
+pub fn remove_rule(
     func: &mut MatchingFunction,
     state: &mut MatchState,
     ctx: &EvalContext,
@@ -632,31 +589,6 @@ pub fn add_predicate(
     pred: Predicate,
     check_cache_first: bool,
     exec: &Executor,
-) -> Result<(PredId, ChangeReport), EditError> {
-    add_predicate_budgeted(
-        func,
-        state,
-        ctx,
-        cands,
-        rid,
-        pred,
-        check_cache_first,
-        exec,
-        &EvalBudget::unlimited(),
-    )
-}
-
-/// [`add_predicate`] under an [`EvalBudget`].
-#[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
-pub fn add_predicate_budgeted(
-    func: &mut MatchingFunction,
-    state: &mut MatchState,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    rid: RuleId,
-    pred: Predicate,
-    check_cache_first: bool,
-    exec: &Executor,
     budget: &EvalBudget,
 ) -> Result<(PredId, ChangeReport), EditError> {
     let pid = func.add_predicate(rid, pred)?;
@@ -676,30 +608,8 @@ pub fn add_predicate_budgeted(
 }
 
 /// Algorithm 8 — remove a predicate from a rule.
-pub fn remove_predicate(
-    func: &mut MatchingFunction,
-    state: &mut MatchState,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    pid: PredId,
-    check_cache_first: bool,
-    exec: &Executor,
-) -> Result<ChangeReport, EditError> {
-    remove_predicate_budgeted(
-        func,
-        state,
-        ctx,
-        cands,
-        pid,
-        check_cache_first,
-        exec,
-        &EvalBudget::unlimited(),
-    )
-}
-
-/// [`remove_predicate`] under an [`EvalBudget`].
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
-pub fn remove_predicate_budgeted(
+pub fn remove_predicate(
     func: &mut MatchingFunction,
     state: &mut MatchState,
     ctx: &EvalContext,
@@ -736,36 +646,11 @@ pub fn remove_predicate_budgeted(
 
 /// Tighten or relax a predicate's threshold; dispatches to Algorithm 7 or 8
 /// by the direction of the change. A no-op change returns an empty report.
+/// Also returns the [`PendingDelta`] that was run (`None` for a no-op
+/// change) so callers can store it for [`resume_delta`] without
+/// re-deriving the direction.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
 pub fn set_threshold(
-    func: &mut MatchingFunction,
-    state: &mut MatchState,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    pid: PredId,
-    new_threshold: f64,
-    check_cache_first: bool,
-    exec: &Executor,
-) -> Result<ChangeReport, EditError> {
-    set_threshold_budgeted(
-        func,
-        state,
-        ctx,
-        cands,
-        pid,
-        new_threshold,
-        check_cache_first,
-        exec,
-        &EvalBudget::unlimited(),
-    )
-    .map(|(report, _)| report)
-}
-
-/// [`set_threshold`] under an [`EvalBudget`]. Also returns the
-/// [`PendingDelta`] that was run (`None` for a no-op change) so callers can
-/// store it for [`resume_delta`] without re-deriving the direction.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
-pub fn set_threshold_budgeted(
     func: &mut MatchingFunction,
     state: &mut MatchState,
     ctx: &EvalContext,
@@ -910,6 +795,7 @@ mod tests {
             rule,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         // a1b1 already matched via title; a3b3 (BS1 = BS1) is new.
@@ -935,6 +821,7 @@ mod tests {
             rule,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         let title_rule = fix.func.rules()[0].id;
@@ -946,6 +833,7 @@ mod tests {
             title_rule,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(report.pairs_examined, 2, "only M(r) re-examined");
@@ -969,6 +857,7 @@ mod tests {
             Predicate::at_least(fix.f_model, 1.0),
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(report.pairs_examined, 2, "only M(r) re-examined");
@@ -984,7 +873,7 @@ mod tests {
         let pid = fix.func.rules()[0].preds[0].id;
 
         // Tighten to an impossible threshold: both matches vanish.
-        let report = set_threshold(
+        let (report, _) = set_threshold(
             &mut fix.func,
             &mut fix.state,
             &fix.ctx,
@@ -993,6 +882,7 @@ mod tests {
             1.01,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(report.newly_unmatched.len(), 2);
@@ -1000,7 +890,7 @@ mod tests {
         assert_consistent(&fix);
 
         // Relax back to 0.99: both return.
-        let report = set_threshold(
+        let (report, _) = set_threshold(
             &mut fix.func,
             &mut fix.state,
             &fix.ctx,
@@ -1009,6 +899,7 @@ mod tests {
             0.99,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(report.newly_matched.len(), 2);
@@ -1016,7 +907,7 @@ mod tests {
         assert_consistent(&fix);
 
         // Relaxing further matches overlapping-but-unequal titles too.
-        let report = set_threshold(
+        let (report, _) = set_threshold(
             &mut fix.func,
             &mut fix.state,
             &fix.ctx,
@@ -1025,6 +916,7 @@ mod tests {
             0.2,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert!(!report.newly_matched.is_empty());
@@ -1035,7 +927,7 @@ mod tests {
     fn noop_threshold_change_is_free() {
         let mut fix = fixture();
         let pid = fix.func.rules()[0].preds[0].id;
-        let report = set_threshold(
+        let (report, _) = set_threshold(
             &mut fix.func,
             &mut fix.state,
             &fix.ctx,
@@ -1044,6 +936,7 @@ mod tests {
             0.99,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(report.pairs_examined, 0);
@@ -1065,6 +958,7 @@ mod tests {
             Predicate::at_least(fix.f_model, 1.0),
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(fix.state.n_matches(), 1);
@@ -1076,6 +970,7 @@ mod tests {
             pid,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(report.newly_matched, vec![5]);
@@ -1099,6 +994,7 @@ mod tests {
             rule,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         // Tighten rule 1 to impossible, relax it back, then remove rule 2;
@@ -1113,6 +1009,7 @@ mod tests {
             1.01,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_consistent(&fix);
@@ -1125,6 +1022,7 @@ mod tests {
             0.9,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_consistent(&fix);
@@ -1137,6 +1035,7 @@ mod tests {
             r2,
             false,
             &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .unwrap();
         assert_consistent(&fix);
@@ -1150,7 +1049,7 @@ mod tests {
         let budget = EvalBudget::unlimited().with_token(token.clone());
 
         let rule = Rule::new().pred(fix.f_model, CmpOp::Ge, 1.0);
-        let (rid, report) = add_rule_budgeted(
+        let (rid, report) = add_rule(
             &mut fix.func,
             &mut fix.state,
             &fix.ctx,
@@ -1201,7 +1100,7 @@ mod tests {
         let mut fix = fixture();
         let budget = EvalBudget::unlimited().with_deadline(std::time::Duration::ZERO);
         let pid = fix.func.rules()[0].preds[0].id;
-        let (report, kind) = set_threshold_budgeted(
+        let (report, kind) = set_threshold(
             &mut fix.func,
             &mut fix.state,
             &fix.ctx,
@@ -1230,7 +1129,8 @@ mod tests {
             &fix.cands,
             RuleId(999),
             false,
-            &Executor::serial()
+            &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .is_err());
         assert!(set_threshold(
@@ -1241,7 +1141,8 @@ mod tests {
             PredId(999),
             0.5,
             false,
-            &Executor::serial()
+            &Executor::serial(),
+            &EvalBudget::unlimited(),
         )
         .is_err());
     }

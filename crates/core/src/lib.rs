@@ -53,6 +53,7 @@ pub mod budget;
 pub mod command;
 pub mod context;
 pub mod costmodel;
+pub mod edit;
 pub mod engine;
 pub mod exact;
 pub mod executor;
@@ -85,10 +86,10 @@ pub use budget::{CancelToken, Completion, EvalBudget, StopReason};
 pub use command::Command;
 pub use context::EvalContext;
 pub use costmodel::{cost_early_exit, cost_memo, cost_precompute, cost_rudimentary, MemoState};
+pub use edit::{Applied, Edit};
 pub use engine::{
-    run_early_exit, run_early_exit_budgeted, run_memo, run_memo_budgeted, run_memo_with,
-    run_memo_with_budgeted, run_precompute, run_precompute_budgeted, run_rudimentary,
-    run_rudimentary_budgeted, EvalStats, MatchOutcome, Strategy,
+    run_early_exit, run_memo, run_memo_with, run_precompute, run_rudimentary, EvalStats,
+    MatchOutcome, Strategy,
 };
 pub use exact::{optimal_rule_order, ExactOrder, MAX_EXACT_RULES};
 pub use executor::{partition, run_sharded, split_mut, Executor};
@@ -98,9 +99,8 @@ pub use fault::{AppendFault, DiskFault, DiskFaultPlan, FaultPlan, IoFaultPlan, S
 pub use feature::{FeatureDef, FeatureId, FeatureRegistry};
 pub use function::{EditError, MatchingFunction};
 pub use incremental::{
-    add_predicate, add_predicate_budgeted, add_rule, add_rule_budgeted, remove_predicate,
-    remove_predicate_budgeted, remove_rule, remove_rule_budgeted, resume_delta, set_threshold,
-    set_threshold_budgeted, ChangeReport, PendingDelta, WorkerStats,
+    add_predicate, add_rule, remove_predicate, remove_rule, resume_delta, set_threshold,
+    ChangeReport, PendingDelta, WorkerStats,
 };
 pub use memo::{DenseMemo, Memo, MemoShard, OverlayMemo, SparseMemo};
 pub use ordering::{
@@ -112,9 +112,9 @@ pub use parse::{parse_function, parse_measure, ParseError, ParseErrorKind, Span}
 pub use persist::vfs::FaultVfs;
 pub use persist::{
     decode_record, disk_free, install_snapshot_bytes, replay_record, scrub, session_store_dir,
-    store_exists, DiskErrorKind, DiskOp, JournalRecord, JournalTailer, PersistError, RealVfs,
-    RecoveryReport, ScrubClass, ScrubFinding, ScrubReport, SessionStore, StoreLock, TailBatch,
-    TailResult, Vfs, Watermark,
+    store_exists, DiskErrorKind, DiskOp, JournalTailer, PersistError, RealVfs, RecoveryReport,
+    ScrubClass, ScrubFinding, ScrubReport, SessionStore, StoreLock, TailBatch, TailResult, Vfs,
+    Watermark,
 };
 pub use porcelain::{ChangeLine, HistoryLine, LintLine};
 pub use predicate::{CmpOp, PredId, Predicate};
@@ -123,5 +123,5 @@ pub use robust::install_quiet_panic_hook;
 pub use rule::{BoundPredicate, BoundRule, Rule, RuleId};
 pub use session::{DebugSession, PendingWork, SessionConfig, SessionError, SessionSnapshot};
 pub use simplify::{simplify, SimplifyReport};
-pub use state::{run_full, run_full_budgeted, FullRunOutcome, MatchState, MemoryReport};
+pub use state::{run_full, FullRunOutcome, MatchState, MemoryReport};
 pub use stats::{FunctionStats, DEFAULT_SAMPLE_FRACTION};

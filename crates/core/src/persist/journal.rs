@@ -19,7 +19,7 @@
 //! before surfacing any append error.
 //!
 //! The journal layer deals in opaque payload bytes; the record schema
-//! (JSON [`super::JournalRecord`]s) lives in [`super::store`].
+//! (JSON [`crate::Edit`]s) lives in [`super::store`].
 
 use super::frame::{encode_frame, read_frame, sync_dir, FrameRead};
 use super::snapshot::{decode_header, encode_header, JOURNAL_MAGIC};

@@ -15,12 +15,12 @@
 //!   length-prefixed checksummed frame appended (and fsynced) *before*
 //!   the in-memory delta is applied, truncated cleanly at the first torn
 //!   or corrupt frame on open;
-//! * [`store`] — the [`SessionStore`] tying both together: journaled edit
-//!   wrappers, an autosave/compaction policy, and recovery that loads the
-//!   latest valid snapshot and replays the journal suffix through the
-//!   incremental Algorithms 7–10 (not a full re-run), reusing the
-//!   `*_budgeted` machinery so recovery itself is deadline-aware and
-//!   resumable;
+//! * [`store`] — the [`SessionStore`] tying both together: one
+//!   write-ahead `apply(Edit)`, an autosave/compaction policy, and
+//!   recovery that loads the latest valid snapshot and replays the journal
+//!   suffix through [`crate::DebugSession::apply`] — the incremental
+//!   Algorithms 7–10, not a full re-run — settling any edit a budget
+//!   parked;
 //! * [`lock`] — a pid-stamped lock file guarding each store directory
 //!   against concurrent writers (stale locks from killed owners are
 //!   detected and stolen), plus name→directory resolution for stores
@@ -53,8 +53,8 @@ pub use frame::crc32;
 pub use lock::{session_store_dir, StoreLock};
 pub use scrub::{scrub, ScrubClass, ScrubFinding, ScrubReport};
 pub use store::{
-    decode_record, install_snapshot_bytes, replay_record, store_exists, JournalRecord,
-    RecoveryReport, SessionStore,
+    decode_record, install_snapshot_bytes, replay_record, store_exists, RecoveryReport,
+    SessionStore,
 };
 pub use tail::{JournalTailer, TailBatch, TailResult, Watermark};
 pub use vfs::{disk_free, DiskErrorKind, DiskOp, RealVfs, Vfs};

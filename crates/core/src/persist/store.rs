@@ -14,8 +14,8 @@
 //!
 //! [`SessionStore::open`] recovers: it installs the newest valid snapshot
 //! *without re-running matching* — memo `H`, `M(r)`, `U(p)` come back as
-//! bytes — then replays the journal suffix through the session's own edit
-//! methods, i.e. through the incremental Algorithms 7–10. Replaying an
+//! bytes — then replays the journal suffix through [`DebugSession::apply`],
+//! i.e. through the incremental Algorithms 7–10. Replaying an
 //! edit re-mints the same rule/predicate ids the live session minted,
 //! because the snapshot carries the function's id counters and features
 //! re-intern in their original order.
@@ -25,6 +25,7 @@ use super::journal::Journal;
 use super::snapshot::{decode_snapshot, encode_snapshot, DecodedSnapshot};
 use super::vfs::{DiskOp, RealVfs, Vfs};
 use super::PersistError;
+use crate::edit::{Applied, Edit};
 use crate::engine::EvalStats;
 use crate::feature::{FeatureDef, FeatureRegistry};
 use crate::incremental::ChangeReport;
@@ -45,71 +46,6 @@ use crate::fault::{AppendFault, IoFaultPlan, SnapshotFault};
 /// snapshot. Every record replays in delta time, so this bounds recovery
 /// work, not durability.
 const DEFAULT_AUTOSAVE_EVERY: usize = 64;
-
-/// One durable edit, as appended to the write-ahead journal (JSON, one
-/// checksummed frame per record).
-///
-/// Records carry *intents*, not outcomes: replaying them through the
-/// session's edit methods reproduces the outcomes — including id minting
-/// and deterministic failures — because the session is deterministic for a
-/// given starting state and config.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub enum JournalRecord {
-    /// A feature definition was interned (always journaled before any edit
-    /// that could reference it).
-    InternFeature {
-        /// The definition, by attribute ids.
-        def: FeatureDef,
-    },
-    /// `add_rule` — predicates in authoring order.
-    AddRule {
-        /// The unbound predicates.
-        preds: Vec<Predicate>,
-    },
-    /// `remove_rule`.
-    RemoveRule {
-        /// The rule removed.
-        rid: RuleId,
-    },
-    /// `add_predicate`.
-    AddPredicate {
-        /// The rule extended.
-        rid: RuleId,
-        /// The predicate appended.
-        pred: Predicate,
-    },
-    /// `remove_predicate`.
-    RemovePredicate {
-        /// The predicate removed.
-        pid: PredId,
-    },
-    /// `set_threshold`.
-    SetThreshold {
-        /// The predicate adjusted.
-        pid: PredId,
-        /// The new threshold.
-        threshold: f64,
-    },
-    /// `undo`.
-    Undo,
-    /// `resume` of a budget-parked edit.
-    Resume,
-    /// `run_full` — a from-scratch matching run.
-    RunFull,
-    /// `simplify` of the matching function.
-    Simplify,
-    /// `optimize` under an ordering algorithm (deterministic given the
-    /// session's seed and sample fraction).
-    Optimize {
-        /// The ordering algorithm applied.
-        algo: OrderingAlgo,
-    },
-    /// `restore` of a [`SessionSnapshot`] (the JSON rule-set export).
-    Restore {
-        /// The snapshot restored.
-        snapshot: SessionSnapshot,
-    },
-}
 
 /// What [`SessionStore::open`] did to get the session back.
 #[derive(Debug)]
@@ -383,8 +319,7 @@ impl SessionStore {
                 }
             };
             for payload in &scan.payloads {
-                let record = decode_record(payload)?;
-                if apply_record(&mut session, &record).is_err() {
+                if session.apply(&decode_record(payload)?).is_err() {
                     records_failed += 1;
                 }
                 settle(&mut session)?;
@@ -644,39 +579,43 @@ impl SessionStore {
         Ok(new_epoch)
     }
 
-    // ---- write-ahead edit wrappers ----------------------------------------
+    // ---- the write-ahead path ----------------------------------------------
 
-    /// Journals any features interned since the last record, then the
-    /// record itself — fsynced — before the caller applies the edit.
-    fn pre_edit(&mut self, record: &JournalRecord) -> Result<(), SessionError> {
+    /// Applies one edit write-ahead — the only path by which a durable
+    /// session changes:
+    ///
+    /// 1. features interned since the last record are journaled;
+    /// 2. the edit itself is appended and fsynced;
+    /// 3. only then does [`DebugSession::apply`] run the in-memory delta;
+    /// 4. autosave folds the journal into a snapshot when due. A successful
+    ///    `Restore` replaces the whole rule set, so it compacts at once.
+    pub fn apply(&mut self, edit: Edit) -> Result<Applied, SessionError> {
         if let Some(b) = self.backend.as_mut() {
-            b.sync_features(self.session.context().registry())
-                .map_err(SessionError::Persist)?;
-            b.append_record(record).map_err(SessionError::Persist)?;
+            b.sync_features(self.session.context().registry())?;
+            b.append_record(&edit)?;
         }
-        Ok(())
-    }
-
-    /// Autosave check, run after an edit applied.
-    fn post_edit(&mut self) -> Result<(), SessionError> {
-        let due = self
-            .backend
-            .as_ref()
-            .is_some_and(|b| b.autosave_every.is_some_and(|n| b.records_since_save >= n));
+        let out = self.session.apply(&edit)?;
+        let due = self.backend.as_ref().is_some_and(|b| {
+            matches!(edit, Edit::Restore { .. })
+                || b.autosave_every.is_some_and(|n| b.records_since_save >= n)
+        });
         if due {
-            self.save().map_err(SessionError::Persist)?;
+            self.save()?;
         }
-        Ok(())
+        Ok(out)
     }
 
     /// `DebugSession::add_rule`, write-ahead journaled.
     pub fn add_rule(&mut self, rule: Rule) -> Result<(RuleId, ChangeReport), SessionError> {
-        self.pre_edit(&JournalRecord::AddRule {
-            preds: rule.predicates().to_vec(),
-        })?;
-        let out = self.session.add_rule(rule).map_err(SessionError::Edit)?;
-        self.post_edit()?;
-        Ok(out)
+        let preds = rule.predicates().to_vec();
+        match self.apply(Edit::AddRule { preds })? {
+            Applied::Change {
+                rule: Some(rid),
+                report,
+                ..
+            } => Ok((rid, report)),
+            other => unreachable!("add_rule applied as {other:?}"),
+        }
     }
 
     /// `DebugSession::add_rule_text`, write-ahead journaled.
@@ -693,10 +632,7 @@ impl SessionStore {
 
     /// `DebugSession::remove_rule`, write-ahead journaled.
     pub fn remove_rule(&mut self, rid: RuleId) -> Result<ChangeReport, SessionError> {
-        self.pre_edit(&JournalRecord::RemoveRule { rid })?;
-        let out = self.session.remove_rule(rid).map_err(SessionError::Edit)?;
-        self.post_edit()?;
-        Ok(out)
+        Ok(delta(self.apply(Edit::RemoveRule { rid })?))
     }
 
     /// `DebugSession::add_predicate`, write-ahead journaled.
@@ -705,24 +641,19 @@ impl SessionStore {
         rid: RuleId,
         pred: Predicate,
     ) -> Result<(PredId, ChangeReport), SessionError> {
-        self.pre_edit(&JournalRecord::AddPredicate { rid, pred })?;
-        let out = self
-            .session
-            .add_predicate(rid, pred)
-            .map_err(SessionError::Edit)?;
-        self.post_edit()?;
-        Ok(out)
+        match self.apply(Edit::AddPredicate { rid, pred })? {
+            Applied::Change {
+                pred: Some(pid),
+                report,
+                ..
+            } => Ok((pid, report)),
+            other => unreachable!("add_predicate applied as {other:?}"),
+        }
     }
 
     /// `DebugSession::remove_predicate`, write-ahead journaled.
     pub fn remove_predicate(&mut self, pid: PredId) -> Result<ChangeReport, SessionError> {
-        self.pre_edit(&JournalRecord::RemovePredicate { pid })?;
-        let out = self
-            .session
-            .remove_predicate(pid)
-            .map_err(SessionError::Edit)?;
-        self.post_edit()?;
-        Ok(out)
+        Ok(delta(self.apply(Edit::RemovePredicate { pid })?))
     }
 
     /// `DebugSession::set_threshold`, write-ahead journaled.
@@ -731,67 +662,58 @@ impl SessionStore {
         pid: PredId,
         threshold: f64,
     ) -> Result<ChangeReport, SessionError> {
-        self.pre_edit(&JournalRecord::SetThreshold { pid, threshold })?;
-        let out = self
-            .session
-            .set_threshold(pid, threshold)
-            .map_err(SessionError::Edit)?;
-        self.post_edit()?;
-        Ok(out)
+        Ok(delta(self.apply(Edit::SetThreshold { pid, threshold })?))
     }
 
     /// `DebugSession::undo`, write-ahead journaled.
     pub fn undo(&mut self) -> Result<Option<ChangeReport>, SessionError> {
-        self.pre_edit(&JournalRecord::Undo)?;
-        let out = self.session.undo().map_err(SessionError::Edit)?;
-        self.post_edit()?;
-        Ok(out)
+        Ok(self.apply(Edit::Undo)?.into_report())
     }
 
     /// `DebugSession::resume`, write-ahead journaled.
     pub fn resume(&mut self) -> Result<Option<ChangeReport>, SessionError> {
-        self.pre_edit(&JournalRecord::Resume)?;
-        let out = self.session.resume().map_err(SessionError::Edit)?;
-        self.post_edit()?;
-        Ok(out)
+        Ok(self.apply(Edit::Resume)?.into_report())
     }
 
     /// `DebugSession::run_full`, write-ahead journaled.
     pub fn run_full(&mut self) -> Result<EvalStats, SessionError> {
-        self.pre_edit(&JournalRecord::RunFull)?;
-        let out = self.session.run_full();
-        self.post_edit()?;
-        Ok(out)
+        Ok(rerun(self.apply(Edit::RunFull)?))
     }
 
     /// `DebugSession::simplify`, write-ahead journaled.
     pub fn simplify(&mut self) -> Result<SimplifyReport, SessionError> {
-        self.pre_edit(&JournalRecord::Simplify)?;
-        let out = self.session.simplify().map_err(SessionError::Edit)?;
-        self.post_edit()?;
-        Ok(out)
+        match self.apply(Edit::Simplify)? {
+            Applied::Simplified(report) => Ok(report),
+            other => unreachable!("simplify applied as {other:?}"),
+        }
     }
 
     /// `DebugSession::optimize`, write-ahead journaled.
     pub fn optimize(&mut self, algo: OrderingAlgo) -> Result<EvalStats, SessionError> {
-        self.pre_edit(&JournalRecord::Optimize { algo })?;
-        let out = self.session.optimize(algo).map_err(SessionError::Edit)?;
-        self.post_edit()?;
-        Ok(out)
+        Ok(rerun(self.apply(Edit::Optimize { algo })?))
     }
 
     /// `DebugSession::restore`, write-ahead journaled; on success the
     /// journal is immediately compacted into a snapshot (a restore
     /// replaces the whole rule set, so the old journal is dead weight).
     pub fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<EvalStats, SessionError> {
-        self.pre_edit(&JournalRecord::Restore {
-            snapshot: snapshot.clone(),
-        })?;
-        let out = self.session.restore(snapshot)?;
-        if self.backend.is_some() {
-            self.save().map_err(SessionError::Persist)?;
-        }
-        Ok(out)
+        let snapshot = snapshot.clone();
+        Ok(rerun(self.apply(Edit::Restore { snapshot })?))
+    }
+}
+
+/// The report of an edit that always runs a delta.
+fn delta(applied: Applied) -> ChangeReport {
+    applied
+        .into_report()
+        .unwrap_or_else(|| unreachable!("an incremental edit applied without a delta"))
+}
+
+/// The work counters of an edit that always re-runs matching.
+fn rerun(applied: Applied) -> EvalStats {
+    match applied {
+        Applied::Rerun(stats) => stats,
+        other => unreachable!("a re-running edit applied as {other:?}"),
     }
 }
 
@@ -805,7 +727,7 @@ impl Backend {
             .map(|(_, def)| *def)
             .collect();
         for def in defs {
-            self.append_record(&JournalRecord::InternFeature { def })?;
+            self.append_record(&Edit::InternFeature { def })?;
             self.journaled_features += 1;
         }
         Ok(())
@@ -814,7 +736,7 @@ impl Backend {
     /// Encodes, appends, and fsyncs one record — consulting the I/O fault
     /// plan first, so tests can tear exactly this write or crash right
     /// after it.
-    fn append_record(&mut self, record: &JournalRecord) -> Result<(), PersistError> {
+    fn append_record(&mut self, record: &Edit) -> Result<(), PersistError> {
         let json = serde_json::to_string(record)
             .map_err(|e| PersistError::Codec(format!("journal record: {e}")))?;
         #[cfg(feature = "fault-inject")]
@@ -843,32 +765,28 @@ impl Backend {
 
 // ---- recovery helpers -----------------------------------------------------
 
-/// Decodes one journal frame payload into a [`JournalRecord`]. Public so
+/// Decodes one journal frame payload into an [`Edit`]. Public so
 /// replication followers can decode frames shipped off another store's
 /// journal (the payloads [`crate::persist::tail::JournalTailer`] yields).
-pub fn decode_record(payload: &[u8]) -> Result<JournalRecord, PersistError> {
+pub fn decode_record(payload: &[u8]) -> Result<Edit, PersistError> {
     let s = std::str::from_utf8(payload)
         .map_err(|_| PersistError::Corrupt("journal record: not UTF-8".into()))?;
     serde_json::from_str(s).map_err(|e| PersistError::Codec(format!("journal record: {e}")))
 }
 
 /// Replays one shipped journal record through a live session — the same
-/// path crash recovery takes. The session's deadline is lifted for the
-/// duration (replay must terminate even under a budget that would park
-/// every edit), the record is applied through the incremental edit
-/// methods (Algorithms 7–10), and any budget-parked remainder is settled
+/// [`DebugSession::apply`] crash recovery takes. The session's deadline is
+/// lifted for the duration (replay must terminate even under a budget that
+/// would park every edit), and any budget-parked remainder is settled
 /// before the deadline is restored.
 ///
 /// `Ok(false)` means the edit failed during replay; since the record was
 /// journaled *before* its live outcome, a deterministic failure replays
 /// as the same failure and is not an inconsistency.
-pub fn replay_record(
-    session: &mut DebugSession,
-    record: &JournalRecord,
-) -> Result<bool, PersistError> {
+pub fn replay_record(session: &mut DebugSession, record: &Edit) -> Result<bool, PersistError> {
     let saved_deadline = session.config().deadline;
     session.set_deadline(None);
-    let applied = apply_record(session, record).is_ok();
+    let applied = session.apply(record).is_ok();
     let settled = settle(session);
     session.set_deadline(saved_deadline);
     settled?;
@@ -912,8 +830,7 @@ fn install_snapshot(session: &mut DebugSession, dec: DecodedSnapshot) -> Result<
         )));
     }
     for def in &dec.features {
-        check_feature(session, def)?;
-        session.intern_def(*def);
+        session.intern_checked(*def)?;
     }
     session.set_restored(
         dec.function,
@@ -923,69 +840,6 @@ fn install_snapshot(session: &mut DebugSession, dec: DecodedSnapshot) -> Result<
         dec.quarantined,
     );
     Ok(())
-}
-
-/// Rejects a feature definition whose attributes fall outside this
-/// session's schemas before it can reach the interner.
-fn check_feature(session: &DebugSession, def: &FeatureDef) -> Result<(), PersistError> {
-    let ctx = session.context();
-    if def.attr_a.index() >= ctx.table_a().schema().len()
-        || def.attr_b.index() >= ctx.table_b().schema().len()
-    {
-        return Err(PersistError::InvalidState(
-            "store references attributes outside this session's schemas".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Replays one journal record through the session's own edit methods —
-/// the incremental Algorithms 7–10 — so recovery costs delta time, not a
-/// full re-run. An `Err` is an edit that failed during replay; since the
-/// record was journaled *before* its live outcome, a deterministic
-/// failure replays as the same failure and is not an inconsistency.
-fn apply_record(session: &mut DebugSession, record: &JournalRecord) -> Result<(), String> {
-    match record {
-        JournalRecord::InternFeature { def } => {
-            check_feature(session, def).map_err(|e| e.to_string())?;
-            session.intern_def(*def);
-            Ok(())
-        }
-        JournalRecord::AddRule { preds } => session
-            .add_rule(Rule::with(preds.iter().copied()))
-            .map(drop)
-            .map_err(|e| e.to_string()),
-        JournalRecord::RemoveRule { rid } => session
-            .remove_rule(*rid)
-            .map(drop)
-            .map_err(|e| e.to_string()),
-        JournalRecord::AddPredicate { rid, pred } => session
-            .add_predicate(*rid, *pred)
-            .map(drop)
-            .map_err(|e| e.to_string()),
-        JournalRecord::RemovePredicate { pid } => session
-            .remove_predicate(*pid)
-            .map(drop)
-            .map_err(|e| e.to_string()),
-        JournalRecord::SetThreshold { pid, threshold } => session
-            .set_threshold(*pid, *threshold)
-            .map(drop)
-            .map_err(|e| e.to_string()),
-        JournalRecord::Undo => session.undo().map(drop).map_err(|e| e.to_string()),
-        JournalRecord::Resume => session.resume().map(drop).map_err(|e| e.to_string()),
-        JournalRecord::RunFull => {
-            session.run_full();
-            Ok(())
-        }
-        JournalRecord::Simplify => session.simplify().map(drop).map_err(|e| e.to_string()),
-        JournalRecord::Optimize { algo } => {
-            session.optimize(*algo).map(drop).map_err(|e| e.to_string())
-        }
-        JournalRecord::Restore { snapshot } => session
-            .restore(snapshot)
-            .map(drop)
-            .map_err(|e| e.to_string()),
-    }
 }
 
 /// Drives any budget-parked remainder to completion so the next record

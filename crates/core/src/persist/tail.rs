@@ -59,7 +59,7 @@ impl std::fmt::Display for Watermark {
 /// Frames tailed past a watermark, plus the advanced watermark.
 #[derive(Debug)]
 pub struct TailBatch {
-    /// Raw journal frame payloads (JSON [`super::JournalRecord`]s), in
+    /// Raw journal frame payloads (JSON [`crate::Edit`]s), in
     /// append order.
     pub frames: Vec<Vec<u8>>,
     /// Position after consuming `frames`; pass it to the next

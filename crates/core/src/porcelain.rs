@@ -1,18 +1,21 @@
-//! Machine-readable, one-line serializations of edit outcomes.
+//! Machine-readable renderings of command outcomes.
 //!
 //! "Porcelain" output (in the `git --porcelain` sense) is the stable,
-//! parse-friendly rendering of a [`ChangeReport`] or [`EditRecord`]: a
-//! single line of JSON with flat scalar fields. It is shared by two front
-//! ends — the `em-server` wire protocol always speaks it, and the CLI
-//! emits it under `--porcelain` — so scripted clients never scrape the
-//! human-facing text.
+//! parse-friendly rendering of a [`command::Outcome`]: one line of JSON
+//! with flat scalar fields per record, listings as JSONL behind a header
+//! record. [`render`] is the wire payload of every command — the
+//! `em-server` protocol always speaks it, and the CLI prints exactly the
+//! same under `--porcelain` — so scripted clients never scrape the
+//! human-facing text. [`ChangeLine`], [`HistoryLine`] and [`LintLine`]
+//! also parse back, for clients.
 //!
 //! Durations travel as integer microseconds: the vendored serde stand-in
 //! has no `Duration` support, and microseconds are the natural unit for
 //! the paper's sub-second interactive loop.
 
-use crate::analyze::Diagnostic;
+use crate::analyze::{Diagnostic, Severity};
 use crate::budget::{Completion, StopReason};
+use crate::command::{self, Outcome};
 use crate::incremental::ChangeReport;
 use crate::predicate::PredId;
 use crate::rule::RuleId;
@@ -219,6 +222,334 @@ impl LintLine {
     pub fn from_json(s: &str) -> Result<Self, String> {
         serde_json::from_str(s).map_err(|e| format!("porcelain lint line: {e}"))
     }
+}
+
+/// The wire payload of one command outcome.
+pub fn render(outcome: &Outcome) -> String {
+    match outcome {
+        Outcome::Text(text) => json(&TextLine {
+            event: "text",
+            text: text.clone(),
+        }),
+        Outcome::Change(change) => {
+            let command::Change {
+                op,
+                report,
+                advisories,
+                ..
+            } = change;
+            let line = ChangeLine::new(op.label(), op.rule(), op.pred(), report).to_json();
+            jsonl(line, advisories.iter().map(LintLine::new))
+        }
+        Outcome::Noop(op) => json(&NoopLine { event: "noop", op }),
+        Outcome::Run {
+            matches,
+            stats,
+            quarantined,
+            ..
+        } => json(&RunLine {
+            event: "run",
+            matches: *matches,
+            feature_computations: stats.feature_computations,
+            memo_lookups: stats.memo_lookups,
+            quarantined: quarantined.len(),
+        }),
+        Outcome::Lint(diags) => {
+            let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
+            let header = json(&LintReportLine {
+                event: "lint_report",
+                total: diags.len(),
+                errors: count(Severity::Error),
+                warnings: count(Severity::Warning),
+                infos: count(Severity::Info),
+            });
+            jsonl(header, diags.iter().map(LintLine::new))
+        }
+        Outcome::Simplify { report, rules } => json(&SimplifyLine {
+            event: "simplify",
+            dominated: report.dominated_predicates.len(),
+            unsatisfiable: report.unsatisfiable_rules.len(),
+            subsumed: report.subsumed_rules.len(),
+            rules: *rules,
+        }),
+        Outcome::Optimize { algo, matches, .. } => json(&OptimizeLine {
+            event: "optimize",
+            algo: algo.label(),
+            matches: *matches,
+        }),
+        Outcome::Rules {
+            rules,
+            n_predicates,
+            matches,
+        } => {
+            let header = json(&RulesLine {
+                event: "rules",
+                n_rules: rules.len(),
+                n_predicates: *n_predicates,
+                matches: *matches,
+            });
+            let rows = rules.iter().map(|(id, preds)| RuleLine {
+                event: "rule",
+                id: id.to_string(),
+                text: preds
+                    .iter()
+                    .map(|(_, text)| text.as_str())
+                    .collect::<Vec<_>>()
+                    .join(" AND "),
+            });
+            jsonl(header, rows)
+        }
+        Outcome::Matches { total, shown } => {
+            let header = json(&MatchesLine {
+                event: "matches",
+                total: *total,
+                shown: shown.len(),
+            });
+            let rows = shown.iter().map(|(row, rule)| MatchLine {
+                event: "match",
+                pair: row.pair,
+                rule: rule.map(|r| r.to_string()),
+                a: row.a.clone(),
+                b: row.b.clone(),
+            });
+            jsonl(header, rows)
+        }
+        Outcome::NearMisses { feature, rows } => {
+            let header = json(&NearMissesLine {
+                event: "near_misses",
+                feature: feature.clone(),
+                count: rows.len(),
+            });
+            let rows = rows.iter().map(|(row, value)| MissLine {
+                event: "miss",
+                pair: row.pair,
+                value: *value,
+                a: row.a.clone(),
+                b: row.b.clone(),
+            });
+            jsonl(header, rows)
+        }
+        Outcome::Quality(q) => json(&QualityLine {
+            event: "quality",
+            precision: q.precision(),
+            recall: q.recall(),
+            f1: q.f1(),
+            true_positives: q.true_positives,
+            false_positives: q.false_positives,
+            false_negatives: q.false_negatives,
+            true_negatives: q.true_negatives,
+        }),
+        Outcome::Status {
+            epoch,
+            journal_records,
+            store_bytes,
+            journal_bytes,
+            disk_free,
+            ..
+        } => json(&StoreStatusLine {
+            event: "status",
+            epoch: *epoch,
+            journal_records: *journal_records,
+            store_bytes: *store_bytes,
+            journal_bytes: *journal_bytes,
+            disk_free: *disk_free,
+        }),
+        Outcome::Memory {
+            report,
+            memo_values,
+        } => json(&MemoryLine {
+            event: "memory",
+            memo_bytes: report.memo_bytes,
+            memo_values: *memo_values,
+            bitmap_bytes: report.bitmap_bytes,
+            total_bytes: report.total_bytes(),
+        }),
+        Outcome::History(history) => {
+            let header = json(&TotalLine {
+                event: "history",
+                total: history.len(),
+            });
+            let rows = history.iter().enumerate();
+            jsonl(header, rows.map(|(i, e)| HistoryLine::new(i + 1, e)))
+        }
+        Outcome::Features(features) => {
+            let header = json(&TotalLine {
+                event: "features",
+                total: features.len(),
+            });
+            let rows = features.iter().map(|(id, name)| FeatureLine {
+                event: "feature",
+                id: id.to_string(),
+                name: name.clone(),
+            });
+            jsonl(header, rows)
+        }
+        Outcome::Saved { epoch, .. } => json(&SavedLine {
+            event: "saved",
+            epoch: *epoch,
+        }),
+    }
+}
+
+fn json<T: serde::Serialize>(record: &T) -> String {
+    serde_json::to_string(record).expect("porcelain records serialize infallibly")
+}
+
+/// `first`, then one JSON line per row: the wire shape of every listing
+/// (a header record, then its rows) and of an edit with its advisories.
+pub fn jsonl<T: serde::Serialize>(first: String, rows: impl IntoIterator<Item = T>) -> String {
+    let mut out = first;
+    for row in rows {
+        out.push('\n');
+        out.push_str(&json(&row));
+    }
+    out
+}
+
+// The records below exist only to be serialized by `render`; each one's
+// `event` field names its shape.
+
+#[derive(serde::Serialize)]
+struct TextLine {
+    event: &'static str,
+    text: String,
+}
+
+#[derive(serde::Serialize)]
+struct NoopLine {
+    event: &'static str,
+    op: &'static str,
+}
+
+#[derive(serde::Serialize)]
+struct RunLine {
+    event: &'static str,
+    matches: usize,
+    feature_computations: u64,
+    memo_lookups: u64,
+    quarantined: usize,
+}
+
+#[derive(serde::Serialize)]
+struct LintReportLine {
+    event: &'static str,
+    total: usize,
+    errors: usize,
+    warnings: usize,
+    infos: usize,
+}
+
+#[derive(serde::Serialize)]
+struct SimplifyLine {
+    event: &'static str,
+    dominated: usize,
+    unsatisfiable: usize,
+    subsumed: usize,
+    rules: usize,
+}
+
+#[derive(serde::Serialize)]
+struct OptimizeLine {
+    event: &'static str,
+    algo: &'static str,
+    matches: usize,
+}
+
+#[derive(serde::Serialize)]
+struct RulesLine {
+    event: &'static str,
+    n_rules: usize,
+    n_predicates: usize,
+    matches: usize,
+}
+
+#[derive(serde::Serialize)]
+struct RuleLine {
+    event: &'static str,
+    id: String,
+    text: String,
+}
+
+#[derive(serde::Serialize)]
+struct MatchesLine {
+    event: &'static str,
+    total: usize,
+    shown: usize,
+}
+
+#[derive(serde::Serialize)]
+struct MatchLine {
+    event: &'static str,
+    pair: usize,
+    rule: Option<String>,
+    a: String,
+    b: String,
+}
+
+#[derive(serde::Serialize)]
+struct NearMissesLine {
+    event: &'static str,
+    feature: String,
+    count: usize,
+}
+
+#[derive(serde::Serialize)]
+struct MissLine {
+    event: &'static str,
+    pair: usize,
+    value: f64,
+    a: String,
+    b: String,
+}
+
+#[derive(serde::Serialize)]
+struct QualityLine {
+    event: &'static str,
+    precision: f64,
+    recall: f64,
+    f1: f64,
+    true_positives: usize,
+    false_positives: usize,
+    false_negatives: usize,
+    true_negatives: usize,
+}
+
+#[derive(serde::Serialize)]
+struct StoreStatusLine {
+    event: &'static str,
+    epoch: Option<u64>,
+    journal_records: usize,
+    store_bytes: u64,
+    journal_bytes: u64,
+    disk_free: Option<u64>,
+}
+
+#[derive(serde::Serialize)]
+struct MemoryLine {
+    event: &'static str,
+    memo_bytes: usize,
+    memo_values: usize,
+    bitmap_bytes: usize,
+    total_bytes: usize,
+}
+
+#[derive(serde::Serialize)]
+struct TotalLine {
+    event: &'static str,
+    total: usize,
+}
+
+#[derive(serde::Serialize)]
+struct FeatureLine {
+    event: &'static str,
+    id: String,
+    name: String,
+}
+
+#[derive(serde::Serialize)]
+struct SavedLine {
+    event: &'static str,
+    epoch: u64,
 }
 
 #[cfg(test)]

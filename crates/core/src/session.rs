@@ -19,7 +19,7 @@ use crate::parse::{self, ParseError, ParseErrorKind};
 use crate::predicate::{PredId, Predicate};
 use crate::quality::QualityReport;
 use crate::rule::{Rule, RuleId};
-use crate::state::{run_full_budgeted, MatchState, MemoryReport};
+use crate::state::{MatchState, MemoryReport};
 use crate::stats::{FunctionStats, DEFAULT_SAMPLE_FRACTION};
 use em_similarity::Measure;
 use em_types::{CandidateSet, LabeledPair, Table};
@@ -330,17 +330,7 @@ impl DebugSession {
     /// Adds a rule and incrementally updates the match state (Alg. 10).
     pub fn add_rule(&mut self, rule: Rule) -> Result<(RuleId, ChangeReport), EditError> {
         self.ensure_idle()?;
-        let budget = self.begin_budget();
-        let (rid, report) = incremental::add_rule_budgeted(
-            &mut self.func,
-            &mut self.state,
-            &self.ctx,
-            &self.cands,
-            rule,
-            self.config.check_cache_first,
-            &self.exec,
-            &budget,
-        )?;
+        let (rid, report) = self.delta_add_rule(rule)?;
         self.undo_stack.push(UndoOp::RemoveRule(rid));
         self.absorb(
             format!("add rule {rid}"),
@@ -369,8 +359,7 @@ impl DebugSession {
     /// Parses a single predicate written in the rule language (e.g.
     /// `"exact(brand, brand) >= 1"`), interning its feature.
     pub fn parse_predicate(&mut self, text: &str) -> Result<Predicate, SessionError> {
-        let rule = parse::parse_rule(text, &mut self.ctx).map_err(SessionError::Parse)?;
-        self.state.memo.ensure_features(self.ctx.registry().len());
+        let rule = self.parse_rule_text(text)?;
         match rule.predicates() {
             [pred] => Ok(*pred),
             other => Err(SessionError::Parse(ParseError::new(
@@ -394,17 +383,7 @@ impl DebugSession {
             .func
             .rule_position(rid)
             .ok_or(EditError::UnknownRule(rid))?;
-        let budget = self.begin_budget();
-        let report = incremental::remove_rule_budgeted(
-            &mut self.func,
-            &mut self.state,
-            &self.ctx,
-            &self.cands,
-            rid,
-            self.config.check_cache_first,
-            &self.exec,
-            &budget,
-        )?;
+        let report = self.delta_remove_rule(rid)?;
         self.undo_stack.push(UndoOp::ReAddRule {
             old_id: rid,
             preds: rule.preds.iter().map(|bp| bp.pred).collect(),
@@ -426,18 +405,7 @@ impl DebugSession {
         pred: Predicate,
     ) -> Result<(PredId, ChangeReport), EditError> {
         self.ensure_idle()?;
-        let budget = self.begin_budget();
-        let (pid, report) = incremental::add_predicate_budgeted(
-            &mut self.func,
-            &mut self.state,
-            &self.ctx,
-            &self.cands,
-            rid,
-            pred,
-            self.config.check_cache_first,
-            &self.exec,
-            &budget,
-        )?;
+        let (pid, report) = self.delta_add_predicate(rid, pred)?;
         self.undo_stack.push(UndoOp::RemovePredicate(pid));
         self.absorb(
             format!("add predicate {pid} to {rid}"),
@@ -460,17 +428,7 @@ impl DebugSession {
             .rule(rule)
             .and_then(|r| r.position_of(pid))
             .ok_or(EditError::UnknownPredicate(pid))?;
-        let budget = self.begin_budget();
-        let report = incremental::remove_predicate_budgeted(
-            &mut self.func,
-            &mut self.state,
-            &self.ctx,
-            &self.cands,
-            pid,
-            self.config.check_cache_first,
-            &self.exec,
-            &budget,
-        )?;
+        let report = self.delta_remove_predicate(pid)?;
         self.undo_stack.push(UndoOp::ReAddPredicate {
             old_id: pid,
             rule,
@@ -501,18 +459,7 @@ impl DebugSession {
             .find_predicate(pid)
             .map(|(_, bp)| bp.pred.threshold)
             .ok_or(EditError::UnknownPredicate(pid))?;
-        let budget = self.begin_budget();
-        let (report, kind) = incremental::set_threshold_budgeted(
-            &mut self.func,
-            &mut self.state,
-            &self.ctx,
-            &self.cands,
-            pid,
-            threshold,
-            self.config.check_cache_first,
-            &self.exec,
-            &budget,
-        )?;
+        let (report, kind) = self.delta_set_threshold(pid, threshold)?;
         self.undo_stack.push(UndoOp::RestoreThreshold {
             pred: pid,
             threshold: old,
@@ -532,26 +479,11 @@ impl DebugSession {
         let Some(op) = self.undo_stack.pop() else {
             return Ok(None);
         };
-        let ccf = self.config.check_cache_first;
-        let budget = self.begin_budget();
-        let report = match op {
+        let (description, report, kind) = match op {
             UndoOp::RemoveRule(rid) => {
-                let report = incremental::remove_rule_budgeted(
-                    &mut self.func,
-                    &mut self.state,
-                    &self.ctx,
-                    &self.cands,
-                    rid,
-                    ccf,
-                    &self.exec,
-                    &budget,
-                )?;
-                self.absorb(
-                    format!("undo: remove rule {rid}"),
-                    &report,
-                    Some(PendingDelta::Cascade),
-                );
-                report
+                let report = self.delta_remove_rule(rid)?;
+                let kind = Some(PendingDelta::Cascade);
+                (format!("undo: remove rule {rid}"), report, kind)
             }
             UndoOp::ReAddRule {
                 old_id,
@@ -559,16 +491,7 @@ impl DebugSession {
                 old_pred_ids,
                 position,
             } => {
-                let (new_id, report) = incremental::add_rule_budgeted(
-                    &mut self.func,
-                    &mut self.state,
-                    &self.ctx,
-                    &self.cands,
-                    Rule::with(preds),
-                    ccf,
-                    &self.exec,
-                    &budget,
-                )?;
+                let (new_id, report) = self.delta_add_rule(Rule::with(preds))?;
                 // Restore the rule's old evaluation position.
                 let mut order: Vec<RuleId> = self
                     .func
@@ -592,12 +515,8 @@ impl DebugSession {
                 for (old, new) in old_pred_ids.into_iter().zip(new_pred_ids) {
                     self.remap_pred(old, new);
                 }
-                self.absorb(
-                    format!("undo: re-add rule as {new_id}"),
-                    &report,
-                    Some(PendingDelta::AddRule { rid: new_id }),
-                );
-                report
+                let kind = Some(PendingDelta::AddRule { rid: new_id });
+                (format!("undo: re-add rule as {new_id}"), report, kind)
             }
             UndoOp::RemovePredicate(pid) => {
                 let rid = self
@@ -605,26 +524,13 @@ impl DebugSession {
                     .find_predicate(pid)
                     .map(|(r, _)| r)
                     .ok_or(EditError::UnknownPredicate(pid))?;
-                let report = incremental::remove_predicate_budgeted(
-                    &mut self.func,
-                    &mut self.state,
-                    &self.ctx,
-                    &self.cands,
+                let report = self.delta_remove_predicate(pid)?;
+                let kind = Some(PendingDelta::Loosen {
+                    rid,
                     pid,
-                    ccf,
-                    &self.exec,
-                    &budget,
-                )?;
-                self.absorb(
-                    format!("undo: remove predicate {pid}"),
-                    &report,
-                    Some(PendingDelta::Loosen {
-                        rid,
-                        pid,
-                        re_eval: None,
-                    }),
-                );
-                report
+                    re_eval: None,
+                });
+                (format!("undo: remove predicate {pid}"), report, kind)
             }
             UndoOp::ReAddPredicate {
                 old_id,
@@ -632,17 +538,7 @@ impl DebugSession {
                 pred,
                 position,
             } => {
-                let (new_id, report) = incremental::add_predicate_budgeted(
-                    &mut self.func,
-                    &mut self.state,
-                    &self.ctx,
-                    &self.cands,
-                    rule,
-                    pred,
-                    ccf,
-                    &self.exec,
-                    &budget,
-                )?;
+                let (new_id, report) = self.delta_add_predicate(rule, pred)?;
                 let mut order: Vec<PredId> = self
                     .func
                     .rule(rule)
@@ -655,37 +551,105 @@ impl DebugSession {
                 order.insert(position.min(order.len()), new_id);
                 self.func.set_predicate_order(rule, &order)?;
                 self.remap_pred(old_id, new_id);
-                self.absorb(
-                    format!("undo: re-add predicate as {new_id}"),
-                    &report,
-                    Some(PendingDelta::Restrict {
-                        rid: rule,
-                        pid: new_id,
-                    }),
-                );
-                report
+                let kind = Some(PendingDelta::Restrict {
+                    rid: rule,
+                    pid: new_id,
+                });
+                (format!("undo: re-add predicate as {new_id}"), report, kind)
             }
             UndoOp::RestoreThreshold { pred, threshold } => {
-                let (report, kind) = incremental::set_threshold_budgeted(
-                    &mut self.func,
-                    &mut self.state,
-                    &self.ctx,
-                    &self.cands,
-                    pred,
-                    threshold,
-                    ccf,
-                    &self.exec,
-                    &budget,
-                )?;
-                self.absorb(
-                    format!("undo: restore {pred} to {threshold}"),
-                    &report,
-                    kind,
-                );
-                report
+                let (report, kind) = self.delta_set_threshold(pred, threshold)?;
+                (format!("undo: restore {pred} to {threshold}"), report, kind)
             }
         };
+        self.absorb(description, &report, kind);
         Ok(Some(report))
+    }
+
+    // ---- the incremental deltas (Algorithms 7–10) --------------------------
+    //
+    // One call per algorithm, shared by the forward edits and `undo`. Each
+    // runs under a fresh budget; history, the undo stack, and parking are
+    // the caller's.
+
+    fn delta_add_rule(&mut self, rule: Rule) -> Result<(RuleId, ChangeReport), EditError> {
+        let budget = self.begin_budget();
+        incremental::add_rule(
+            &mut self.func,
+            &mut self.state,
+            &self.ctx,
+            &self.cands,
+            rule,
+            self.config.check_cache_first,
+            &self.exec,
+            &budget,
+        )
+    }
+
+    fn delta_remove_rule(&mut self, rid: RuleId) -> Result<ChangeReport, EditError> {
+        let budget = self.begin_budget();
+        incremental::remove_rule(
+            &mut self.func,
+            &mut self.state,
+            &self.ctx,
+            &self.cands,
+            rid,
+            self.config.check_cache_first,
+            &self.exec,
+            &budget,
+        )
+    }
+
+    fn delta_add_predicate(
+        &mut self,
+        rid: RuleId,
+        pred: Predicate,
+    ) -> Result<(PredId, ChangeReport), EditError> {
+        let budget = self.begin_budget();
+        incremental::add_predicate(
+            &mut self.func,
+            &mut self.state,
+            &self.ctx,
+            &self.cands,
+            rid,
+            pred,
+            self.config.check_cache_first,
+            &self.exec,
+            &budget,
+        )
+    }
+
+    fn delta_remove_predicate(&mut self, pid: PredId) -> Result<ChangeReport, EditError> {
+        let budget = self.begin_budget();
+        incremental::remove_predicate(
+            &mut self.func,
+            &mut self.state,
+            &self.ctx,
+            &self.cands,
+            pid,
+            self.config.check_cache_first,
+            &self.exec,
+            &budget,
+        )
+    }
+
+    fn delta_set_threshold(
+        &mut self,
+        pid: PredId,
+        threshold: f64,
+    ) -> Result<(ChangeReport, Option<PendingDelta>), EditError> {
+        let budget = self.begin_budget();
+        incremental::set_threshold(
+            &mut self.func,
+            &mut self.state,
+            &self.ctx,
+            &self.cands,
+            pid,
+            threshold,
+            self.config.check_cache_first,
+            &self.exec,
+            &budget,
+        )
     }
 
     /// Number of edits that can currently be undone.
@@ -755,14 +719,13 @@ impl DebugSession {
     /// quarantine list from what this run observed.
     pub fn run_full(&mut self) -> EvalStats {
         let t0 = std::time::Instant::now();
-        let outcome = run_full_budgeted(
+        let outcome = crate::state::run_full(
             &self.func,
             &self.ctx,
             &self.cands,
             &mut self.state,
             self.config.check_cache_first,
             &self.exec,
-            &EvalBudget::unlimited(),
         );
         self.pending = None;
         self.quarantined = outcome.quarantined;
@@ -950,6 +913,23 @@ impl DebugSession {
         id
     }
 
+    /// [`DebugSession::intern_def`] for a definition from outside the
+    /// session (a snapshot or journal), rejecting attributes beyond this
+    /// session's schemas before they can reach the interner.
+    pub(crate) fn intern_checked(
+        &mut self,
+        def: crate::feature::FeatureDef,
+    ) -> Result<FeatureId, crate::persist::PersistError> {
+        if def.attr_a.index() >= self.ctx.table_a().schema().len()
+            || def.attr_b.index() >= self.ctx.table_b().schema().len()
+        {
+            return Err(crate::persist::PersistError::InvalidState(
+                "store references attributes outside this session's schemas".into(),
+            ));
+        }
+        Ok(self.intern_def(def))
+    }
+
     /// The undo stack, oldest first, for snapshotting.
     pub(crate) fn undo_ops(&self) -> &[UndoOp] {
         &self.undo_stack
@@ -1113,6 +1093,18 @@ impl std::fmt::Display for SessionError {
 }
 
 impl std::error::Error for SessionError {}
+
+impl From<EditError> for SessionError {
+    fn from(e: EditError) -> Self {
+        SessionError::Edit(e)
+    }
+}
+
+impl From<crate::persist::PersistError> for SessionError {
+    fn from(e: crate::persist::PersistError) -> Self {
+        SessionError::Persist(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

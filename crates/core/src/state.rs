@@ -13,7 +13,7 @@
 //! inverse of `M(r)` — because the incremental algorithms need it in O(1).
 
 use crate::bitmap::Bitmap;
-use crate::budget::{Completion, EvalBudget};
+use crate::budget::EvalBudget;
 use crate::context::EvalContext;
 use crate::engine::{eval_rule_memoized, eval_rules_batched, BatchScratch, EvalStats, BATCH_CHUNK};
 use crate::executor::{partition, run_sharded, split_mut, Executor};
@@ -240,6 +240,15 @@ impl MatchState {
     }
 }
 
+/// What a full run accomplished.
+#[derive(Debug, Clone)]
+pub struct FullRunOutcome {
+    /// Work counters.
+    pub stats: EvalStats,
+    /// Pairs whose evaluation panicked and were quarantined, ascending.
+    pub quarantined: Vec<usize>,
+}
+
 /// Runs the matching function from scratch with early exit + dynamic
 /// memoing (Algorithm 4), populating `state` (verdicts, fired rules, and
 /// both bitmap families). The memo is reused as-is: values computed in
@@ -259,44 +268,6 @@ pub fn run_full(
     state: &mut MatchState,
     check_cache_first: bool,
     exec: &Executor,
-) -> EvalStats {
-    run_full_budgeted(
-        func,
-        ctx,
-        cands,
-        state,
-        check_cache_first,
-        exec,
-        &EvalBudget::unlimited(),
-    )
-    .stats
-}
-
-/// What a (possibly budget-bounded) full run accomplished.
-#[derive(Debug, Clone)]
-pub struct FullRunOutcome {
-    /// Work counters for the evaluated pairs.
-    pub stats: EvalStats,
-    /// Whether every pair was evaluated, or which remain for a resume.
-    pub completion: Completion,
-    /// Pairs whose evaluation panicked and were quarantined, ascending.
-    pub quarantined: Vec<usize>,
-}
-
-/// [`run_full`] under an [`EvalBudget`].
-///
-/// Assignments are reset up front, so under a tripped budget the pairs in
-/// `completion.remaining()` (and any quarantined pairs) are left unmatched
-/// rather than keeping stale verdicts; re-running (or resuming via the
-/// session) completes them.
-pub fn run_full_budgeted(
-    func: &MatchingFunction,
-    ctx: &EvalContext,
-    cands: &CandidateSet,
-    state: &mut MatchState,
-    check_cache_first: bool,
-    exec: &Executor,
-    budget: &EvalBudget,
 ) -> FullRunOutcome {
     assert_eq!(
         state.n_pairs(),
@@ -413,7 +384,7 @@ pub fn run_full_budgeted(
 
     let batched = !check_cache_first && !ctx.has_fault_plan();
     let shards = run_sharded(exec, shards, |_, shard| {
-        let mut checker = budget.checker();
+        let mut checker = EvalBudget::unlimited().checker();
         let range = shard.range.clone();
         let mut sink = Sink {
             func,
@@ -458,12 +429,8 @@ pub fn run_full_budgeted(
     for (p, i) in pred_events.into_iter().flatten() {
         state.record_pred_false(p, i);
     }
-    let (completion, quarantined, _) = fold_outcomes(drives);
-    FullRunOutcome {
-        stats,
-        completion,
-        quarantined,
-    }
+    let (_, quarantined, _) = fold_outcomes(drives);
+    FullRunOutcome { stats, quarantined }
 }
 
 #[cfg(test)]
@@ -501,7 +468,7 @@ mod tests {
     fn run_full_populates_state() {
         let (ctx, cands, func) = fixture();
         let mut state = MatchState::new(cands.len(), ctx.registry().len());
-        let stats = run_full(&func, &ctx, &cands, &mut state, false, &Executor::serial());
+        let stats = run_full(&func, &ctx, &cands, &mut state, false, &Executor::serial()).stats;
 
         assert_eq!(state.n_matches(), 1);
         assert!(state.verdict(0), "a1b1 matches");
@@ -522,7 +489,7 @@ mod tests {
         let (ctx, cands, func) = fixture();
         let mut state = MatchState::new(cands.len(), ctx.registry().len());
         run_full(&func, &ctx, &cands, &mut state, false, &Executor::serial());
-        let second = run_full(&func, &ctx, &cands, &mut state, false, &Executor::serial());
+        let second = run_full(&func, &ctx, &cands, &mut state, false, &Executor::serial()).stats;
         assert_eq!(second.feature_computations, 0, "everything memoized");
         assert_eq!(second.memo_lookups, 4);
         assert_eq!(state.n_matches(), 1);

@@ -27,9 +27,8 @@ use crate::exec;
 use em_blocking::Blocker;
 use em_core::persist::{session_store_dir, store_exists, StoreLock};
 use em_core::{
-    install_snapshot_bytes, replay_record, CancelToken, Command, DebugSession, JournalRecord,
-    JournalTailer, PersistError, RealVfs, SessionConfig, SessionError, SessionStore, Vfs,
-    Watermark,
+    install_snapshot_bytes, replay_record, CancelToken, Command, DebugSession, Edit, JournalTailer,
+    PersistError, RealVfs, SessionConfig, SessionError, SessionStore, Vfs, Watermark,
 };
 use em_types::{CandidateSet, LabeledPair, Table};
 use std::collections::HashMap;
@@ -441,7 +440,7 @@ impl SessionManager {
     /// write+fsync; the first probe that succeeds (space freed, disk
     /// replaced) flips the session healthy again and the command runs.
     pub fn execute(&self, name: &str, cmd: &Command) -> Result<String, ServerError> {
-        let mutating = exec::mutates(cmd);
+        let mutating = cmd.mutates();
         if mutating {
             if let Some(op) = self.degraded_op(name) {
                 let recovered = self.with_session(name, |store, _| store.probe_write().is_ok())?;
@@ -771,11 +770,7 @@ impl SessionManager {
 
     /// Replays leader journal records into a replica session through the
     /// same incremental edit paths recovery uses.
-    pub fn apply_replica_records(
-        &self,
-        name: &str,
-        records: &[JournalRecord],
-    ) -> Result<(), ServerError> {
+    pub fn apply_replica_records(&self, name: &str, records: &[Edit]) -> Result<(), ServerError> {
         self.with_session(name, |store, _| -> Result<(), ServerError> {
             for rec in records {
                 replay_record(store.session_mut(), rec).map_err(ServerError::Persist)?;

@@ -203,42 +203,8 @@ impl Request {
             Request::Shutdown => "shutdown",
             Request::Metrics => "metrics",
             Request::Replicas => "replicas",
-            Request::Cmd(cmd) => cmd_verb(cmd),
+            Request::Cmd(cmd) => cmd.verb(),
         }
-    }
-}
-
-/// The grammar word of a REPL command (the `Request::Cmd` payloads).
-fn cmd_verb(cmd: &Command) -> &'static str {
-    match cmd {
-        Command::Help => "help",
-        Command::AddRule(_) => "add",
-        Command::ListRules => "rules",
-        Command::RemoveRule(_) => "rm",
-        Command::AddPredicate(..) => "addpred",
-        Command::RemovePredicate(_) => "rmpred",
-        Command::SetThreshold(..) => "set",
-        Command::Undo => "undo",
-        Command::Resume => "resume",
-        Command::Simplify => "simplify",
-        Command::Lint => "lint",
-        Command::Run => "run",
-        Command::Matches(_) => "matches",
-        Command::Explain(_) => "explain",
-        Command::NearMisses(..) => "misses",
-        Command::Quality => "quality",
-        Command::Stats => "stats",
-        Command::Status => "status",
-        Command::Optimize(_) => "optimize",
-        Command::MemoryReport => "memory",
-        Command::History => "history",
-        Command::Features => "features",
-        Command::Save(_) => "save",
-        Command::Load(_) => "load",
-        Command::Export(_) => "export",
-        Command::Import(_) => "import",
-        Command::Open(_) => "open",
-        Command::Quit => "quit",
     }
 }
 

@@ -9,7 +9,9 @@ use common::{random_workload, RandomWorkload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rulem::core::{run_full, CmpOp, Executor, MatchState, MatchingFunction, OrderingAlgo, Rule};
+use rulem::core::{
+    run_full, CmpOp, EvalBudget, Executor, MatchState, MatchingFunction, OrderingAlgo, Rule,
+};
 
 /// Applies one random edit to `(func, state)` and returns its description.
 fn random_edit(
@@ -27,13 +29,33 @@ fn random_edit(
         0 => {
             let f = w.features[rng.gen_range(0..w.features.len())];
             let rule = Rule::new().pred(f, CmpOp::Ge, rng.gen_range(0..=10) as f64 / 10.0);
-            rulem::core::add_rule(func, state, &w.ctx, &w.cands, rule, true, exec).unwrap();
+            rulem::core::add_rule(
+                func,
+                state,
+                &w.ctx,
+                &w.cands,
+                rule,
+                true,
+                exec,
+                &EvalBudget::unlimited(),
+            )
+            .unwrap();
             "add_rule".into()
         }
         // Remove a rule.
         1 if !func.is_empty() => {
             let rid = func.rules()[rng.gen_range(0..func.n_rules())].id;
-            rulem::core::remove_rule(func, state, &w.ctx, &w.cands, rid, true, exec).unwrap();
+            rulem::core::remove_rule(
+                func,
+                state,
+                &w.ctx,
+                &w.cands,
+                rid,
+                true,
+                exec,
+                &EvalBudget::unlimited(),
+            )
+            .unwrap();
             "remove_rule".into()
         }
         // Add a predicate.
@@ -49,8 +71,18 @@ fn random_edit(
                 },
                 rng.gen_range(0..=10) as f64 / 10.0,
             );
-            rulem::core::add_predicate(func, state, &w.ctx, &w.cands, rid, pred, true, exec)
-                .unwrap();
+            rulem::core::add_predicate(
+                func,
+                state,
+                &w.ctx,
+                &w.cands,
+                rid,
+                pred,
+                true,
+                exec,
+                &EvalBudget::unlimited(),
+            )
+            .unwrap();
             "add_predicate".into()
         }
         // Remove a predicate (from a rule with ≥ 2 predicates).
@@ -61,8 +93,17 @@ fn random_edit(
                 .find(|r| r.preds.len() >= 2)
                 .map(|r| r.preds[rng.gen_range(0..r.preds.len())].id);
             if let Some(pid) = candidate {
-                rulem::core::remove_predicate(func, state, &w.ctx, &w.cands, pid, true, exec)
-                    .unwrap();
+                rulem::core::remove_predicate(
+                    func,
+                    state,
+                    &w.ctx,
+                    &w.cands,
+                    pid,
+                    true,
+                    exec,
+                    &EvalBudget::unlimited(),
+                )
+                .unwrap();
                 "remove_predicate".into()
             } else {
                 "skip".into()
@@ -73,8 +114,18 @@ fn random_edit(
             let rule = &func.rules()[rng.gen_range(0..func.n_rules())];
             let pid = rule.preds[rng.gen_range(0..rule.preds.len())].id;
             let new = rng.gen_range(0..=10) as f64 / 10.0;
-            rulem::core::set_threshold(func, state, &w.ctx, &w.cands, pid, new, true, exec)
-                .unwrap();
+            rulem::core::set_threshold(
+                func,
+                state,
+                &w.ctx,
+                &w.cands,
+                pid,
+                new,
+                true,
+                exec,
+                &EvalBudget::unlimited(),
+            )
+            .unwrap();
             "set_threshold".into()
         }
         // Re-order rules + predicates, then re-run (what a session does).
