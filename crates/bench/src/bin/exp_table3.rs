@@ -3,9 +3,9 @@
 //! The paper measures each similarity function over Walmart/Amazon
 //! attribute pairs; the relative ordering (exact ≪ edit measures ≪ token
 //! measures ≪ TF-IDF family, with Soft TF-IDF(title, title) the most
-//! expensive) is the reproduced shape. Both the per-pair scalar path and
-//! the columnar batched kernels are timed — the batched column is what
-//! `FunctionStats::estimate` now calibrates α(f, r) against.
+//! expensive) is the reproduced shape. Each feature is timed through
+//! `EvalContext::compute`, the call every engine makes per pair and the
+//! one `FunctionStats::estimate` calibrates α(f, r) against.
 
 use em_bench::{header, row, scale, Workload, SEED};
 use em_core::{run_memo, Executor};
@@ -27,37 +27,33 @@ fn main() {
         .copied()
         .collect();
 
-    let mut rows: Vec<(String, f64, f64)> = w
+    let pass = |f| {
+        let mut acc = 0.0;
+        for &p in &sample {
+            acc += w.ctx.compute(f, p);
+        }
+        std::hint::black_box(acc);
+    };
+    let mut rows: Vec<(String, f64)> = w
         .features
         .iter()
         .map(|&f| {
+            pass(f); // warm-up
             let start = Instant::now();
-            let mut acc = 0.0;
-            for &p in &sample {
-                acc += w.ctx.compute(f, p);
-            }
-            std::hint::black_box(acc);
-            let scalar_us = start.elapsed().as_secs_f64() * 1e6 / sample.len() as f64;
-
-            let mut vals = vec![0.0; sample.len()];
-            w.ctx.compute_batch(f, &sample, &mut vals); // warm-up
-            let start = Instant::now();
-            w.ctx.compute_batch(f, &sample, &mut vals);
-            std::hint::black_box(&vals);
-            let batched_us = start.elapsed().as_secs_f64() * 1e6 / sample.len() as f64;
-
-            (w.ctx.feature_name(f), scalar_us, batched_us)
+            pass(f);
+            let us = start.elapsed().as_secs_f64() * 1e6 / sample.len() as f64;
+            (w.ctx.feature_name(f), us)
         })
         .collect();
-    rows.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite timings"));
+    rows.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite timings"));
 
-    header(&["Feature", "µs / eval (scalar)", "µs / eval (batched)"]);
-    for (name, scalar_us, batched_us) in rows {
-        row(&[name, format!("{scalar_us:.3}"), format!("{batched_us:.3}")]);
+    header(&["Feature", "µs / eval"]);
+    for (name, us) in rows {
+        row(&[name, format!("{us:.3}")]);
     }
 
-    // Full-run wall time: the batched memo engine over every candidate
-    // pair, serial vs a 4-worker pool.
+    // Full-run wall time: the memo engine over every candidate pair,
+    // serial vs a 4-worker pool.
     let func = w.function_with_rules(8, SEED);
     let mut wall = Vec::new();
     for threads in [1usize, 4] {
@@ -75,7 +71,7 @@ fn main() {
     }
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "\nFull run (batched memo engine, 8 rules, {} pairs): {:.1} ms at 1 thread, \
+        "\nFull run (memo engine, 8 rules, {} pairs): {:.1} ms at 1 thread, \
          {:.1} ms at 4 threads ({host_cores} host core(s)).",
         w.cands.len(),
         wall[0].1,

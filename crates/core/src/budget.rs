@@ -149,25 +149,6 @@ impl BudgetChecker {
         }
         None
     }
-
-    /// Like [`BudgetChecker::should_stop`] but always consults the wall
-    /// clock. Batched drivers poll once per *chunk* rather than once per
-    /// pair, so skipping clock reads would make deadlines coarse.
-    #[inline]
-    pub fn should_stop_now(&mut self) -> Option<StopReason> {
-        if let Some(t) = &self.token {
-            if t.is_cancelled() {
-                return Some(StopReason::Cancelled);
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            self.until_clock = self.check_every;
-            if Instant::now() >= deadline {
-                return Some(StopReason::Deadline);
-            }
-        }
-        None
-    }
 }
 
 /// Whether an evaluation pass covered all requested pairs.

@@ -6,6 +6,10 @@
 //! [`IdfTable`] per `(token scheme, attr_a, attr_b)` combination — the
 //! corpus for a feature over `(A.x, B.y)` is all non-missing values of
 //! `A.x` plus all non-missing values of `B.y`.
+//!
+//! Each feature's prepared columns are resolved once, when the feature is
+//! interned (and again when its token scheme's arena grows), so
+//! [`EvalContext::compute`] is an index into that table plus the kernel.
 
 use crate::feature::{FeatureDef, FeatureId, FeatureRegistry};
 use em_similarity::{
@@ -62,6 +66,35 @@ struct PreparedState {
     pidf: HashMap<CorpusKey, Arc<PreparedIdf>>,
 }
 
+/// One feature's kernel inputs, resolved from [`PreparedState`] so that
+/// evaluating a pair does no lookups: the measure plus every column its
+/// [`PreparedView`] borrows.
+#[derive(Debug, Clone)]
+struct ResolvedFeature {
+    measure: Measure,
+    base_a: Arc<BaseColumn>,
+    base_b: Arc<BaseColumn>,
+    tok_a: Option<Arc<TokenColumn>>,
+    tok_b: Option<Arc<TokenColumn>>,
+    rank: Option<Arc<Vec<u32>>>,
+    token_chars: Option<Arc<TokenChars>>,
+    idf: Option<Arc<PreparedIdf>>,
+}
+
+impl ResolvedFeature {
+    fn view(&self) -> PreparedView<'_> {
+        PreparedView {
+            base_a: &self.base_a,
+            base_b: &self.base_b,
+            tok_a: self.tok_a.as_deref(),
+            tok_b: self.tok_b.as_deref(),
+            rank: self.rank.as_deref().map(Vec::as_slice),
+            token_chars: self.token_chars.as_deref(),
+            idf: self.idf.as_deref(),
+        }
+    }
+}
+
 /// Everything needed to compute feature values for candidate pairs.
 ///
 /// Tables are held behind `Arc` so the context (and states derived from it)
@@ -73,6 +106,8 @@ pub struct EvalContext {
     registry: FeatureRegistry,
     idf: HashMap<CorpusKey, Arc<IdfTable>>,
     prepared: PreparedState,
+    /// Indexed by [`FeatureId`]: one entry per interned feature.
+    resolved: Vec<ResolvedFeature>,
     /// Test-only fault injection plan (see [`crate::fault`]).
     #[cfg(feature = "fault-inject")]
     fault: Option<Arc<crate::fault::FaultPlan>>,
@@ -87,6 +122,7 @@ impl EvalContext {
             registry: FeatureRegistry::new(),
             idf: HashMap::new(),
             prepared: PreparedState::default(),
+            resolved: Vec::new(),
             #[cfg(feature = "fault-inject")]
             fault: None,
         }
@@ -138,13 +174,17 @@ impl EvalContext {
         attr_a: AttrId,
         attr_b: AttrId,
     ) -> FeatureId {
-        let id = self
-            .registry
-            .intern(FeatureDef::new(measure, attr_a, attr_b));
+        let def = FeatureDef::new(measure, attr_a, attr_b);
+        let id = self.registry.intern(def);
+        if id.index() < self.resolved.len() {
+            return id;
+        }
         if let Some(scheme) = measure.corpus_scheme() {
             self.ensure_corpus(scheme, attr_a, attr_b);
         }
         self.ensure_prepared(measure, attr_a, attr_b);
+        let resolved = self.resolve(&def);
+        self.resolved.push(resolved);
         id
     }
 
@@ -152,7 +192,8 @@ impl EvalContext {
     /// base columns per attribute, token columns per `(scheme, attribute)`,
     /// per-token chars and id-keyed IDF weights where the measure needs
     /// them. Idempotent; growth of a scheme arena refreshes the rank and
-    /// char snapshots so ids from *all* columns stay comparable.
+    /// char snapshots so ids from *all* columns stay comparable, and
+    /// re-resolves the scheme's features onto the new snapshots.
     fn ensure_prepared(&mut self, measure: Measure, attr_a: AttrId, attr_b: AttrId) {
         if !self.prepared.cols_a.contains_key(&attr_a) {
             let col = build_base_column(
@@ -193,7 +234,8 @@ impl EvalContext {
             sc.toks_b.insert(attr_b, Arc::new(col));
             grew |= sc.arena.len() != before;
         }
-        if grew || sc.rank.len() != sc.arena.len() {
+        let refreshed = grew || sc.rank.len() != sc.arena.len();
+        if refreshed {
             sc.refresh();
         }
         if let Some(cscheme) = measure.corpus_scheme() {
@@ -206,6 +248,48 @@ impl EvalContext {
                     let pidf = PreparedIdf::build(idf, &sc.arena);
                     self.prepared.pidf.insert(key, Arc::new(pidf));
                 }
+            }
+        }
+        if refreshed {
+            self.reresolve_scheme(scheme);
+        }
+    }
+
+    /// Looks up every column feature `def` evaluates over. Runs when the
+    /// feature is interned and when its scheme's snapshots are refreshed —
+    /// never per pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a column was not prepared (`ensure_prepared` and
+    /// `ensure_corpus` run first, so this is a construction bug).
+    fn resolve(&self, def: &FeatureDef) -> ResolvedFeature {
+        let p = &self.prepared;
+        let m = def.measure;
+        let sc = m.token_scheme().map(|scheme| &p.schemes[&scheme]);
+        ResolvedFeature {
+            measure: m,
+            base_a: Arc::clone(&p.cols_a[&def.attr_a]),
+            base_b: Arc::clone(&p.cols_b[&def.attr_b]),
+            tok_a: sc.map(|sc| Arc::clone(&sc.toks_a[&def.attr_a])),
+            tok_b: sc.map(|sc| Arc::clone(&sc.toks_b[&def.attr_b])),
+            rank: sc.map(|sc| Arc::clone(&sc.rank)),
+            token_chars: sc
+                .filter(|_| m.needs_token_chars())
+                .map(|sc| Arc::clone(&sc.token_chars)),
+            idf: m
+                .corpus_scheme()
+                .map(|cs| Arc::clone(&p.pidf[&(cs, def.attr_a, def.attr_b)])),
+        }
+    }
+
+    /// Re-resolves every interned feature over `scheme` after its rank and
+    /// char snapshots were replaced.
+    fn reresolve_scheme(&mut self, scheme: TokenScheme) {
+        for i in 0..self.resolved.len() {
+            if self.resolved[i].measure.token_scheme() == Some(scheme) {
+                let def = *self.registry.def(FeatureId(i as u32));
+                self.resolved[i] = self.resolve(&def);
             }
         }
     }
@@ -239,37 +323,10 @@ impl EvalContext {
         self.prepared.schemes.insert(scheme, sc);
     }
 
-    /// Assembles the borrowed columnar view feature `fid`'s kernels run on,
-    /// or `None` when the feature's columns were never prepared (e.g. a
-    /// registry restored from a snapshot) — callers fall back to the
-    /// string-at-a-time path.
+    /// The borrowed columnar view feature `fid`'s kernels run on, or `None`
+    /// for an id this context did not issue.
     pub fn prepared_for(&self, fid: FeatureId) -> Option<PreparedView<'_>> {
-        let def = self.registry.try_def(fid)?;
-        let base_a = self.prepared.cols_a.get(&def.attr_a)?.as_ref();
-        let base_b = self.prepared.cols_b.get(&def.attr_b)?.as_ref();
-        let mut view = PreparedView {
-            base_a,
-            base_b,
-            tok_a: None,
-            tok_b: None,
-            rank: None,
-            token_chars: None,
-            idf: None,
-        };
-        if let Some(scheme) = def.measure.token_scheme() {
-            let sc = self.prepared.schemes.get(&scheme)?;
-            view.tok_a = Some(sc.toks_a.get(&def.attr_a)?.as_ref());
-            view.tok_b = Some(sc.toks_b.get(&def.attr_b)?.as_ref());
-            view.rank = Some(&sc.rank[..]);
-            if def.measure.needs_token_chars() {
-                view.token_chars = Some(sc.token_chars.as_ref());
-            }
-        }
-        if let Some(cscheme) = def.measure.corpus_scheme() {
-            let key = (cscheme, def.attr_a, def.attr_b);
-            view.idf = Some(self.prepared.pidf.get(&key)?.as_ref());
-        }
-        Some(view)
+        self.resolved.get(fid.index()).map(ResolvedFeature::view)
     }
 
     fn ensure_corpus(&mut self, scheme: TokenScheme, attr_a: AttrId, attr_b: AttrId) {
@@ -293,20 +350,6 @@ impl EvalContext {
             .map(|a| a.as_ref())
     }
 
-    /// True when a fault plan intercepts computations (test builds only).
-    /// Engines then stay on the scalar per-pair path, whose budget checks
-    /// and panic isolation have per-pair granularity.
-    pub(crate) fn has_fault_plan(&self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            self.fault.is_some()
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            false
-        }
-    }
-
     /// Computes the value of feature `fid` for candidate pair `pair`.
     ///
     /// Missing attribute values score 0.0 by convention (§3: predicates over
@@ -324,6 +367,11 @@ impl EvalContext {
 
     /// The un-normalized similarity (may be NaN from a degenerate measure or
     /// an injected fault).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fid` was not issued by this context.
+    #[inline]
     fn compute_raw(&self, fid: FeatureId, pair: PairIdx) -> f64 {
         #[cfg(feature = "fault-inject")]
         if let Some(plan) = &self.fault {
@@ -331,55 +379,11 @@ impl EvalContext {
                 return v;
             }
         }
-        if let Some(view) = self.prepared_for(fid) {
-            let def = self.registry.def(fid);
-            return SIM_SCRATCH.with(|s| {
-                def.measure
-                    .similarity_prepared(&view, pair, &mut s.borrow_mut())
-            });
-        }
-        let def = self.registry.def(fid);
-        let va = self.table_a.value(pair.a, def.attr_a);
-        let vb = self.table_b.value(pair.b, def.attr_b);
-        match (va, vb) {
-            (Some(x), Some(y)) => def.measure.similarity_with(x, y, self.idf_for(def)),
-            _ => 0.0,
-        }
-    }
-
-    /// Computes feature `fid` for a whole chunk of pairs at once, writing
-    /// into `out` (same length as `pairs`). Values match [`Self::compute`]
-    /// bit-for-bit — NaN normalizes to 0.0 here too — but the batch kernels
-    /// amortize dispatch and reuse scratch across the chunk.
-    ///
-    /// Falls back to the scalar path per pair when the feature has no
-    /// prepared columns or a fault plan is installed (faults key on the
-    /// individual pair).
-    pub fn compute_batch(&self, fid: FeatureId, pairs: &[PairIdx], out: &mut [f64]) {
-        debug_assert_eq!(pairs.len(), out.len());
-        #[cfg(feature = "fault-inject")]
-        if self.fault.is_some() {
-            for (slot, &pair) in out.iter_mut().zip(pairs) {
-                *slot = self.compute(fid, pair);
-            }
-            return;
-        }
-        match self.prepared_for(fid) {
-            Some(view) => {
-                let def = self.registry.def(fid);
-                def.measure.similarity_batch(&view, pairs, out);
-                for v in out.iter_mut() {
-                    if v.is_nan() {
-                        *v = 0.0;
-                    }
-                }
-            }
-            None => {
-                for (slot, &pair) in out.iter_mut().zip(pairs) {
-                    *slot = self.compute(fid, pair);
-                }
-            }
-        }
+        let r = &self.resolved[fid.index()];
+        SIM_SCRATCH.with(|s| {
+            r.measure
+                .similarity_prepared(&r.view(), pair, &mut s.borrow_mut())
+        })
     }
 
     /// Human-readable name of a feature. Unknown ids render as `f<id>?`
@@ -475,26 +479,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_matches_scalar_bitwise() {
-        let mut c = ctx();
-        let pairs: Vec<PairIdx> = (0..2u32)
-            .flat_map(|a| (0..2u32).map(move |b| PairIdx::new(a, b)))
-            .collect();
-        for m in Measure::paper_menu() {
-            let f = c.feature(m, "title", "title").unwrap();
-            let mut out = vec![f64::NAN; pairs.len()];
-            c.compute_batch(f, &pairs, &mut out);
-            for (&pair, &got) in pairs.iter().zip(&out) {
-                let want = c.compute(f, pair);
+    /// `compute` against the string path on every pair of `c`'s tables.
+    fn assert_matches_string_path(c: &EvalContext, f: FeatureId) {
+        let def = *c.registry().def(f);
+        for a in 0..c.table_a().len() as u32 {
+            for b in 0..c.table_b().len() as u32 {
+                let pair = PairIdx::new(a, b);
+                let want = match (
+                    c.table_a().value(a, def.attr_a),
+                    c.table_b().value(b, def.attr_b),
+                ) {
+                    (Some(x), Some(y)) => def.measure.similarity_with(x, y, c.idf_for(&def)),
+                    _ => 0.0,
+                };
+                let got = c.compute(f, pair);
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
-                    "{} on {pair:?}: batch {got} vs scalar {want}",
-                    m.name()
+                    "{} on {pair:?}: {got} vs string path {want}",
+                    c.feature_name(f)
                 );
             }
         }
+    }
+
+    #[test]
+    fn arena_growth_reresolves_earlier_features() {
+        let mut c = ctx();
+        let ws = TokenScheme::Whitespace;
+        let soft = Measure::soft_tfidf(ws);
+        let early = c.feature(soft, "title", "title").unwrap();
+        assert_matches_string_path(&c, early);
+        let before = c.prepared.schemes[&ws].arena.len();
+        // A new attribute of the same scheme interns new tokens.
+        let late = c.feature(soft, "modelno", "modelno").unwrap();
+        assert!(c.prepared.schemes[&ws].arena.len() > before, "arena grew");
+        assert_matches_string_path(&c, early);
+        assert_matches_string_path(&c, late);
+        // Both features now read the one current snapshot.
+        let (e, l) = (
+            c.prepared_for(early).unwrap(),
+            c.prepared_for(late).unwrap(),
+        );
+        assert!(std::ptr::eq(e.rank.unwrap(), l.rank.unwrap()));
+        assert!(std::ptr::eq(e.token_chars.unwrap(), l.token_chars.unwrap()));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! independent, and `sel(⋀ pᵢ) = Π sel(pᵢ)`.
 //!
 //! `cost(f)` comes from [`FunctionStats::estimate`], which times features
-//! through the batched kernel path the engines actually run — so every
-//! formula here is calibrated to per-pair *batch* cost, keeping the model
-//! honest after the columnar refactor made computation much cheaper
+//! through `EvalContext::compute`, the call the engines make per pair — so
+//! every formula here is calibrated to what the engines pay, keeping the
+//! model honest now that prepared kernels make computation much cheaper
 //! relative to the memo lookup δ.
 
 use crate::feature::FeatureId;
@@ -151,7 +151,7 @@ pub fn rule_cost_memo(rule: &BoundRule, stats: &FunctionStats, state: &MemoState
 ///
 /// The paper's hierarchy C₄ ≤ C₃ holds exactly when `δ ≤ cost(f)` for
 /// every referenced feature. Measured statistics can violate that
-/// hypothesis — a batched kernel's per-pair cost can undercut the memo
+/// hypothesis — a cheap kernel's per-pair cost can undercut the memo
 /// lookup — and then this function truthfully predicts that Algorithm 4's
 /// unconditional memoing costs *more* than plain early exit.
 pub fn cost_memo(func: &MatchingFunction, stats: &FunctionStats) -> f64 {

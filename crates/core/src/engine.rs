@@ -18,9 +18,7 @@ use crate::executor::{partition, run_sharded, split_mut, Executor};
 use crate::feature::FeatureId;
 use crate::function::MatchingFunction;
 use crate::memo::{DenseMemo, Memo, MemoShard};
-use crate::robust::{
-    drive_pairs, drive_pairs_batched, fold_outcomes, BatchSink, DriveOutcome, PairList, PairSink,
-};
+use crate::robust::{drive_pairs, fold_outcomes, DriveOutcome, PairList, PairSink};
 use em_types::{CandidateSet, PairIdx};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -162,8 +160,8 @@ pub fn run_rudimentary(
     }
 }
 
-/// Algorithm 2 — the precomputation baseline, optionally combined with
-/// early exit (the paper's Figure 3 variants "PPR + EE" / "FPR + EE").
+/// Algorithm 2 — the precomputation baseline combined with early exit (the
+/// paper's Figure 3 variants "PPR + EE" / "FPR + EE").
 ///
 /// `universe` is the feature set to precompute: the function's own features
 /// for *production precomputation*, or a superset (everything the analyst
@@ -178,7 +176,6 @@ pub fn run_precompute(
     ctx: &EvalContext,
     cands: &CandidateSet,
     universe: &[FeatureId],
-    early_exit: bool,
     exec: &Executor,
 ) -> (MatchOutcome, DenseMemo) {
     let start = Instant::now();
@@ -214,7 +211,6 @@ pub fn run_precompute(
         ctx: &'b EvalContext,
         pairs: &'b [PairIdx],
         universe: &'b [FeatureId],
-        early_exit: bool,
         base: usize,
         memo: &'b mut MemoShard<'a>,
         verdicts: &'b mut [bool],
@@ -231,10 +227,8 @@ pub fn run_precompute(
                 self.memo.put(i, f, v);
             }
             // Match using lookups (phase 2 for this pair).
-            let mut matched = false;
-            for rule in self.func.rules() {
+            'rules: for rule in self.func.rules() {
                 self.stats.rule_evals += 1;
-                let mut rule_true = true;
                 for bp in &rule.preds {
                     let v = match self.memo.get(i, bp.pred.feature) {
                         Some(v) => {
@@ -253,20 +247,12 @@ pub fn run_precompute(
                     };
                     self.stats.predicate_evals += 1;
                     if !bp.pred.eval(v) {
-                        rule_true = false;
-                        if self.early_exit {
-                            break;
-                        }
+                        continue 'rules;
                     }
                 }
-                if rule_true {
-                    matched = true;
-                    if self.early_exit {
-                        break;
-                    }
-                }
+                self.verdicts[i - self.base] = true;
+                break;
             }
-            self.verdicts[i - self.base] = matched;
         }
     }
 
@@ -278,7 +264,6 @@ pub fn run_precompute(
             ctx,
             pairs,
             universe,
-            early_exit,
             base: range.start,
             memo: &mut shard.memo,
             verdicts: &mut *shard.verdicts,
@@ -402,7 +387,8 @@ pub fn run_early_exit(
 /// stored predicate order (optionally visiting already-memoized predicates
 /// first — the "check cache first" optimization of §5.4.3).
 ///
-/// Shared by [`run_memo_with`] and the incremental algorithms.
+/// Shared by the Algorithm 4 engines, full runs and the incremental
+/// algorithms. Allocates nothing for rules of up to 64 predicates.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
 pub(crate) fn eval_rule_memoized<M: Memo>(
     rule: &crate::rule::BoundRule,
@@ -415,35 +401,38 @@ pub(crate) fn eval_rule_memoized<M: Memo>(
     mut on_false: impl FnMut(crate::predicate::PredId),
 ) -> bool {
     stats.rule_evals += 1;
+    let preds = &rule.preds;
 
-    // Resolve evaluation order: cached predicates first when requested.
-    let positions: Vec<usize> = if check_cache_first {
-        let mut cached = Vec::new();
-        let mut uncached = Vec::new();
-        for (p, bp) in rule.preds.iter().enumerate() {
+    // Which predicates were memoized is fixed before any is evaluated (a
+    // value computed here must not promote a later predicate), so record
+    // it: one bit per position, on the stack for up to 64 predicates.
+    let mut inline = [0u64; 1];
+    let mut spilled = Vec::new();
+    let cached: &mut [u64] = if !check_cache_first || preds.len() <= 64 {
+        &mut inline
+    } else {
+        spilled.resize(preds.len().div_ceil(64), 0);
+        &mut spilled
+    };
+    if check_cache_first {
+        for (p, bp) in preds.iter().enumerate() {
             if memo.contains(pair_idx, bp.pred.feature) {
-                cached.push(p);
-            } else {
-                uncached.push(p);
+                cached[p / 64] |= 1 << (p % 64);
             }
         }
-        cached.extend(uncached);
-        cached
-    } else {
-        (0..rule.preds.len()).collect()
-    };
+    }
 
-    for p in positions {
-        let bp = &rule.preds[p];
-        let v = match memo.get(pair_idx, bp.pred.feature) {
+    let mut holds = |bp: &crate::rule::BoundPredicate| {
+        let f = bp.pred.feature;
+        let v = match memo.get(pair_idx, f) {
             Some(v) => {
                 stats.memo_lookups += 1;
                 v
             }
             None => {
-                let v = ctx.compute(bp.pred.feature, pair);
+                let v = ctx.compute(f, pair);
                 stats.feature_computations += 1;
-                memo.put(pair_idx, bp.pred.feature, v);
+                memo.put(pair_idx, f, v);
                 v
             }
         };
@@ -452,145 +441,53 @@ pub(crate) fn eval_rule_memoized<M: Memo>(
             on_false(bp.id);
             return false;
         }
+        true
+    };
+    if !check_cache_first {
+        return preds.iter().all(holds);
+    }
+    // Memoized predicates first, then the rest, each pass in stored order.
+    for memoized in [true, false] {
+        for (p, bp) in preds.iter().enumerate() {
+            let was_cached = cached[p / 64] >> (p % 64) & 1 == 1;
+            if was_cached == memoized && !holds(bp) {
+                return false;
+            }
+        }
     }
     true
 }
 
-/// How many pairs one batched evaluation chunk covers. Large enough that a
-/// per-feature kernel amortizes its dispatch over many pairs, small enough
-/// that early exit keeps pruning (a chunk's survivors shrink rule by rule)
-/// and a mid-chunk panic re-runs few pairs.
-pub(crate) const BATCH_CHUNK: usize = 256;
-
-/// Reusable buffers for [`eval_rules_batched`], held per worker shard so the
-/// steady state allocates nothing per chunk.
-#[derive(Default)]
-pub(crate) struct BatchScratch {
-    /// Chunk-local positions whose verdict is still undecided, ascending.
-    alive: Vec<usize>,
-    /// Positions that passed every predicate of the current rule so far.
-    survivors: Vec<usize>,
-    next: Vec<usize>,
-    /// Positions whose current feature value was not memoized.
-    uncached: Vec<usize>,
-    upairs: Vec<PairIdx>,
-    /// Global candidate indices matching `uncached` (memo keys).
-    ukeys: Vec<usize>,
-    uvals: Vec<f64>,
-    /// Feature value per chunk-local position (current predicate).
-    vals: Vec<f64>,
+/// The per-pair sink of Algorithm 4: enter rules in order until one fires.
+struct MemoSink<'a, M> {
+    func: &'a MatchingFunction,
+    ctx: &'a EvalContext,
+    pairs: &'a [PairIdx],
+    check_cache_first: bool,
+    /// Global candidate index of `verdicts[0]`.
+    base: usize,
+    memo: &'a mut M,
+    verdicts: &'a mut [bool],
+    stats: &'a mut EvalStats,
 }
 
-impl BatchScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Evaluates the whole matching function over one chunk of pairs,
-/// column-wise: per rule, per predicate, the chunk's surviving pairs are
-/// partitioned into memoized and uncomputed, the uncomputed remainder is
-/// evaluated with **one** [`EvalContext::compute_batch`] call, and the
-/// survivor list is filtered by the threshold.
-///
-/// Per pair this visits exactly the `(rule, predicate)` sequence Algorithm 4
-/// visits — entering rules until one fires, evaluating predicates until one
-/// fails — so verdicts, memo contents, and every [`EvalStats`] counter are
-/// identical to the scalar path; only the iteration order across pairs
-/// differs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_rules_batched<M: Memo>(
-    func: &MatchingFunction,
-    ctx: &EvalContext,
-    pairs: &[PairIdx],
-    indices: &[usize],
-    memo: &mut M,
-    stats: &mut EvalStats,
-    scratch: &mut BatchScratch,
-    mut on_fire: impl FnMut(usize, crate::rule::RuleId),
-    mut on_false: impl FnMut(crate::predicate::PredId, usize),
-) {
-    let BatchScratch {
-        alive,
-        survivors,
-        next,
-        uncached,
-        upairs,
-        ukeys,
-        uvals,
-        vals,
-    } = scratch;
-    let k = indices.len();
-    alive.clear();
-    alive.extend(0..k);
-    vals.clear();
-    vals.resize(k, 0.0);
-    for rule in func.rules() {
-        if alive.is_empty() {
-            break;
-        }
-        survivors.clear();
-        survivors.extend_from_slice(alive);
-        stats.rule_evals += survivors.len() as u64;
-        for bp in &rule.preds {
-            if survivors.is_empty() {
+impl<M: Memo> PairSink for MemoSink<'_, M> {
+    fn process(&mut self, i: usize) {
+        let pair = self.pairs[i];
+        for rule in self.func.rules() {
+            if eval_rule_memoized(
+                rule,
+                i,
+                pair,
+                self.ctx,
+                &mut *self.memo,
+                self.check_cache_first,
+                &mut *self.stats,
+                |_| {},
+            ) {
+                self.verdicts[i - self.base] = true;
                 break;
             }
-            let f = bp.pred.feature;
-            uncached.clear();
-            upairs.clear();
-            ukeys.clear();
-            for &pos in survivors.iter() {
-                let gi = indices[pos];
-                match memo.get(gi, f) {
-                    Some(v) => {
-                        stats.memo_lookups += 1;
-                        vals[pos] = v;
-                    }
-                    None => {
-                        uncached.push(pos);
-                        upairs.push(pairs[gi]);
-                        ukeys.push(gi);
-                    }
-                }
-            }
-            if !uncached.is_empty() {
-                uvals.clear();
-                uvals.resize(uncached.len(), 0.0);
-                ctx.compute_batch(f, upairs, uvals);
-                stats.feature_computations += uncached.len() as u64;
-                memo.put_column(f, ukeys, uvals);
-                for (j, &pos) in uncached.iter().enumerate() {
-                    vals[pos] = uvals[j];
-                }
-            }
-            stats.predicate_evals += survivors.len() as u64;
-            next.clear();
-            for &pos in survivors.iter() {
-                if bp.pred.eval(vals[pos]) {
-                    next.push(pos);
-                } else {
-                    on_false(bp.id, indices[pos]);
-                }
-            }
-            std::mem::swap(survivors, next);
-        }
-        if !survivors.is_empty() {
-            // Survivors fired this rule: report them and strike them from
-            // the alive list (both ascending, so one merge pass suffices).
-            for &pos in survivors.iter() {
-                on_fire(indices[pos], rule.id);
-            }
-            next.clear();
-            let mut s = 0;
-            for &pos in alive.iter() {
-                if s < survivors.len() && survivors[s] == pos {
-                    s += 1;
-                } else {
-                    next.push(pos);
-                }
-            }
-            std::mem::swap(alive, next);
         }
     }
 }
@@ -609,81 +506,18 @@ pub fn run_memo_with<M: Memo>(
     let start = Instant::now();
     let mut stats = EvalStats::default();
     let mut verdicts = vec![false; cands.len()];
-
-    struct Sink<'a, M> {
-        func: &'a MatchingFunction,
-        ctx: &'a EvalContext,
-        pairs: &'a [PairIdx],
-        check_cache_first: bool,
-        memo: &'a mut M,
-        verdicts: &'a mut [bool],
-        stats: &'a mut EvalStats,
-        scratch: BatchScratch,
-    }
-    impl<M: Memo> PairSink for Sink<'_, M> {
-        fn process(&mut self, i: usize) {
-            let pair = self.pairs[i];
-            for rule in self.func.rules() {
-                if eval_rule_memoized(
-                    rule,
-                    i,
-                    pair,
-                    self.ctx,
-                    &mut *self.memo,
-                    self.check_cache_first,
-                    &mut *self.stats,
-                    |_| {},
-                ) {
-                    self.verdicts[i] = true;
-                    break;
-                }
-            }
-        }
-    }
-    impl<M: Memo> BatchSink for Sink<'_, M> {
-        fn process_batch(&mut self, indices: &[usize]) {
-            let Sink {
-                func,
-                ctx,
-                pairs,
-                memo,
-                verdicts,
-                stats,
-                scratch,
-                ..
-            } = self;
-            eval_rules_batched(
-                func,
-                ctx,
-                pairs,
-                indices,
-                &mut **memo,
-                stats,
-                scratch,
-                |gi, _| verdicts[gi] = true,
-                |_, _| {},
-            );
-        }
-    }
-
     let mut checker = EvalBudget::unlimited().checker();
-    let batched = !check_cache_first && !ctx.has_fault_plan();
-    let mut sink = Sink {
+    let mut sink = MemoSink {
         func,
         ctx,
         pairs: cands.as_slice(),
         check_cache_first,
+        base: 0,
         memo,
         verdicts: &mut verdicts,
         stats: &mut stats,
-        scratch: BatchScratch::new(),
     };
-    let list = PairList::Range(0..cands.len());
-    let drive = if batched {
-        drive_pairs_batched(&list, &mut checker, &mut sink, BATCH_CHUNK)
-    } else {
-        drive_pairs(&list, &mut checker, &mut sink)
-    };
+    let drive = drive_pairs(&PairList::Range(0..cands.len()), &mut checker, &mut sink);
     let (_, quarantined, _) = fold_outcomes([drive]);
 
     MatchOutcome {
@@ -743,70 +577,10 @@ pub fn run_memo_into(
         })
         .collect();
 
-    struct Sink<'a, 'b> {
-        func: &'b MatchingFunction,
-        ctx: &'b EvalContext,
-        pairs: &'b [PairIdx],
-        check_cache_first: bool,
-        base: usize,
-        memo: &'b mut MemoShard<'a>,
-        verdicts: &'b mut [bool],
-        stats: &'b mut EvalStats,
-        scratch: BatchScratch,
-    }
-    impl PairSink for Sink<'_, '_> {
-        fn process(&mut self, i: usize) {
-            let pair = self.pairs[i];
-            for rule in self.func.rules() {
-                if eval_rule_memoized(
-                    rule,
-                    i,
-                    pair,
-                    self.ctx,
-                    &mut *self.memo,
-                    self.check_cache_first,
-                    &mut *self.stats,
-                    |_| {},
-                ) {
-                    self.verdicts[i - self.base] = true;
-                    break;
-                }
-            }
-        }
-    }
-    impl BatchSink for Sink<'_, '_> {
-        fn process_batch(&mut self, indices: &[usize]) {
-            let Sink {
-                func,
-                ctx,
-                pairs,
-                base,
-                memo,
-                verdicts,
-                stats,
-                scratch,
-                ..
-            } = self;
-            let base = *base;
-            eval_rules_batched(
-                func,
-                ctx,
-                pairs,
-                indices,
-                &mut **memo,
-                stats,
-                scratch,
-                |gi, _| verdicts[gi - base] = true,
-                |_, _| {},
-            );
-        }
-    }
-
-    let batched = !check_cache_first && !ctx.has_fault_plan();
     let shards = run_sharded(exec, shards, |_, shard| {
         let mut checker = EvalBudget::unlimited().checker();
         let range = shard.range.clone();
-        let mut sink = Sink {
+        let mut sink = MemoSink {
             func,
             ctx,
             pairs,
@@ -815,14 +589,8 @@ pub fn run_memo_into(
             memo: &mut shard.memo,
             verdicts: &mut *shard.verdicts,
             stats: &mut shard.stats,
-            scratch: BatchScratch::new(),
         };
-        let list = PairList::Range(range);
-        shard.drive = if batched {
-            drive_pairs_batched(&list, &mut checker, &mut sink, BATCH_CHUNK)
-        } else {
-            drive_pairs(&list, &mut checker, &mut sink)
-        };
+        shard.drive = drive_pairs(&PairList::Range(range), &mut checker, &mut sink);
     });
 
     let mut stats = EvalStats::default();
@@ -867,10 +635,10 @@ pub enum Strategy {
     Rudimentary,
     /// Algorithm 3.
     EarlyExit,
-    /// Algorithm 2 (+ early exit) precomputing exactly the function's
+    /// Algorithm 2 + early exit precomputing exactly the function's
     /// features ("production precomputation").
     PrecomputeProduction,
-    /// Algorithm 2 (+ early exit) precomputing the given feature universe
+    /// Algorithm 2 + early exit precomputing the given feature universe
     /// ("full precomputation").
     PrecomputeFull(Vec<FeatureId>),
     /// Algorithm 4.
@@ -904,10 +672,10 @@ impl Strategy {
             Strategy::Rudimentary => run_rudimentary(func, ctx, cands, exec),
             Strategy::EarlyExit => run_early_exit(func, ctx, cands, exec),
             Strategy::PrecomputeProduction => {
-                run_precompute(func, ctx, cands, &func.features(), true, exec).0
+                run_precompute(func, ctx, cands, &func.features(), exec).0
             }
             Strategy::PrecomputeFull(universe) => {
-                run_precompute(func, ctx, cands, universe, true, exec).0
+                run_precompute(func, ctx, cands, universe, exec).0
             }
             Strategy::MemoEarlyExit { check_cache_first } => {
                 run_memo(func, ctx, cands, *check_cache_first, exec).0
@@ -1058,7 +826,7 @@ mod tests {
     fn precompute_full_computes_whole_universe() {
         let (ctx, cands, func) = fixture();
         let universe: Vec<FeatureId> = ctx.registry().iter().map(|(id, _)| id).collect();
-        let (out, memo) = run_precompute(&func, &ctx, &cands, &universe, true, &Executor::serial());
+        let (out, memo) = run_precompute(&func, &ctx, &cands, &universe, &Executor::serial());
         assert_eq!(memo.stored(), cands.len() * universe.len());
         assert_eq!(
             out.stats.feature_computations,
@@ -1084,6 +852,53 @@ mod tests {
         let (ctx, cands, func) = fixture();
         let out = run_rudimentary(&func, &ctx, &cands, &Executor::serial());
         assert!(out.quarantined.is_empty());
+    }
+
+    #[test]
+    fn check_cache_first_order_holds_past_64_predicates() {
+        let (ctx, _, _) = fixture();
+        let (f_model, f_title) = (FeatureId(0), FeatureId(1));
+        // 70 predicates alternating title (even) / model (odd), all true
+        // except model at position 1 and title at position 66.
+        let mut rule = Rule::new();
+        for p in 0..70 {
+            let f = if p % 2 == 0 { f_title } else { f_model };
+            let t = if p == 1 || p == 66 { 2.0 } else { 0.0 };
+            rule = rule.pred(f, CmpOp::Ge, t);
+        }
+        let mut func = MatchingFunction::new();
+        func.add_rule(rule).unwrap();
+        let rule = &func.rules()[0];
+        let pair = PairIdx::new(0, 0);
+        let first_false = |check_cache_first: bool| {
+            let mut memo = crate::memo::SparseMemo::new();
+            memo.put(0, f_title, ctx.compute(f_title, pair));
+            let mut stats = EvalStats::default();
+            let mut failed = Vec::new();
+            let fired = eval_rule_memoized(
+                rule,
+                0,
+                pair,
+                &ctx,
+                &mut memo,
+                check_cache_first,
+                &mut stats,
+                |id| failed.push(id),
+            );
+            assert!(!fired);
+            let pos = rule.preds.iter().position(|bp| bp.id == failed[0]);
+            (pos.unwrap(), stats)
+        };
+        // Stored order: the model predicate at position 1 fails first.
+        let (pos, stats) = first_false(false);
+        assert_eq!(pos, 1);
+        assert_eq!((stats.memo_lookups, stats.feature_computations), (1, 1));
+        // Check cache first: the memoized title predicates run first, past
+        // the 64th position, and the model feature is never computed.
+        let (pos, stats) = first_false(true);
+        assert_eq!(pos, 66);
+        assert_eq!((stats.memo_lookups, stats.predicate_evals), (34, 34));
+        assert_eq!(stats.feature_computations, 0);
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub struct PredicateTrace {
     pub passed: bool,
     /// Estimated cost of computing this feature, in ns/pair, when
     /// statistics were supplied (see [`explain_with_costs`]). Measured
-    /// through the batched kernel path, so it is the cost the engines —
-    /// and the §5.5 ordering model — actually pay per pair.
+    /// through `EvalContext::compute`, so it is the cost the engines — and
+    /// the §5.5 ordering model — actually pay per pair.
     pub cost_ns: Option<f64>,
 }
 

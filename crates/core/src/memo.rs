@@ -26,16 +26,6 @@ pub trait Memo {
     fn contains(&self, pair: usize, feature: FeatureId) -> bool {
         self.get(pair, feature).is_some()
     }
-    /// Stores one feature's values for many pairs at once — the column-wise
-    /// write path of the batched engine. Semantically identical to calling
-    /// [`Memo::put`] per element; implementations may hoist the per-call
-    /// bookkeeping (feature growth, stride lookup) out of the loop.
-    fn put_column(&mut self, feature: FeatureId, pairs: &[usize], values: &[f64]) {
-        debug_assert_eq!(pairs.len(), values.len());
-        for (&p, &v) in pairs.iter().zip(values) {
-            self.put(p, feature, v);
-        }
-    }
     /// Number of stored values.
     fn stored(&self) -> usize;
     /// Forgets everything.
@@ -199,27 +189,6 @@ impl Memo for DenseMemo {
             self.stored += 1;
         }
         self.values[i] = value;
-    }
-
-    /// Column write with the growth check and stride hoisted out of the
-    /// loop: one bounds-checked row computation per pair instead of the
-    /// full [`Memo::put`] preamble.
-    fn put_column(&mut self, feature: FeatureId, pairs: &[usize], values: &[f64]) {
-        debug_assert_eq!(pairs.len(), values.len());
-        let f = feature.index();
-        if f >= self.n_features {
-            self.ensure_features(f + 1);
-        }
-        let stride = self.n_features;
-        for (&p, &v) in pairs.iter().zip(values) {
-            assert!(p < self.n_pairs, "pair index out of range for memo");
-            let i = p * stride + f;
-            let v = if v.is_nan() { 0.0 } else { v }; // NaN = absent sentinel
-            if self.values[i].is_nan() {
-                self.stored += 1;
-            }
-            self.values[i] = v;
-        }
     }
 
     fn stored(&self) -> usize {
@@ -555,33 +524,6 @@ mod tests {
         let mut overlay = OverlayMemo::new(&base);
         overlay.put(1, FeatureId(1), f64::NAN);
         assert_eq!(overlay.get(1, FeatureId(1)), Some(0.0));
-    }
-
-    #[test]
-    fn put_column_matches_per_element_puts() {
-        // Column writes must be indistinguishable from per-element puts:
-        // same values, same stored count, NaN normalized, growth triggered.
-        let mut a = DenseMemo::new(8, 1);
-        let mut b = DenseMemo::new(8, 1);
-        let pairs = [1usize, 3, 5, 7];
-        let vals = [0.25, f64::NAN, 0.75, 0.0];
-        let f = FeatureId(4); // beyond current capacity → growth
-        a.put_column(f, &pairs, &vals);
-        for (&p, &v) in pairs.iter().zip(&vals) {
-            b.put(p, f, v);
-        }
-        assert_eq!(a.n_features(), b.n_features());
-        assert_eq!(a.stored(), b.stored());
-        for p in 0..8 {
-            assert_eq!(a.get(p, f), b.get(p, f), "pair {p}");
-        }
-        assert_eq!(a.get(3, f), Some(0.0), "NaN lands as 0.0");
-        // The trait-default path (sparse) agrees too.
-        let mut s = SparseMemo::new();
-        s.put_column(f, &pairs, &vals);
-        for (&p, _) in pairs.iter().zip(&vals) {
-            assert_eq!(s.get(p, f), a.get(p, f));
-        }
     }
 
     #[test]

@@ -33,8 +33,7 @@ pub struct CoreMetrics {
     /// Snapshot save (journal rotation + atomic snapshot write) latency.
     pub snapshot_save_ns: Arc<Histogram>,
     pub snapshot_saves: Arc<Counter>,
-    /// Batched-kernel cost estimate, ns per pair, from `stats`
-    /// calibration runs.
+    /// Kernel cost estimate, ns per pair, from `stats` calibration runs.
     pub kernel_ns_per_pair: Arc<Histogram>,
     /// Scrub passes and individual findings.
     pub scrubs: Arc<Counter>,
@@ -95,7 +94,7 @@ pub fn core_metrics() -> &'static CoreMetrics {
             snapshot_saves: r.counter("em_snapshot_saves_total", "Snapshots saved"),
             kernel_ns_per_pair: r.histogram(
                 "em_kernel_ns_per_pair",
-                "Calibrated batched-kernel cost estimates, ns per pair",
+                "Calibrated kernel cost estimates, ns per pair",
             ),
             scrubs: r.counter("em_scrubs_total", "Store scrub passes"),
             scrub_findings: r.counter(

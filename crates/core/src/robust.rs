@@ -137,60 +137,6 @@ pub(crate) fn drive_pairs<S: PairSink>(
     out
 }
 
-/// A [`PairSink`] that can also evaluate a whole chunk of pairs at once.
-///
-/// `process_batch(indices)` must leave the sink in the same state as calling
-/// `process(i)` for each index in order — the batched engines uphold this by
-/// computing bit-identical feature values column-wise. The scalar `process`
-/// remains the fallback: after a batch panics, the driver rolls back and
-/// bisects with per-pair calls, so one toxic pair still costs one pair.
-pub(crate) trait BatchSink: PairSink {
-    /// Evaluates the pairs at global candidate indices `indices`, in order.
-    fn process_batch(&mut self, indices: &[usize]);
-}
-
-/// Batched variant of [`drive_pairs`]: evaluates `chunk`-sized slices via
-/// [`BatchSink::process_batch`] under one `catch_unwind` each, polling the
-/// budget (with a forced clock read) at every chunk boundary.
-///
-/// A panicking chunk is rolled back and re-run through the scalar
-/// [`bisect`] path, so quarantine granularity is identical to the scalar
-/// driver's.
-pub(crate) fn drive_pairs_batched<S: BatchSink>(
-    pairs: &PairList<'_>,
-    checker: &mut BudgetChecker,
-    sink: &mut S,
-    chunk: usize,
-) -> DriveOutcome {
-    let n = pairs.len();
-    let chunk = chunk.max(1);
-    let mut out = DriveOutcome::default();
-    let mut indices: Vec<usize> = Vec::with_capacity(chunk.min(n));
-    let mut pos = 0;
-    while pos < n {
-        if let Some(reason) = checker.should_stop_now() {
-            out.reason = Some(reason);
-            for p in pos..n {
-                out.remaining.push(pairs.get(p));
-            }
-            return out;
-        }
-        let end = (pos + chunk).min(n);
-        indices.clear();
-        indices.extend((pos..end).map(|p| pairs.get(p)));
-        let mark = sink.mark();
-        match catch_unwind(AssertUnwindSafe(|| sink.process_batch(&indices))) {
-            Ok(()) => out.pairs_examined += end - pos,
-            Err(_) => {
-                sink.rollback(mark);
-                bisect(pairs, pos, end, sink, &mut out);
-            }
-        }
-        pos = end;
-    }
-    out
-}
-
 /// Re-runs `[lo, hi)` halving on panic until single pairs are isolated.
 /// Left half first, so append-only event logs stay in ascending pair order.
 fn bisect<S: PairSink>(
@@ -414,64 +360,6 @@ mod tests {
             assert_eq!(out.quarantined, vec![16]);
             let expected: Vec<usize> = (0..32).filter(|&i| i != 16).collect();
             assert_eq!(sink.log, expected);
-        });
-    }
-
-    impl BatchSink for LogSink {
-        fn process_batch(&mut self, indices: &[usize]) {
-            for &i in indices {
-                self.process(i);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_clean_run_covers_everything() {
-        let mut sink = LogSink::new(vec![]);
-        let mut checker = EvalBudget::unlimited().checker();
-        let out = drive_pairs_batched(&PairList::Range(0..100), &mut checker, &mut sink, 16);
-        assert_eq!(out.pairs_examined, 100);
-        assert!(out.quarantined.is_empty() && out.remaining.is_empty());
-        assert_eq!(sink.log, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batched_poison_quarantined_exactly() {
-        quiet(|| {
-            let mut sink = LogSink::new(vec![7, 40, 41]);
-            let mut checker = EvalBudget::unlimited().checker();
-            let out = drive_pairs_batched(&PairList::Range(0..100), &mut checker, &mut sink, 16);
-            assert_eq!(out.quarantined, vec![7, 40, 41]);
-            assert_eq!(out.pairs_examined, 97);
-            let expected: Vec<usize> = (0..100).filter(|i| ![7, 40, 41].contains(i)).collect();
-            assert_eq!(sink.log, expected, "rollback + bisect must not duplicate");
-        });
-    }
-
-    #[test]
-    fn batched_cancellation_stops_at_chunk_boundary() {
-        let token = CancelToken::new();
-        let mut sink = LogSink::new(vec![]);
-        sink.cancel_at = Some((9, token.clone()));
-        let budget = EvalBudget::unlimited().with_token(token);
-        let mut checker = budget.checker();
-        let out = drive_pairs_batched(&PairList::Range(0..100), &mut checker, &mut sink, 16);
-        // Pair 9 cancels mid-chunk; the chunk [0, 16) finishes, the check
-        // before the next chunk observes the cancellation.
-        assert_eq!(out.reason, Some(StopReason::Cancelled));
-        assert_eq!(out.pairs_examined, 16);
-        assert_eq!(out.remaining, (16..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batched_slice_list_maps_positions() {
-        quiet(|| {
-            let idxs: Vec<usize> = (0..50).map(|i| i * 3).collect();
-            let mut sink = LogSink::new(vec![21]);
-            let mut checker = EvalBudget::unlimited().checker();
-            let out = drive_pairs_batched(&PairList::Slice(&idxs), &mut checker, &mut sink, 8);
-            assert_eq!(out.quarantined, vec![21]);
-            assert_eq!(out.pairs_examined, 49);
         });
     }
 

@@ -15,14 +15,12 @@
 use crate::bitmap::Bitmap;
 use crate::budget::EvalBudget;
 use crate::context::EvalContext;
-use crate::engine::{eval_rule_memoized, eval_rules_batched, BatchScratch, EvalStats, BATCH_CHUNK};
+use crate::engine::{eval_rule_memoized, EvalStats};
 use crate::executor::{partition, run_sharded, split_mut, Executor};
 use crate::function::MatchingFunction;
 use crate::memo::{DenseMemo, Memo, MemoShard};
 use crate::predicate::PredId;
-use crate::robust::{
-    drive_pairs, drive_pairs_batched, fold_outcomes, BatchSink, DriveOutcome, PairList, PairSink,
-};
+use crate::robust::{drive_pairs, fold_outcomes, DriveOutcome, PairList, PairSink};
 use crate::rule::RuleId;
 use em_types::{CandidateSet, PairIdx};
 use std::collections::HashMap;
@@ -317,7 +315,6 @@ pub fn run_full(
         fired: &'b mut [Option<RuleId>],
         pred_false: &'b mut Vec<(PredId, usize)>,
         stats: &'b mut EvalStats,
-        scratch: BatchScratch,
     }
     impl PairSink for Sink<'_, '_> {
         fn process(&mut self, i: usize) {
@@ -349,40 +346,6 @@ pub fn run_full(
             self.pred_false.truncate(mark);
         }
     }
-    impl BatchSink for Sink<'_, '_> {
-        fn process_batch(&mut self, indices: &[usize]) {
-            let Sink {
-                func,
-                ctx,
-                pairs,
-                base,
-                memo,
-                verdicts,
-                fired,
-                pred_false,
-                stats,
-                scratch,
-                ..
-            } = self;
-            let base = *base;
-            eval_rules_batched(
-                func,
-                ctx,
-                pairs,
-                indices,
-                &mut **memo,
-                stats,
-                scratch,
-                |gi, rid| {
-                    verdicts[gi - base] = true;
-                    fired[gi - base] = Some(rid);
-                },
-                |pid, gi| pred_false.push((pid, gi)),
-            );
-        }
-    }
-
-    let batched = !check_cache_first && !ctx.has_fault_plan();
     let shards = run_sharded(exec, shards, |_, shard| {
         let mut checker = EvalBudget::unlimited().checker();
         let range = shard.range.clone();
@@ -397,14 +360,8 @@ pub fn run_full(
             fired: &mut *shard.fired,
             pred_false: &mut shard.pred_false,
             stats: &mut shard.stats,
-            scratch: BatchScratch::new(),
         };
-        let list = PairList::Range(range);
-        shard.drive = if batched {
-            drive_pairs_batched(&list, &mut checker, &mut sink, BATCH_CHUNK)
-        } else {
-            drive_pairs(&list, &mut checker, &mut sink)
-        };
+        shard.drive = drive_pairs(&PairList::Range(range), &mut checker, &mut sink);
     });
 
     let mut stats = EvalStats::default();

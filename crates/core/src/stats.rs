@@ -73,12 +73,12 @@ impl FunctionStats {
         }
 
         // Feature costs: wall-clock each feature over the sample through
-        // the batched kernel path — the same code the engines run — so the
-        // cost model's α(f, r) inputs reflect per-pair *batch* cost rather
-        // than the scalar path. Values are kept so selectivities reuse them.
+        // `EvalContext::compute` — the call the engines make per pair — so
+        // the cost model's α(f, r) inputs are the engines' per-pair cost.
+        // Values are kept so selectivities reuse them.
         //
-        // Batched kernels finish a small sample in microseconds, where a
-        // single wall-clock reading is dominated by scheduler noise and the
+        // Kernels finish a small sample in microseconds, where a single
+        // wall-clock reading is dominated by scheduler noise and the
         // resulting feature *ordering* flips from run to run (breaking the
         // determinism `optimize` callers observe). So: one untimed warm-up,
         // then repeat until enough time has accumulated, keeping the fastest
@@ -90,17 +90,22 @@ impl FunctionStats {
         let mut values: HashMap<FeatureId, Vec<f64>> = HashMap::new();
         for &f in &features {
             let mut vals = vec![0.0; indices.len()];
-            let batch_ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ctx.compute_batch(f, &pairs, &mut vals);
+            let fill = |vals: &mut [f64]| {
+                for (slot, &pair) in vals.iter_mut().zip(&pairs) {
+                    *slot = ctx.compute(f, pair);
+                }
+            };
+            let warm_ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fill(&mut vals);
             }))
             .is_ok();
-            let per_eval = if batch_ok {
+            let per_eval = if warm_ok {
                 let mut best = f64::INFINITY;
                 let mut spent = 0u128;
                 let mut reps = 0u32;
                 while (spent < MIN_MEASURE_NS || reps < 3) && reps < MAX_REPS {
                     let start = Instant::now();
-                    ctx.compute_batch(f, &pairs, &mut vals);
+                    fill(&mut vals);
                     let elapsed = start.elapsed().as_nanos();
                     spent += elapsed;
                     best = best.min(elapsed as f64 / indices.len() as f64);

@@ -9,7 +9,7 @@
 use crate::forest::RandomForest;
 use crate::tree::Node;
 use em_core::{CmpOp, FeatureId, Predicate, Rule};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Extraction filters.
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +101,9 @@ fn walk(
 }
 
 /// Extracts the positive rules of every tree in `forest`, deduplicated by
-/// predicate signature and ordered by descending leaf support.
+/// predicate signature and ordered by descending leaf support, then by
+/// ascending length, then by signature — a total order, so the output (and
+/// any `max_rules` cut of it) is the same in every process.
 pub fn extract_rules(
     forest: &RandomForest,
     features: &[FeatureId],
@@ -113,8 +115,9 @@ pub fn extract_rules(
         walk(tree.root(), features, &mut path, &mut raw, cfg);
     }
 
-    // Dedup by predicate signature, keeping the max support.
-    let mut best: HashMap<String, (Rule, usize)> = HashMap::new();
+    // Dedup by predicate signature, keeping the max support. Survivors come
+    // out in signature order, which the stable sort keeps among ties.
+    let mut best: BTreeMap<String, (Rule, usize)> = BTreeMap::new();
     for (rule, support) in raw {
         let sig = rule
             .predicates()
@@ -259,6 +262,47 @@ mod tests {
                 *entry += 1;
                 assert_eq!(*entry, 1, "unmerged duplicate bound in {r:?}");
             }
+        }
+    }
+
+    #[test]
+    fn extraction_order_is_canonical() {
+        // A noisy 4-feature matrix on a coarse grid: many leaves, many
+        // rules tied on (support, length).
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let (mut rows, mut labels) = (Vec::new(), Vec::new());
+        for _ in 0..600 {
+            let x: Vec<f64> = (0..4)
+                .map(|_| f64::from(rng.gen_range(0..10u8)) / 10.0)
+                .collect();
+            labels.push((x[0] + x[1] > x[2] + 0.4) != rng.gen_bool(0.15));
+            rows.push(x);
+        }
+        let forest = RandomForest::train(
+            &FeatureMatrix::from_raw(rows, labels),
+            &ForestConfig {
+                n_trees: 24,
+                seed: 3,
+                ..Default::default()
+            },
+        );
+        let ids: Vec<FeatureId> = (0..4).map(FeatureId).collect();
+        let cfg = ExtractConfig {
+            min_purity: 0.6,
+            min_support: 1,
+            max_rules: 0,
+        };
+        let render = || -> Vec<String> {
+            extract_rules(&forest, &ids, &cfg)
+                .iter()
+                .map(|r| format!("{:?}", r.predicates()))
+                .collect()
+        };
+        let first = render();
+        assert!(first.len() > 100, "{} rules", first.len());
+        for _ in 0..16 {
+            assert_eq!(render(), first, "extraction order differs between calls");
         }
     }
 

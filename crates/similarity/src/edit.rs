@@ -5,7 +5,7 @@
 //!
 //! Two kernel families live here: the public `&str` API (normalizes, then
 //! delegates) and `pub(crate)` scratch kernels over `&[char]` slices that the
-//! prepared/batched path calls with reused buffers. Levenshtein uses Myers'
+//! prepared path calls with reused buffers. Levenshtein uses Myers'
 //! bit-parallel algorithm when the shorter string fits in one 64-bit word
 //! (the common case for attribute values) and falls back to the two-row
 //! dynamic program otherwise; both produce the exact same integer distance.

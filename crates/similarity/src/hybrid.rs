@@ -59,7 +59,7 @@ pub fn soft_tfidf(a: &[String], b: &[String], idf: Option<&IdfTable>, threshold:
 
 /// Directed soft dot over text-sorted weight entries. Iteration order (and
 /// therefore best-match tie-breaking and float accumulation order) is the
-/// token text order on both sides, which the id-keyed batched kernel
+/// token text order on both sides, which the id-keyed prepared kernel
 /// reproduces exactly.
 fn directed_soft_dot(va: &[(&str, f64)], vb: &[(&str, f64)], threshold: f64) -> f64 {
     let mut dot = 0.0;

@@ -15,13 +15,13 @@
 //! - [`PreparedIdf`]: IDF weights re-keyed from token text to token id.
 //!
 //! [`Measure::similarity_prepared`] then evaluates one pair from a
-//! [`PreparedView`] with a reusable [`SimScratch`], and
-//! [`Measure::similarity_batch`] evaluates a chunk of pairs into an output
-//! slice. Every kernel mirrors its scalar counterpart operation-for-
+//! [`PreparedView`] with a reusable [`SimScratch`]; it is the only kernel
+//! entry the engines call, one pair at a time. Every kernel mirrors its
+//! string-path counterpart ([`Measure::similarity_with`]) operation for
 //! operation — same formulas, same accumulation order (token *text* order,
-//! which is why [`TokenColumn`] sorts by text) — so prepared and scalar
-//! scores are **bitwise identical**, a property the equivalence proptests
-//! pin down.
+//! which is why [`TokenColumn`] sorts by text) — so prepared and
+//! string-path scores are **bitwise identical**, a property the
+//! equivalence proptests pin down.
 
 use crate::edit::{jaro_chars_scratch, jaro_winkler_chars, levenshtein_similarity_chars};
 use crate::phonetic::soundex_code;
@@ -234,7 +234,7 @@ pub struct PreparedView<'a> {
 }
 
 /// Reusable scratch buffers for the prepared kernels; one per worker thread
-/// (or one per batch call) keeps the steady-state allocation count at zero.
+/// keeps the steady-state allocation count at zero.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     row: Vec<usize>,
@@ -579,21 +579,6 @@ impl Measure {
             }
         }
     }
-
-    /// Evaluates a chunk of pairs into `out` with one shared scratch — the
-    /// batch API of the columnar engine path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pairs.len() != out.len()` or the view is incomplete for
-    /// this measure.
-    pub fn similarity_batch(&self, v: &PreparedView<'_>, pairs: &[PairIdx], out: &mut [f64]) {
-        assert_eq!(pairs.len(), out.len(), "output slice must match pair count");
-        let mut scratch = SimScratch::new();
-        for (slot, &pair) in out.iter_mut().zip(pairs) {
-            *slot = self.similarity_prepared(v, pair, &mut scratch);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -722,26 +707,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn batch_fills_output_slice() {
-        let fx = Fixture::build(TokenScheme::Whitespace, VALUES_A, VALUES_B, false);
-        let view = fx.view();
-        let pairs: Vec<PairIdx> = (0..VALUES_A.len() as u32)
-            .map(|i| PairIdx::new(i, i))
-            .collect();
-        let mut out = vec![f64::NAN; pairs.len()];
-        Measure::Jaccard(TokenScheme::Whitespace).similarity_batch(&view, &pairs, &mut out);
-        let mut scratch = SimScratch::new();
-        for (k, &p) in pairs.iter().enumerate() {
-            let want = Measure::Jaccard(TokenScheme::Whitespace).similarity_prepared(
-                &view,
-                p,
-                &mut scratch,
-            );
-            assert_eq!(out[k].to_bits(), want.to_bits());
         }
     }
 

@@ -26,7 +26,7 @@ pub fn jaccard(a: &[String], b: &[String]) -> f64 {
     jaccard_from_counts(inter, na, nb)
 }
 
-/// [`jaccard`] from precomputed distinct-token counts. The batched kernels
+/// [`jaccard`] from precomputed distinct-token counts. The prepared kernels
 /// compute `(inter, na, nb)` by merging sorted interned slices and share the
 /// float formula with the scalar path through these helpers, so both paths
 /// produce bitwise-identical scores.

@@ -81,7 +81,7 @@ impl IdfTable {
 /// with one entry per distinct token.
 ///
 /// Text order makes every downstream float accumulation deterministic: the
-/// batched kernels iterate id-keyed entries in the same text order, so the
+/// prepared kernels iterate id-keyed entries in the same text order, so the
 /// two paths sum identical sequences and agree bitwise.
 pub(crate) fn weight_entries<'a>(
     tokens: &'a [String],

@@ -7,9 +7,9 @@ mod common;
 
 use common::{random_workload, reference_verdicts};
 use proptest::prelude::*;
-use rulem::core::Executor;
 use rulem::core::{
-    run_early_exit, run_memo, run_memo_with, run_precompute, run_rudimentary, SparseMemo, Strategy,
+    run_early_exit, run_full, run_memo, run_memo_with, run_precompute, run_rudimentary, Executor,
+    FeatureId, MatchOutcome, MatchState, Memo, SparseMemo, Strategy,
 };
 
 proptest! {
@@ -26,10 +26,10 @@ proptest! {
         let ee = run_early_exit(&w.func, &w.ctx, &w.cands, &Executor::serial());
         prop_assert_eq!(&ee.verdicts, &expected, "early exit");
 
-        let (ppr, _) = run_precompute(&w.func, &w.ctx, &w.cands, &w.func.features(), true, &Executor::serial());
+        let (ppr, _) = run_precompute(&w.func, &w.ctx, &w.cands, &w.func.features(), &Executor::serial());
         prop_assert_eq!(&ppr.verdicts, &expected, "production precompute");
 
-        let (fpr, _) = run_precompute(&w.func, &w.ctx, &w.cands, &w.features, true, &Executor::serial());
+        let (fpr, _) = run_precompute(&w.func, &w.ctx, &w.cands, &w.features, &Executor::serial());
         prop_assert_eq!(&fpr.verdicts, &expected, "full precompute");
 
         let (dm, _) = run_memo(&w.func, &w.ctx, &w.cands, false, &Executor::serial());
@@ -62,7 +62,6 @@ proptest! {
     fn memo_computes_each_cell_at_most_once(seed in 0u64..10_000) {
         let w = random_workload(seed);
         let (dm, memo) = run_memo(&w.func, &w.ctx, &w.cands, true, &Executor::serial());
-        use rulem::core::Memo;
         prop_assert_eq!(dm.stats.feature_computations as usize, memo.stored());
         let bound = w.cands.len() * w.func.features().len();
         prop_assert!(memo.stored() <= bound);
@@ -84,4 +83,219 @@ fn strategy_labels_are_distinct() {
     .into_iter()
     .collect();
     assert_eq!(labels.len(), 5);
+}
+
+/// Seeds of `random_workload` whose work is pinned in [`PINNED_WORK`].
+const PINNED_SEEDS: [u64; 5] = [1, 7, 42, 311, 2024];
+
+/// Every engine's work on [`PINNED_SEEDS`], one line per engine and thread
+/// count: `EvalStats` (`fc` computations, `ml` memo lookups, `pe`
+/// predicate evaluations, `re` rule evaluations), the match count, the
+/// memo cells stored with a digest of their values, and for full runs a
+/// digest of every `M(r)` and `U(p)`. Recorded when `check_cache_first =
+/// false` full runs still went through a column-wise chunked drive, so
+/// the per-pair drive is held to exactly that work.
+const PINNED_WORK: &str = "\
+1 rudimentary: fc=63 ml=0 pe=63 re=21 matches=7 -\n\
+1 early_exit: fc=57 ml=0 pe=57 re=21 matches=7 -\n\
+1 ppr: fc=42 ml=57 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae\n\
+1 fpr: fc=105 ml=57 pe=57 re=21 matches=7 stored=105 cells=d98d156a329d9b88\n\
+1 memo(ccf=false,t=1): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae\n\
+1 memo(ccf=false,t=2): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae\n\
+1 memo(ccf=false,t=4): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae\n\
+1 memo(ccf=true,t=1): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae\n\
+1 memo(ccf=true,t=2): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae\n\
+1 memo(ccf=true,t=4): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae\n\
+1 sparse(ccf=false): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae\n\
+1 sparse(ccf=true): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae\n\
+1 full(ccf=false,t=1): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae bitmaps=bb1b98db52ea95b2\n\
+1 full(ccf=false,t=2): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae bitmaps=bb1b98db52ea95b2\n\
+1 full(ccf=false,t=4): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae bitmaps=bb1b98db52ea95b2\n\
+1 full(ccf=true,t=1): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae bitmaps=bb1b98db52ea95b2\n\
+1 full(ccf=true,t=2): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae bitmaps=bb1b98db52ea95b2\n\
+1 full(ccf=true,t=4): fc=42 ml=15 pe=57 re=21 matches=7 stored=42 cells=6c3fd60b399f74ae bitmaps=bb1b98db52ea95b2\n\
+7 rudimentary: fc=70 ml=0 pe=70 re=30 matches=0 -\n\
+7 early_exit: fc=40 ml=0 pe=40 re=30 matches=0 -\n\
+7 ppr: fc=40 ml=40 pe=40 re=30 matches=0 stored=40 cells=f412cba316b11039\n\
+7 fpr: fc=50 ml=40 pe=40 re=30 matches=0 stored=50 cells=6a5fea82caaab650\n\
+7 memo(ccf=false,t=1): fc=30 ml=10 pe=40 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8\n\
+7 memo(ccf=false,t=2): fc=30 ml=10 pe=40 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8\n\
+7 memo(ccf=false,t=4): fc=30 ml=10 pe=40 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8\n\
+7 memo(ccf=true,t=1): fc=30 ml=20 pe=50 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8\n\
+7 memo(ccf=true,t=2): fc=30 ml=20 pe=50 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8\n\
+7 memo(ccf=true,t=4): fc=30 ml=20 pe=50 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8\n\
+7 sparse(ccf=false): fc=30 ml=10 pe=40 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8\n\
+7 sparse(ccf=true): fc=30 ml=20 pe=50 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8\n\
+7 full(ccf=false,t=1): fc=30 ml=10 pe=40 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8 bitmaps=1f3eb8b5e3dbd7e0\n\
+7 full(ccf=false,t=2): fc=30 ml=10 pe=40 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8 bitmaps=1f3eb8b5e3dbd7e0\n\
+7 full(ccf=false,t=4): fc=30 ml=10 pe=40 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8 bitmaps=1f3eb8b5e3dbd7e0\n\
+7 full(ccf=true,t=1): fc=30 ml=20 pe=50 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8 bitmaps=1f3eb8b5e3dbd7e0\n\
+7 full(ccf=true,t=2): fc=30 ml=20 pe=50 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8 bitmaps=1f3eb8b5e3dbd7e0\n\
+7 full(ccf=true,t=4): fc=30 ml=20 pe=50 re=30 matches=0 stored=30 cells=7f3756b0dbf247e8 bitmaps=1f3eb8b5e3dbd7e0\n\
+42 rudimentary: fc=36 ml=0 pe=36 re=18 matches=8 -\n\
+42 early_exit: fc=22 ml=0 pe=22 re=17 matches=8 -\n\
+42 ppr: fc=36 ml=22 pe=22 re=17 matches=8 stored=36 cells=b117cd7b92c7590d\n\
+42 fpr: fc=45 ml=22 pe=22 re=17 matches=8 stored=45 cells=a71508eec0240f4b\n\
+42 memo(ccf=false,t=1): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e\n\
+42 memo(ccf=false,t=2): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e\n\
+42 memo(ccf=false,t=4): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e\n\
+42 memo(ccf=true,t=1): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e\n\
+42 memo(ccf=true,t=2): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e\n\
+42 memo(ccf=true,t=4): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e\n\
+42 sparse(ccf=false): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e\n\
+42 sparse(ccf=true): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e\n\
+42 full(ccf=false,t=1): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e bitmaps=0cbabeee95609902\n\
+42 full(ccf=false,t=2): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e bitmaps=0cbabeee95609902\n\
+42 full(ccf=false,t=4): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e bitmaps=0cbabeee95609902\n\
+42 full(ccf=true,t=1): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e bitmaps=0cbabeee95609902\n\
+42 full(ccf=true,t=2): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e bitmaps=0cbabeee95609902\n\
+42 full(ccf=true,t=4): fc=22 ml=0 pe=22 re=17 matches=8 stored=22 cells=4264c998bb0b385e bitmaps=0cbabeee95609902\n\
+311 rudimentary: fc=210 ml=0 pe=210 re=84 matches=38 -\n\
+311 early_exit: fc=98 ml=0 pe=98 re=49 matches=38 -\n\
+311 ppr: fc=168 ml=98 pe=98 re=49 matches=38 stored=168 cells=cb833f85e4c9da20\n\
+311 fpr: fc=210 ml=98 pe=98 re=49 matches=38 stored=210 cells=d12b88636032a9a5\n\
+311 memo(ccf=false,t=1): fc=93 ml=5 pe=98 re=49 matches=38 stored=93 cells=3535e2965c566c18\n\
+311 memo(ccf=false,t=2): fc=93 ml=5 pe=98 re=49 matches=38 stored=93 cells=3535e2965c566c18\n\
+311 memo(ccf=false,t=4): fc=93 ml=5 pe=98 re=49 matches=38 stored=93 cells=3535e2965c566c18\n\
+311 memo(ccf=true,t=1): fc=87 ml=7 pe=94 re=49 matches=38 stored=87 cells=ce1abbec5ba43fca\n\
+311 memo(ccf=true,t=2): fc=87 ml=7 pe=94 re=49 matches=38 stored=87 cells=ce1abbec5ba43fca\n\
+311 memo(ccf=true,t=4): fc=87 ml=7 pe=94 re=49 matches=38 stored=87 cells=ce1abbec5ba43fca\n\
+311 sparse(ccf=false): fc=93 ml=5 pe=98 re=49 matches=38 stored=93 cells=3535e2965c566c18\n\
+311 sparse(ccf=true): fc=87 ml=7 pe=94 re=49 matches=38 stored=87 cells=ce1abbec5ba43fca\n\
+311 full(ccf=false,t=1): fc=93 ml=5 pe=98 re=49 matches=38 stored=93 cells=3535e2965c566c18 bitmaps=9f97d563e6231691\n\
+311 full(ccf=false,t=2): fc=93 ml=5 pe=98 re=49 matches=38 stored=93 cells=3535e2965c566c18 bitmaps=9f97d563e6231691\n\
+311 full(ccf=false,t=4): fc=93 ml=5 pe=98 re=49 matches=38 stored=93 cells=3535e2965c566c18 bitmaps=9f97d563e6231691\n\
+311 full(ccf=true,t=1): fc=87 ml=7 pe=94 re=49 matches=38 stored=87 cells=ce1abbec5ba43fca bitmaps=5dd7f03990de41f1\n\
+311 full(ccf=true,t=2): fc=87 ml=7 pe=94 re=49 matches=38 stored=87 cells=ce1abbec5ba43fca bitmaps=5dd7f03990de41f1\n\
+311 full(ccf=true,t=4): fc=87 ml=7 pe=94 re=49 matches=38 stored=87 cells=ce1abbec5ba43fca bitmaps=5dd7f03990de41f1\n\
+2024 rudimentary: fc=36 ml=0 pe=36 re=24 matches=9 -\n\
+2024 early_exit: fc=15 ml=0 pe=15 re=15 matches=9 -\n\
+2024 ppr: fc=36 ml=15 pe=15 re=15 matches=9 stored=36 cells=9aad752567104da0\n\
+2024 fpr: fc=60 ml=15 pe=15 re=15 matches=9 stored=60 cells=ad985ee519b85698\n\
+2024 memo(ccf=false,t=1): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07\n\
+2024 memo(ccf=false,t=2): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07\n\
+2024 memo(ccf=false,t=4): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07\n\
+2024 memo(ccf=true,t=1): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07\n\
+2024 memo(ccf=true,t=2): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07\n\
+2024 memo(ccf=true,t=4): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07\n\
+2024 sparse(ccf=false): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07\n\
+2024 sparse(ccf=true): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07\n\
+2024 full(ccf=false,t=1): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07 bitmaps=de1e5d8cc6faad8b\n\
+2024 full(ccf=false,t=2): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07 bitmaps=de1e5d8cc6faad8b\n\
+2024 full(ccf=false,t=4): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07 bitmaps=de1e5d8cc6faad8b\n\
+2024 full(ccf=true,t=1): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07 bitmaps=de1e5d8cc6faad8b\n\
+2024 full(ccf=true,t=2): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07 bitmaps=de1e5d8cc6faad8b\n\
+2024 full(ccf=true,t=4): fc=15 ml=0 pe=15 re=15 matches=9 stored=15 cells=53044200cb903b07 bitmaps=de1e5d8cc6faad8b";
+
+/// FNV-1a over a stream of words: a dependency-free digest for pinning
+/// memo cells and materialized bitmaps as literals.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `stored=<count> cells=<digest of every (pair, feature, value bits)>`.
+fn memo_part(memo: &impl Memo, n_pairs: usize, n_features: usize) -> String {
+    let mut words = Vec::new();
+    for p in 0..n_pairs {
+        for f in 0..n_features {
+            if let Some(v) = memo.get(p, FeatureId(f as u32)) {
+                words.extend([p as u64, f as u64, v.to_bits()]);
+            }
+        }
+    }
+    format!("stored={} cells={:016x}", memo.stored(), fnv(words))
+}
+
+fn work_line(seed: u64, engine: &str, out: &MatchOutcome, memo: &str) -> String {
+    let s = out.stats;
+    format!(
+        "{seed} {engine}: fc={} ml={} pe={} re={} matches={} {memo}",
+        s.feature_computations,
+        s.memo_lookups,
+        s.predicate_evals,
+        s.rule_evals,
+        out.n_matches()
+    )
+}
+
+/// Every engine's work on one seeded workload, one line per engine.
+fn render_work(seed: u64) -> Vec<String> {
+    let w = random_workload(seed);
+    let (n, nf) = (w.cands.len(), w.ctx.registry().len());
+    let serial = Executor::serial();
+    let mut lines = Vec::new();
+    let rud = run_rudimentary(&w.func, &w.ctx, &w.cands, &serial);
+    lines.push(work_line(seed, "rudimentary", &rud, "-"));
+    let ee = run_early_exit(&w.func, &w.ctx, &w.cands, &serial);
+    lines.push(work_line(seed, "early_exit", &ee, "-"));
+    for (name, universe) in [("ppr", w.func.features()), ("fpr", w.features.clone())] {
+        let (out, memo) = run_precompute(&w.func, &w.ctx, &w.cands, &universe, &serial);
+        lines.push(work_line(seed, name, &out, &memo_part(&memo, n, nf)));
+    }
+    for ccf in [false, true] {
+        for threads in [1usize, 2, 4] {
+            let (out, memo) = run_memo(&w.func, &w.ctx, &w.cands, ccf, &Executor::pool(threads));
+            let name = format!("memo(ccf={ccf},t={threads})");
+            lines.push(work_line(seed, &name, &out, &memo_part(&memo, n, nf)));
+        }
+    }
+    for ccf in [false, true] {
+        let mut sparse = SparseMemo::new();
+        let out = run_memo_with(&w.func, &w.ctx, &w.cands, &mut sparse, ccf);
+        let name = format!("sparse(ccf={ccf})");
+        lines.push(work_line(seed, &name, &out, &memo_part(&sparse, n, nf)));
+    }
+    for ccf in [false, true] {
+        for threads in [1usize, 2, 4] {
+            let mut state = MatchState::new(n, nf);
+            let exec = Executor::pool(threads);
+            let full = run_full(&w.func, &w.ctx, &w.cands, &mut state, ccf, &exec);
+            let mut bits = Vec::new();
+            for rule in w.func.rules() {
+                let ones = state
+                    .rule_bitmap(rule.id)
+                    .into_iter()
+                    .flat_map(|b| b.iter_ones());
+                bits.extend(std::iter::once(u64::from(rule.id.0)).chain(ones.map(|i| i as u64)));
+            }
+            for (_, bp) in w.func.predicates() {
+                let ones = state
+                    .pred_bitmap(bp.id)
+                    .into_iter()
+                    .flat_map(|b| b.iter_ones());
+                bits.extend(std::iter::once(bp.id.0).chain(ones.map(|i| i as u64)));
+            }
+            let out = MatchOutcome {
+                verdicts: state.verdicts().to_vec(),
+                stats: full.stats,
+                elapsed: std::time::Duration::ZERO,
+                quarantined: full.quarantined,
+            };
+            let memo = format!(
+                "{} bitmaps={:016x}",
+                memo_part(&state.memo, n, nf),
+                fnv(bits)
+            );
+            let name = format!("full(ccf={ccf},t={threads})");
+            lines.push(work_line(seed, &name, &out, &memo));
+        }
+    }
+    lines
+}
+
+#[test]
+fn engine_work_is_pinned() {
+    let got: Vec<String> = PINNED_SEEDS.into_iter().flat_map(render_work).collect();
+    let want: Vec<&str> = PINNED_WORK.lines().collect();
+    assert_eq!(got.len(), want.len(), "one line per engine and seed");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w);
+    }
 }

@@ -42,7 +42,7 @@ proptest! {
         // unconditional (early exit only ever skips work), but C4 ≤ C3
         // is the paper's theorem *under its hypothesis* that a memo
         // lookup is no dearer than recomputing any feature (δ ≤ cost(f)).
-        // The measured statistics can violate that hypothesis — batched
+        // The measured statistics can violate that hypothesis — prepared
         // kernels make some features cheaper per pair than the measured
         // δ, especially in unoptimized builds — and there the model
         // truthfully predicts that unconditional memoing is a loss.
