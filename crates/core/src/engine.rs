@@ -6,22 +6,26 @@
 //! feature computation they perform. The test-suite property "all engines
 //! agree" is the workspace's central correctness check.
 //!
-//! Every engine takes an [`Executor`] and partitions the candidate set into
-//! contiguous pair shards (candidate pairs are independent, so this is
-//! embarrassingly parallel). Serial execution is the one-shard special case
-//! of the same code path, which is what makes "parallel ≡ serial" hold by
-//! construction rather than by testing alone.
+//! Every engine is a per-pair step run by the sharded driver in
+//! `robust.rs`, which partitions the candidate set into contiguous pair
+//! shards under an [`Executor`] (candidate pairs are independent, so this
+//! is embarrassingly parallel) and reports each match as an event. Serial
+//! execution is the one-shard special case of the same code path, which is
+//! what makes "parallel ≡ serial" hold by construction rather than by
+//! testing alone.
 
 use crate::budget::EvalBudget;
 use crate::context::EvalContext;
-use crate::executor::{partition, run_sharded, split_mut, Executor};
+use crate::executor::Executor;
 use crate::feature::FeatureId;
 use crate::function::MatchingFunction;
-use crate::memo::{DenseMemo, Memo, MemoShard};
-use crate::robust::{drive_pairs, fold_outcomes, DriveOutcome, PairList, PairSink};
+use crate::incremental::DeltaEvent;
+use crate::memo::{DenseMemo, Memo};
+use crate::predicate::PredId;
+use crate::robust::{drive_pairs, drive_sharded, PairList, Shard};
+use crate::rule::{BoundRule, RuleId};
 use em_types::{CandidateSet, PairIdx};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Work counters for one matching run.
@@ -69,6 +73,32 @@ impl MatchOutcome {
     }
 }
 
+/// Runs an engine's per-pair `step` over every candidate pair (no budget:
+/// engines always complete) and collects the matches it reports.
+fn run_engine(
+    ctx: &EvalContext,
+    cands: &CandidateSet,
+    memo: Option<&mut DenseMemo>,
+    exec: &Executor,
+    step: impl Fn(&mut Shard<'_>, usize, PairIdx) + Sync,
+) -> MatchOutcome {
+    let start = Instant::now();
+    let all = PairList::Range(0..cands.len());
+    let pass = drive_sharded(exec, ctx, cands, all, memo, &EvalBudget::unlimited(), step);
+    let mut verdicts = vec![false; cands.len()];
+    for event in pass.events {
+        if let DeltaEvent::Matched { i } = event {
+            verdicts[i] = true;
+        }
+    }
+    MatchOutcome {
+        verdicts,
+        stats: pass.stats,
+        elapsed: start.elapsed(),
+        quarantined: pass.quarantined,
+    }
+}
+
 /// Algorithm 1 — the rudimentary baseline.
 ///
 /// Every predicate of every rule is evaluated for every pair, and every
@@ -80,84 +110,27 @@ pub fn run_rudimentary(
     cands: &CandidateSet,
     exec: &Executor,
 ) -> MatchOutcome {
-    let start = Instant::now();
-    let mut verdicts = vec![false; cands.len()];
-    let ranges = partition(cands.len(), exec.n_workers());
-    let pairs = cands.as_slice();
-
-    struct Sink<'a> {
-        func: &'a MatchingFunction,
-        ctx: &'a EvalContext,
-        pairs: &'a [PairIdx],
-        base: usize,
-        verdicts: &'a mut [bool],
-        stats: &'a mut EvalStats,
-    }
-    impl PairSink for Sink<'_> {
-        fn process(&mut self, i: usize) {
-            let pair = self.pairs[i];
-            let mut matched = false;
-            for rule in self.func.rules() {
-                self.stats.rule_evals += 1;
-                let mut rule_true = true;
-                for bp in &rule.preds {
-                    let v = self.ctx.compute(bp.pred.feature, pair);
-                    self.stats.feature_computations += 1;
-                    self.stats.predicate_evals += 1;
-                    if !bp.pred.eval(v) {
-                        rule_true = false;
-                        // NOTE: no break — Algorithm 1 evaluates every predicate.
-                    }
-                }
-                if rule_true {
-                    matched = true;
-                    // NOTE: no break — Algorithm 1 evaluates every rule.
+    run_engine(ctx, cands, None, exec, |w, i, pair| {
+        let mut matched = false;
+        for rule in func.rules() {
+            w.stats.rule_evals += 1;
+            let mut rule_true = true;
+            for bp in &rule.preds {
+                let v = ctx.compute(bp.pred.feature, pair);
+                w.stats.feature_computations += 1;
+                w.stats.predicate_evals += 1;
+                if !bp.pred.eval(v) {
+                    rule_true = false;
+                    // NOTE: no break — Algorithm 1 evaluates every predicate.
                 }
             }
-            self.verdicts[i - self.base] = matched;
+            // NOTE: no break — Algorithm 1 evaluates every rule.
+            matched |= rule_true;
         }
-    }
-
-    let shards: Vec<(Range<usize>, &mut [bool], EvalStats, DriveOutcome)> = ranges
-        .iter()
-        .cloned()
-        .zip(split_mut(&mut verdicts, &ranges))
-        .map(|(range, verdicts)| {
-            (
-                range,
-                verdicts,
-                EvalStats::default(),
-                DriveOutcome::default(),
-            )
-        })
-        .collect();
-    let shards = run_sharded(exec, shards, |_, (range, verdicts, stats, drive)| {
-        let mut checker = EvalBudget::unlimited().checker();
-        let mut sink = Sink {
-            func,
-            ctx,
-            pairs,
-            base: range.start,
-            verdicts,
-            stats,
-        };
-        *drive = drive_pairs(&PairList::Range(range.clone()), &mut checker, &mut sink);
-    });
-
-    let mut stats = EvalStats::default();
-    let mut drives = Vec::with_capacity(shards.len());
-    for (_, _, s, d) in shards {
-        stats.absorb(&s);
-        drives.push(d);
-    }
-    let (_, quarantined, _) = fold_outcomes(drives);
-
-    MatchOutcome {
-        verdicts,
-        stats,
-        elapsed: start.elapsed(),
-        quarantined,
-    }
+        if matched {
+            w.events.push(DeltaEvent::Matched { i });
+        }
+    })
 }
 
 /// Algorithm 2 — the precomputation baseline combined with early exit (the
@@ -178,120 +151,23 @@ pub fn run_precompute(
     universe: &[FeatureId],
     exec: &Executor,
 ) -> (MatchOutcome, DenseMemo) {
-    let start = Instant::now();
-    let n_features = ctx.registry().len();
-    let mut memo = DenseMemo::new(cands.len(), n_features);
-    let mut verdicts = vec![false; cands.len()];
-    let ranges = partition(cands.len(), exec.n_workers());
-    let pairs = cands.as_slice();
-
-    struct Shard<'a> {
-        range: Range<usize>,
-        memo: MemoShard<'a>,
-        verdicts: &'a mut [bool],
-        stats: EvalStats,
-        drive: DriveOutcome,
-    }
-    let shards: Vec<Shard<'_>> = ranges
-        .iter()
-        .cloned()
-        .zip(memo.shard_views(&ranges))
-        .zip(split_mut(&mut verdicts, &ranges))
-        .map(|((range, memo), verdicts)| Shard {
-            range,
-            memo,
-            verdicts,
-            stats: EvalStats::default(),
-            drive: DriveOutcome::default(),
-        })
-        .collect();
-
-    struct Sink<'a, 'b> {
-        func: &'b MatchingFunction,
-        ctx: &'b EvalContext,
-        pairs: &'b [PairIdx],
-        universe: &'b [FeatureId],
-        base: usize,
-        memo: &'b mut MemoShard<'a>,
-        verdicts: &'b mut [bool],
-        stats: &'b mut EvalStats,
-    }
-    impl PairSink for Sink<'_, '_> {
-        fn process(&mut self, i: usize) {
-            let pair = self.pairs[i];
-            // Fill the memo for the whole universe (Algorithm 2 phase 1,
-            // restricted to this pair).
-            for &f in self.universe {
-                let v = self.ctx.compute(f, pair);
-                self.stats.feature_computations += 1;
-                self.memo.put(i, f, v);
-            }
-            // Match using lookups (phase 2 for this pair).
-            'rules: for rule in self.func.rules() {
-                self.stats.rule_evals += 1;
-                for bp in &rule.preds {
-                    let v = match self.memo.get(i, bp.pred.feature) {
-                        Some(v) => {
-                            self.stats.memo_lookups += 1;
-                            v
-                        }
-                        None => {
-                            // Feature missing from the universe (caller chose a
-                            // smaller universe than the function needs): compute
-                            // and memoize.
-                            let v = self.ctx.compute(bp.pred.feature, pair);
-                            self.stats.feature_computations += 1;
-                            self.memo.put(i, bp.pred.feature, v);
-                            v
-                        }
-                    };
-                    self.stats.predicate_evals += 1;
-                    if !bp.pred.eval(v) {
-                        continue 'rules;
-                    }
-                }
-                self.verdicts[i - self.base] = true;
-                break;
-            }
+    let mut memo = DenseMemo::new(cands.len(), ctx.registry().len());
+    let outcome = run_engine(ctx, cands, Some(&mut memo), exec, |w, i, pair| {
+        // Fill the memo for the whole universe (Algorithm 2 phase 1,
+        // restricted to this pair).
+        for &f in universe {
+            let v = ctx.compute(f, pair);
+            w.stats.feature_computations += 1;
+            w.memo.put(i, f, v);
         }
-    }
-
-    let shards = run_sharded(exec, shards, |_, shard| {
-        let mut checker = EvalBudget::unlimited().checker();
-        let range = shard.range.clone();
-        let mut sink = Sink {
-            func,
-            ctx,
-            pairs,
-            universe,
-            base: range.start,
-            memo: &mut shard.memo,
-            verdicts: &mut *shard.verdicts,
-            stats: &mut shard.stats,
-        };
-        shard.drive = drive_pairs(&PairList::Range(range), &mut checker, &mut sink);
+        // Match using lookups (phase 2 for this pair); a feature missing
+        // from a smaller universe than the function needs is computed and
+        // memoized.
+        if first_firing(func, i, pair, ctx, &mut w.memo, false, &mut w.stats, |_| {}).is_some() {
+            w.events.push(DeltaEvent::Matched { i });
+        }
     });
-
-    let mut stats = EvalStats::default();
-    let mut new_stored = 0;
-    let mut drives = Vec::with_capacity(shards.len());
-    for shard in shards {
-        stats.absorb(&shard.stats);
-        new_stored += shard.memo.new_stored();
-        drives.push(shard.drive);
-    }
-    memo.add_stored(new_stored);
-    let (_, quarantined, _) = fold_outcomes(drives);
-
-    (
-        MatchOutcome {
-            verdicts,
-            stats,
-            elapsed: start.elapsed(),
-            quarantined,
-        },
-        memo,
-    )
+    (outcome, memo)
 }
 
 /// Algorithm 3 — early exit without memoing.
@@ -305,100 +181,61 @@ pub fn run_early_exit(
     cands: &CandidateSet,
     exec: &Executor,
 ) -> MatchOutcome {
-    let start = Instant::now();
-    let mut verdicts = vec![false; cands.len()];
-    let ranges = partition(cands.len(), exec.n_workers());
-    let pairs = cands.as_slice();
-
-    struct Sink<'a> {
-        func: &'a MatchingFunction,
-        ctx: &'a EvalContext,
-        pairs: &'a [PairIdx],
-        base: usize,
-        verdicts: &'a mut [bool],
-        stats: &'a mut EvalStats,
-    }
-    impl PairSink for Sink<'_> {
-        fn process(&mut self, i: usize) {
-            let pair = self.pairs[i];
-            'rules: for rule in self.func.rules() {
-                self.stats.rule_evals += 1;
-                let mut rule_true = true;
-                for bp in &rule.preds {
-                    let v = self.ctx.compute(bp.pred.feature, pair);
-                    self.stats.feature_computations += 1;
-                    self.stats.predicate_evals += 1;
-                    if !bp.pred.eval(v) {
-                        rule_true = false;
-                        break;
-                    }
-                }
-                if rule_true {
-                    self.verdicts[i - self.base] = true;
-                    break 'rules;
-                }
-            }
+    run_engine(ctx, cands, None, exec, |w, i, pair| {
+        let stats = &mut w.stats;
+        let fired = func.rules().iter().any(|rule| {
+            stats.rule_evals += 1;
+            rule.preds.iter().all(|bp| {
+                let v = ctx.compute(bp.pred.feature, pair);
+                stats.feature_computations += 1;
+                stats.predicate_evals += 1;
+                bp.pred.eval(v)
+            })
+        });
+        if fired {
+            w.events.push(DeltaEvent::Matched { i });
         }
-    }
+    })
+}
 
-    let shards: Vec<(Range<usize>, &mut [bool], EvalStats, DriveOutcome)> = ranges
-        .iter()
-        .cloned()
-        .zip(split_mut(&mut verdicts, &ranges))
-        .map(|(range, verdicts)| {
-            (
-                range,
-                verdicts,
-                EvalStats::default(),
-                DriveOutcome::default(),
-            )
-        })
-        .collect();
-    let shards = run_sharded(exec, shards, |_, (range, verdicts, stats, drive)| {
-        let mut checker = EvalBudget::unlimited().checker();
-        let mut sink = Sink {
-            func,
-            ctx,
-            pairs,
-            base: range.start,
-            verdicts,
-            stats,
-        };
-        *drive = drive_pairs(&PairList::Range(range.clone()), &mut checker, &mut sink);
-    });
-
-    let mut stats = EvalStats::default();
-    let mut drives = Vec::with_capacity(shards.len());
-    for (_, _, s, d) in shards {
-        stats.absorb(&s);
-        drives.push(d);
+/// The value of feature `f` for pair `i`: a memo lookup when present,
+/// otherwise computed and memoized.
+#[inline]
+pub(crate) fn memo_or_compute<M: Memo>(
+    f: FeatureId,
+    i: usize,
+    pair: PairIdx,
+    ctx: &EvalContext,
+    memo: &mut M,
+    stats: &mut EvalStats,
+) -> f64 {
+    if let Some(v) = memo.get(i, f) {
+        stats.memo_lookups += 1;
+        return v;
     }
-    let (_, quarantined, _) = fold_outcomes(drives);
-
-    MatchOutcome {
-        verdicts,
-        stats,
-        elapsed: start.elapsed(),
-        quarantined,
-    }
+    let v = ctx.compute(f, pair);
+    stats.feature_computations += 1;
+    memo.put(i, f, v);
+    v
 }
 
 /// Evaluates one rule for one pair with early exit + memoing, in the rule's
 /// stored predicate order (optionally visiting already-memoized predicates
-/// first — the "check cache first" optimization of §5.4.3).
+/// first — the "check cache first" optimization of §5.4.3), reporting each
+/// failed predicate to `on_false`.
 ///
 /// Shared by the Algorithm 4 engines, full runs and the incremental
 /// algorithms. Allocates nothing for rules of up to 64 predicates.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
 pub(crate) fn eval_rule_memoized<M: Memo>(
-    rule: &crate::rule::BoundRule,
+    rule: &BoundRule,
     pair_idx: usize,
-    pair: em_types::PairIdx,
+    pair: PairIdx,
     ctx: &EvalContext,
     memo: &mut M,
     check_cache_first: bool,
     stats: &mut EvalStats,
-    mut on_false: impl FnMut(crate::predicate::PredId),
+    mut on_false: impl FnMut(PredId),
 ) -> bool {
     stats.rule_evals += 1;
     let preds = &rule.preds;
@@ -423,19 +260,7 @@ pub(crate) fn eval_rule_memoized<M: Memo>(
     }
 
     let mut holds = |bp: &crate::rule::BoundPredicate| {
-        let f = bp.pred.feature;
-        let v = match memo.get(pair_idx, f) {
-            Some(v) => {
-                stats.memo_lookups += 1;
-                v
-            }
-            None => {
-                let v = ctx.compute(f, pair);
-                stats.feature_computations += 1;
-                memo.put(pair_idx, f, v);
-                v
-            }
-        };
+        let v = memo_or_compute(bp.pred.feature, pair_idx, pair, ctx, memo, stats);
         stats.predicate_evals += 1;
         if !bp.pred.eval(v) {
             on_false(bp.id);
@@ -458,44 +283,39 @@ pub(crate) fn eval_rule_memoized<M: Memo>(
     true
 }
 
-/// The per-pair sink of Algorithm 4: enter rules in order until one fires.
-struct MemoSink<'a, M> {
-    func: &'a MatchingFunction,
-    ctx: &'a EvalContext,
-    pairs: &'a [PairIdx],
+/// Algorithm 4's pair step: enters the rules in evaluation order until one
+/// fires, reporting each failed predicate to `on_false`. Returns the rule
+/// that fired.
+#[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
+pub(crate) fn first_firing<M: Memo>(
+    func: &MatchingFunction,
+    pair_idx: usize,
+    pair: PairIdx,
+    ctx: &EvalContext,
+    memo: &mut M,
     check_cache_first: bool,
-    /// Global candidate index of `verdicts[0]`.
-    base: usize,
-    memo: &'a mut M,
-    verdicts: &'a mut [bool],
-    stats: &'a mut EvalStats,
-}
-
-impl<M: Memo> PairSink for MemoSink<'_, M> {
-    fn process(&mut self, i: usize) {
-        let pair = self.pairs[i];
-        for rule in self.func.rules() {
-            if eval_rule_memoized(
-                rule,
-                i,
-                pair,
-                self.ctx,
-                &mut *self.memo,
-                self.check_cache_first,
-                &mut *self.stats,
-                |_| {},
-            ) {
-                self.verdicts[i - self.base] = true;
-                break;
-            }
-        }
-    }
+    stats: &mut EvalStats,
+    mut on_false: impl FnMut(PredId),
+) -> Option<RuleId> {
+    let fired = func.rules().iter().find(|rule| {
+        eval_rule_memoized(
+            rule,
+            pair_idx,
+            pair,
+            ctx,
+            memo,
+            check_cache_first,
+            stats,
+            &mut on_false,
+        )
+    });
+    fired.map(|rule| rule.id)
 }
 
 /// Algorithm 4 — early exit with dynamic memoing, writing into a
-/// caller-supplied memo (dense or sparse). Serial: this is the single-shard
-/// workhorse the parallel entry points fan out over (a generic [`Memo`]
-/// cannot be split into thread-disjoint views).
+/// caller-supplied memo (dense or sparse). Serial: a generic [`Memo`]
+/// cannot be split into thread-disjoint windows, which is what the §7.4
+/// layout comparison needs this entry point for.
 pub fn run_memo_with<M: Memo>(
     func: &MatchingFunction,
     ctx: &EvalContext,
@@ -507,32 +327,32 @@ pub fn run_memo_with<M: Memo>(
     let mut stats = EvalStats::default();
     let mut verdicts = vec![false; cands.len()];
     let mut checker = EvalBudget::unlimited().checker();
-    let mut sink = MemoSink {
-        func,
-        ctx,
-        pairs: cands.as_slice(),
-        check_cache_first,
-        base: 0,
-        memo,
-        verdicts: &mut verdicts,
-        stats: &mut stats,
-    };
-    let drive = drive_pairs(&PairList::Range(0..cands.len()), &mut checker, &mut sink);
-    let (_, quarantined, _) = fold_outcomes([drive]);
-
+    let drive = drive_pairs(&PairList::Range(0..cands.len()), &mut checker, &mut |i| {
+        let pair = cands.pair(i);
+        let fired = first_firing(
+            func,
+            i,
+            pair,
+            ctx,
+            memo,
+            check_cache_first,
+            &mut stats,
+            |_| {},
+        );
+        verdicts[i] = fired.is_some();
+    });
     MatchOutcome {
         verdicts,
         stats,
         elapsed: start.elapsed(),
-        quarantined,
+        quarantined: drive.quarantined,
     }
 }
 
 /// Algorithm 4 writing into a caller-supplied [`DenseMemo`], pair-parallel
 /// under `exec`. Worker shards write **directly into `memo`** through
-/// disjoint views, so everything a parallel run computes is retained for
-/// later reuse (unlike the old chunk-local-copy scheme, which discarded
-/// worker memos).
+/// disjoint windows, so everything a parallel run computes is retained for
+/// later reuse.
 ///
 /// # Panics
 ///
@@ -545,71 +365,21 @@ pub fn run_memo_into(
     check_cache_first: bool,
     exec: &Executor,
 ) -> MatchOutcome {
-    let start = Instant::now();
-    assert_eq!(
-        memo.n_pairs(),
-        cands.len(),
-        "memo and candidate set must cover the same pairs"
-    );
-    memo.ensure_features(ctx.registry().len());
-    let mut verdicts = vec![false; cands.len()];
-    let ranges = partition(cands.len(), exec.n_workers());
-    let pairs = cands.as_slice();
-
-    struct Shard<'a> {
-        range: Range<usize>,
-        memo: MemoShard<'a>,
-        verdicts: &'a mut [bool],
-        stats: EvalStats,
-        drive: DriveOutcome,
-    }
-    let shards: Vec<Shard<'_>> = ranges
-        .iter()
-        .cloned()
-        .zip(memo.shard_views(&ranges))
-        .zip(split_mut(&mut verdicts, &ranges))
-        .map(|((range, memo), verdicts)| Shard {
-            range,
-            memo,
-            verdicts,
-            stats: EvalStats::default(),
-            drive: DriveOutcome::default(),
-        })
-        .collect();
-
-    let shards = run_sharded(exec, shards, |_, shard| {
-        let mut checker = EvalBudget::unlimited().checker();
-        let range = shard.range.clone();
-        let mut sink = MemoSink {
+    run_engine(ctx, cands, Some(memo), exec, |w, i, pair| {
+        let fired = first_firing(
             func,
+            i,
+            pair,
             ctx,
-            pairs,
+            &mut w.memo,
             check_cache_first,
-            base: range.start,
-            memo: &mut shard.memo,
-            verdicts: &mut *shard.verdicts,
-            stats: &mut shard.stats,
-        };
-        shard.drive = drive_pairs(&PairList::Range(range), &mut checker, &mut sink);
-    });
-
-    let mut stats = EvalStats::default();
-    let mut new_stored = 0;
-    let mut drives = Vec::with_capacity(shards.len());
-    for shard in shards {
-        stats.absorb(&shard.stats);
-        new_stored += shard.memo.new_stored();
-        drives.push(shard.drive);
-    }
-    memo.add_stored(new_stored);
-    let (_, quarantined, _) = fold_outcomes(drives);
-
-    MatchOutcome {
-        verdicts,
-        stats,
-        elapsed: start.elapsed(),
-        quarantined,
-    }
+            &mut w.stats,
+            |_| {},
+        );
+        if fired.is_some() {
+            w.events.push(DeltaEvent::Matched { i });
+        }
+    })
 }
 
 /// Algorithm 4 with a fresh [`DenseMemo`], returning it alongside the

@@ -2,13 +2,11 @@
 //! an [`Executor`] that decides whether pair-parallel work runs inline or
 //! on a reusable worker pool.
 //!
-//! This replaces the old `parallel.rs`, which spawned fresh scoped threads
-//! (`crossbeam::thread::scope`) per call, cloned each candidate chunk, and
-//! discarded the chunk-local memos it computed. The pool here keeps its
-//! threads alive across calls (the interactive loop of §6 issues many small
-//! batches), dispatches borrowed closures without cloning any input, and
-//! propagates worker panics to the submitting thread instead of aborting
-//! with an `expect`.
+//! The pool keeps its threads alive across calls (the interactive loop of
+//! §6 submits many small batches), dispatches borrowed closures without
+//! cloning any input, and propagates worker panics to the submitting
+//! thread. The sharded driver in `robust.rs` is its one pair-parallel
+//! caller.
 //!
 //! # Soundness of the lifetime erasure
 //!
@@ -133,7 +131,7 @@ impl Executor {
 
 /// Splits `n_items` into at most `n_shards` contiguous ranges of
 /// near-equal size (empty ranges are never produced).
-pub fn partition(n_items: usize, n_shards: usize) -> Vec<Range<usize>> {
+pub(crate) fn partition(n_items: usize, n_shards: usize) -> Vec<Range<usize>> {
     if n_items == 0 || n_shards == 0 {
         return Vec::new();
     }
@@ -145,27 +143,9 @@ pub fn partition(n_items: usize, n_shards: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Splits `slice` into disjoint mutable sub-slices matching `ranges`,
-/// which must tile a prefix of the slice in ascending order (the shape
-/// [`partition`] produces). Lets sharded engines write results straight
-/// into a caller-owned buffer instead of merging per-shard copies.
-pub fn split_mut<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut consumed = 0;
-    for r in ranges {
-        assert!(r.start == consumed, "ranges must tile the slice in order");
-        let (head, tail) = slice.split_at_mut(r.end - r.start);
-        slice = tail;
-        consumed = r.end;
-        out.push(head);
-    }
-    out
-}
-
 /// Runs `job` once per shard (mutably, in parallel under `exec`) and hands
-/// the shards back. The standard harness for the sharded engines: build
-/// per-shard working sets, fan out, merge serially.
-pub fn run_sharded<S: Send>(
+/// the shards back: build per-shard working sets, fan out, merge serially.
+pub(crate) fn run_sharded<S: Send>(
     exec: &Executor,
     shards: Vec<S>,
     job: impl Fn(usize, &mut S) + Sync,
@@ -498,8 +478,8 @@ mod tests {
         }
     }
 
-    // Matching-level tests migrated from the retired `parallel` module: the
-    // pool must agree with a serial run verdict-for-verdict.
+    // Matching-level tests: the pool must agree with a serial run
+    // verdict-for-verdict.
     use crate::context::EvalContext;
     use crate::engine::run_memo;
     use crate::function::MatchingFunction;

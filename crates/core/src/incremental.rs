@@ -24,26 +24,24 @@
 //!
 //! **Parallel deltas:** every algorithm's affected-pair loop touches only
 //! that pair's memo row, verdict, and bitmap bits, so given the *pre-edit*
-//! state the pairs are independent. The loops below therefore run under an
-//! [`Executor`]: workers evaluate disjoint slices of the affected list
-//! against copy-on-write memo overlays and emit event logs, which are
-//! folded into the [`MatchState`] serially in ascending pair order. Serial
-//! execution is the one-shard case of the same path, so reports and state
-//! are identical for every thread count.
+//! state the pairs are independent. The loops below therefore run through
+//! the sharded driver in `robust.rs`: workers evaluate disjoint shards of
+//! the affected list, write memo cells in place through disjoint windows
+//! of the dense memo, and emit event logs, which are folded into the
+//! [`MatchState`] serially in ascending pair order. Serial execution is the
+//! one-shard case of the same path, so reports and state are identical for
+//! every thread count.
 
 use crate::budget::{Completion, EvalBudget};
 use crate::context::EvalContext;
-use crate::engine::{eval_rule_memoized, EvalStats};
-use crate::executor::{partition, run_sharded, Executor};
-use crate::feature::FeatureId;
+use crate::engine::{eval_rule_memoized, first_firing, memo_or_compute, EvalStats};
+use crate::executor::Executor;
 use crate::function::{EditError, MatchingFunction};
-use crate::memo::{Memo, OverlayMemo};
 use crate::predicate::{PredId, Predicate};
-use crate::robust::{drive_pairs, fold_outcomes, DriveOutcome, PairList, PairSink};
-use crate::rule::{Rule, RuleId};
+use crate::robust::{drive_sharded, PairList, Pass, Shard};
+use crate::rule::{BoundRule, Rule, RuleId};
 use crate::state::MatchState;
 use em_types::{CandidateSet, PairIdx};
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Work done by one worker during a parallel (or serial) delta evaluation.
@@ -87,11 +85,11 @@ impl ChangeReport {
     }
 }
 
-/// One state mutation observed while evaluating a delta against the
-/// pre-edit snapshot; replayed onto the [`MatchState`] after all workers
-/// finish.
+/// One state mutation or report observed while evaluating a pass against
+/// the pre-edit snapshot; replayed onto the [`MatchState`] after all workers
+/// finish. The §4 engines report their matches with it too.
 #[derive(Debug, Clone, Copy)]
-enum DeltaEvent {
+pub(crate) enum DeltaEvent {
     /// Pair `i` now matches via rule `r`.
     Fire { i: usize, r: RuleId },
     /// Pair `i` lost its fired rule.
@@ -106,133 +104,18 @@ enum DeltaEvent {
     Unmatched { i: usize },
 }
 
-/// One worker's scratch space for a delta evaluation.
-struct DeltaShard<'a> {
-    memo: OverlayMemo<'a>,
-    stats: EvalStats,
-    events: Vec<DeltaEvent>,
-}
-
-/// Everything the workers produced, ready to replay onto the state.
-#[derive(Default)]
-struct DeltaParts {
-    memo_entries: Vec<(usize, FeatureId, f64)>,
-    events: Vec<DeltaEvent>,
-    worker_stats: Vec<WorkerStats>,
-    stats: EvalStats,
-    pairs_examined: usize,
-    drives: Vec<DriveOutcome>,
-}
-
-/// Shards per worker when a delta runs on a pool. Affected lists are often
-/// skewed — a rule edit touches clusters of similar pairs whose features
-/// cost very different amounts — so cutting finer than one shard per worker
-/// lets the pool's index-stealing rebalance the tail. Per-shard stats are
-/// folded back to one [`WorkerStats`] entry per worker so consumers keep
-/// seeing the worker-shaped breakdown.
-const DELTA_SHARDS_PER_WORKER: usize = 4;
-
-/// Runs `process` over every affected pair, partitioned across the
-/// executor's workers. Each worker sees the pre-edit `state` read-only plus
-/// its own memo overlay; the shards' event logs come back concatenated in
-/// ascending pair order (the affected list is ascending and shards are
-/// contiguous slices of it), so replaying them reproduces the serial
-/// execution exactly.
-///
-/// Every shard runs through the robust driver: panicking pairs are
-/// quarantined (their events rolled back) and the budget is polled between
-/// pairs, with untouched pairs reported for a resume.
-fn eval_delta(
-    state: &MatchState,
-    exec: &Executor,
-    affected: &[usize],
-    budget: &EvalBudget,
-    process: impl Fn(&mut DeltaShard<'_>, usize) + Sync,
-) -> DeltaParts {
-    let n_workers = exec.n_workers();
-    let n_shards = if exec.is_parallel() {
-        n_workers * DELTA_SHARDS_PER_WORKER
-    } else {
-        n_workers
+/// Replays a pass's event log onto the state, in pair order, and reports
+/// the pass.
+pub(crate) fn apply_delta(state: &mut MatchState, pass: Pass) -> ChangeReport {
+    let mut report = ChangeReport {
+        pairs_examined: pass.pairs_examined,
+        stats: pass.stats,
+        worker_stats: pass.worker_stats,
+        completion: pass.completion,
+        quarantined: pass.quarantined,
+        ..ChangeReport::default()
     };
-    let ranges = partition(affected.len(), n_shards);
-    let shards: Vec<(Range<usize>, DeltaShard<'_>, DriveOutcome)> = ranges
-        .into_iter()
-        .map(|range| {
-            (
-                range,
-                DeltaShard {
-                    memo: OverlayMemo::new(&state.memo),
-                    stats: EvalStats::default(),
-                    events: Vec::new(),
-                },
-                DriveOutcome::default(),
-            )
-        })
-        .collect();
-
-    struct Sink<'a, 'b, F> {
-        shard: &'b mut DeltaShard<'a>,
-        process: &'b F,
-    }
-    impl<F: Fn(&mut DeltaShard<'_>, usize)> PairSink for Sink<'_, '_, F> {
-        fn process(&mut self, i: usize) {
-            (self.process)(&mut *self.shard, i);
-        }
-        // The event log is append-only, so truncating to the pre-chunk mark
-        // undoes a panicked chunk exactly (overlay memo writes are
-        // idempotent and may stay).
-        fn mark(&mut self) -> usize {
-            self.shard.events.len()
-        }
-        fn rollback(&mut self, mark: usize) {
-            self.shard.events.truncate(mark);
-        }
-    }
-
-    let shards = run_sharded(exec, shards, |_, (range, shard, drive)| {
-        let mut checker = budget.checker();
-        let mut sink = Sink {
-            shard,
-            process: &process,
-        };
-        *drive = drive_pairs(
-            &PairList::Slice(&affected[range.clone()]),
-            &mut checker,
-            &mut sink,
-        );
-    });
-
-    let mut parts = DeltaParts::default();
-    for (shard_idx, (_, shard, drive)) in shards.into_iter().enumerate() {
-        // Fold shard stats back to a per-worker breakdown: shard `s` is
-        // attributed to worker `s % n_workers`, matching the round-robin
-        // order an idle pool would claim indices in.
-        let worker = shard_idx % n_workers;
-        if parts.worker_stats.len() <= worker {
-            parts.worker_stats.push(WorkerStats {
-                worker,
-                ..WorkerStats::default()
-            });
-        }
-        parts.stats.absorb(&shard.stats);
-        parts.pairs_examined += drive.pairs_examined;
-        let ws = &mut parts.worker_stats[worker];
-        ws.pairs_examined += drive.pairs_examined;
-        ws.stats.absorb(&shard.stats);
-        parts.memo_entries.extend(shard.memo.into_local());
-        parts.events.extend(shard.events);
-        parts.drives.push(drive);
-    }
-    parts
-}
-
-/// Replays the workers' output onto the state and fills the report.
-fn apply_delta(state: &mut MatchState, parts: DeltaParts, report: &mut ChangeReport) {
-    for (i, f, v) in parts.memo_entries {
-        state.memo.put(i, f, v);
-    }
-    for event in parts.events {
+    for event in pass.events {
         match event {
             DeltaEvent::Fire { i, r } => state.fire(i, r),
             DeltaEvent::Unfire { i } => {
@@ -244,66 +127,62 @@ fn apply_delta(state: &mut MatchState, parts: DeltaParts, report: &mut ChangeRep
             DeltaEvent::Unmatched { i } => report.newly_unmatched.push(i),
         }
     }
-    report.pairs_examined = parts.pairs_examined;
-    report.stats = parts.stats;
-    report.worker_stats = parts.worker_stats;
-    let (completion, quarantined, _) = fold_outcomes(parts.drives);
-    report.completion = completion;
-    report.quarantined = quarantined;
+    report
 }
 
-/// Re-evaluates all rules for a pair that lost its fired rule, recording
-/// the first true one (the robust cascade described in the module docs) —
-/// the overlay/event flavour used inside delta workers.
-fn cascade_delta(
+/// Algorithm 4's pair step with the materialization's bookkeeping: logs
+/// each failed predicate (`U(p)`) and the rule that fires (`M(r)`).
+/// Returns whether a rule fired.
+pub(crate) fn fire_first(
     func: &MatchingFunction,
     ctx: &EvalContext,
-    cands: &CandidateSet,
-    shard: &mut DeltaShard<'_>,
-    i: usize,
     check_cache_first: bool,
-) -> Option<RuleId> {
-    let pair = cands.pair(i);
-    for rule in func.rules() {
-        let events = &mut shard.events;
-        if eval_rule_memoized(
-            rule,
-            i,
-            pair,
-            ctx,
-            &mut shard.memo,
-            check_cache_first,
-            &mut shard.stats,
-            |p| events.push(DeltaEvent::PredFalse { p, i }),
-        ) {
-            return Some(rule.id);
-        }
-    }
-    None
-}
-
-/// The value of feature `f` for pair `i` against a worker's overlay: a
-/// lookup when memoized (base or overlay), otherwise computed and written
-/// to the overlay.
-fn resolve_overlay(
-    f: FeatureId,
+    w: &mut Shard<'_>,
     i: usize,
     pair: PairIdx,
+) -> bool {
+    let events = &mut w.events;
+    let on_false = |p| events.push(DeltaEvent::PredFalse { p, i });
+    let fired = first_firing(
+        func,
+        i,
+        pair,
+        ctx,
+        &mut w.memo,
+        check_cache_first,
+        &mut w.stats,
+        on_false,
+    );
+    if let Some(r) = fired {
+        w.events.push(DeltaEvent::Fire { i, r });
+    }
+    fired.is_some()
+}
+
+/// Tests `rule` on pair `i`, logging each failed predicate; when it holds,
+/// the pair fires it and is reported newly matched.
+fn fire_if_holds(
+    rule: &BoundRule,
     ctx: &EvalContext,
-    memo: &mut OverlayMemo<'_>,
-    stats: &mut EvalStats,
-) -> f64 {
-    match memo.get(i, f) {
-        Some(v) => {
-            stats.memo_lookups += 1;
-            v
-        }
-        None => {
-            let v = ctx.compute(f, pair);
-            stats.feature_computations += 1;
-            memo.put(i, f, v);
-            v
-        }
+    check_cache_first: bool,
+    w: &mut Shard<'_>,
+    i: usize,
+    pair: PairIdx,
+) {
+    let events = &mut w.events;
+    let on_false = |p| events.push(DeltaEvent::PredFalse { p, i });
+    if eval_rule_memoized(
+        rule,
+        i,
+        pair,
+        ctx,
+        &mut w.memo,
+        check_cache_first,
+        &mut w.stats,
+        on_false,
+    ) {
+        w.events.push(DeltaEvent::Fire { i, r: rule.id });
+        w.events.push(DeltaEvent::Matched { i });
     }
 }
 
@@ -357,109 +236,61 @@ fn run_kind(
     budget: &EvalBudget,
 ) -> Result<ChangeReport, EditError> {
     let start = Instant::now();
-    let mut report = ChangeReport::default();
-    let parts = match kind {
-        PendingDelta::AddRule { rid } => {
-            let rid = *rid;
-            let bound = func.rule(rid).ok_or(EditError::UnknownRule(rid))?.clone();
-            eval_delta(state, exec, affected, budget, |shard, i| {
-                let pair = cands.pair(i);
-                let events = &mut shard.events;
-                if eval_rule_memoized(
-                    &bound,
-                    i,
-                    pair,
-                    ctx,
-                    &mut shard.memo,
-                    check_cache_first,
-                    &mut shard.stats,
-                    |p| events.push(DeltaEvent::PredFalse { p, i }),
-                ) {
-                    shard.events.push(DeltaEvent::Fire { i, r: rid });
-                    shard.events.push(DeltaEvent::Matched { i });
-                }
-            })
+    let ccf = check_cache_first;
+    let (memo, verdicts) = state.memo_and_verdicts();
+    let mut delta = |step: &(dyn Fn(&mut Shard<'_>, usize, PairIdx) + Sync)| {
+        let pairs = PairList::Slice(affected);
+        drive_sharded(exec, ctx, cands, pairs, Some(memo), budget, step)
+    };
+    // Re-runs every rule for a matched pair that lost its fired rule (the
+    // robust cascade of the module docs).
+    let cascade = |w: &mut Shard<'_>, i: usize, pair: PairIdx| {
+        w.events.push(DeltaEvent::Unfire { i });
+        if !fire_first(func, ctx, ccf, w, i, pair) {
+            w.events.push(DeltaEvent::Unmatched { i });
         }
-        PendingDelta::Cascade => eval_delta(state, exec, affected, budget, |shard, i| {
-            // The pair still carries the stale fired pointer; clear it first.
-            shard.events.push(DeltaEvent::Unfire { i });
-            match cascade_delta(func, ctx, cands, shard, i, check_cache_first) {
-                Some(r) => shard.events.push(DeltaEvent::Fire { i, r }),
-                None => shard.events.push(DeltaEvent::Unmatched { i }),
-            }
-        }),
+    };
+    let pass = match kind {
+        PendingDelta::AddRule { rid } => {
+            let rule = func.rule(*rid).ok_or(EditError::UnknownRule(*rid))?;
+            delta(&|w, i, pair| fire_if_holds(rule, ctx, ccf, w, i, pair))
+        }
+        PendingDelta::Cascade => delta(&cascade),
         PendingDelta::Restrict { pid, .. } => {
-            let pid = *pid;
             let (_, bp) = func
-                .find_predicate(pid)
-                .ok_or(EditError::UnknownPredicate(pid))?;
-            let pred = bp.pred;
-            eval_delta(state, exec, affected, budget, |shard, i| {
-                let pair = cands.pair(i);
-                let v = resolve_overlay(
-                    pred.feature,
-                    i,
-                    pair,
-                    ctx,
-                    &mut shard.memo,
-                    &mut shard.stats,
-                );
-                shard.stats.predicate_evals += 1;
+                .find_predicate(*pid)
+                .ok_or(EditError::UnknownPredicate(*pid))?;
+            let (pid, pred) = (*pid, bp.pred);
+            delta(&|w, i, pair| {
+                let v = memo_or_compute(pred.feature, i, pair, ctx, &mut w.memo, &mut w.stats);
+                w.stats.predicate_evals += 1;
                 if pred.eval(v) {
                     return; // still matched by this rule
                 }
-                shard.events.push(DeltaEvent::PredFalse { p: pid, i });
-                shard.events.push(DeltaEvent::Unfire { i });
-                match cascade_delta(func, ctx, cands, shard, i, check_cache_first) {
-                    Some(r) => shard.events.push(DeltaEvent::Fire { i, r }),
-                    None => shard.events.push(DeltaEvent::Unmatched { i }),
-                }
+                w.events.push(DeltaEvent::PredFalse { p: pid, i });
+                cascade(w, i, pair);
             })
         }
         PendingDelta::Loosen { rid, pid, re_eval } => {
-            let (rid, pid, re_eval) = (*rid, *pid, *re_eval);
-            let rule = func.rule(rid).ok_or(EditError::UnknownRule(rid))?.clone();
-            eval_delta(state, exec, affected, budget, |shard, i| {
-                if state.verdict(i) {
+            let rule = func.rule(*rid).ok_or(EditError::UnknownRule(*rid))?;
+            delta(&|w, i, pair| {
+                if verdicts[i] {
                     return; // already matched elsewhere; loosening cannot unmatch
                 }
-                let pair = cands.pair(i);
-
                 if let Some(pred) = re_eval {
-                    let v = resolve_overlay(
-                        pred.feature,
-                        i,
-                        pair,
-                        ctx,
-                        &mut shard.memo,
-                        &mut shard.stats,
-                    );
-                    shard.stats.predicate_evals += 1;
+                    let v = memo_or_compute(pred.feature, i, pair, ctx, &mut w.memo, &mut w.stats);
+                    w.stats.predicate_evals += 1;
                     if !pred.eval(v) {
                         return; // still false under the relaxed threshold
                     }
-                    shard.events.push(DeltaEvent::PredClear { p: pid, i });
+                    w.events.push(DeltaEvent::PredClear { p: *pid, i });
                 }
-
                 // The changed predicate passes (or is gone); test the whole rule.
-                let events = &mut shard.events;
-                if eval_rule_memoized(
-                    &rule,
-                    i,
-                    pair,
-                    ctx,
-                    &mut shard.memo,
-                    check_cache_first,
-                    &mut shard.stats,
-                    |p| events.push(DeltaEvent::PredFalse { p, i }),
-                ) {
-                    shard.events.push(DeltaEvent::Fire { i, r: rid });
-                    shard.events.push(DeltaEvent::Matched { i });
-                }
+                fire_if_holds(rule, ctx, ccf, w, i, pair);
             })
         }
     };
-    apply_delta(state, parts, &mut report);
+    let mut report = apply_delta(state, pass);
     report.elapsed = start.elapsed();
     Ok(report)
 }
@@ -528,7 +359,9 @@ pub fn add_rule(
     budget: &EvalBudget,
 ) -> Result<(RuleId, ChangeReport), EditError> {
     let rid = func.add_rule(rule)?;
-    let unmatched: Vec<usize> = (0..cands.len()).filter(|&i| !state.verdict(i)).collect();
+    let unmatched: Vec<usize> = (0..state.n_pairs())
+        .filter(|&i| !state.verdict(i))
+        .collect();
     let report = run_kind(
         &PendingDelta::AddRule { rid },
         &unmatched,
@@ -1117,6 +950,49 @@ mod tests {
             panic!("expected a partial completion");
         };
         assert_eq!(report.pairs_examined + remaining.len(), 2, "M(r) covered");
+    }
+
+    /// Edits a 16-pair state against the first 3 of its candidate pairs.
+    fn edit_mismatched(edit: impl FnOnce(&mut Fix, &CandidateSet)) {
+        let mut fix = fixture();
+        let cands = fix.cands.truncated(3);
+        edit(&mut fix, &cands);
+    }
+
+    #[test]
+    #[should_panic(expected = "same pairs")]
+    fn remove_rule_on_mismatched_state_panics() {
+        edit_mismatched(|fix, cands| {
+            let rid = fix.func.rules()[0].id;
+            let _ = remove_rule(
+                &mut fix.func,
+                &mut fix.state,
+                &fix.ctx,
+                cands,
+                rid,
+                false,
+                &Executor::serial(),
+                &EvalBudget::unlimited(),
+            );
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "same pairs")]
+    fn add_rule_on_mismatched_state_panics() {
+        edit_mismatched(|fix, cands| {
+            let rule = Rule::new().pred(fix.f_model, CmpOp::Ge, 1.0);
+            let _ = add_rule(
+                &mut fix.func,
+                &mut fix.state,
+                &fix.ctx,
+                cands,
+                rule,
+                false,
+                &Executor::serial(),
+                &EvalBudget::unlimited(),
+            );
+        });
     }
 
     #[test]

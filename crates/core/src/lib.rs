@@ -92,7 +92,7 @@ pub use engine::{
     MatchOutcome, Strategy,
 };
 pub use exact::{optimal_rule_order, ExactOrder, MAX_EXACT_RULES};
-pub use executor::{partition, run_sharded, split_mut, Executor};
+pub use executor::Executor;
 pub use explain::{explain_with_costs, Explanation, PredicateTrace, RuleTrace};
 #[cfg(feature = "fault-inject")]
 pub use fault::{AppendFault, DiskFault, DiskFaultPlan, FaultPlan, IoFaultPlan, SnapshotFault};
@@ -102,7 +102,7 @@ pub use incremental::{
     add_predicate, add_rule, remove_predicate, remove_rule, resume_delta, set_threshold,
     ChangeReport, PendingDelta, WorkerStats,
 };
-pub use memo::{DenseMemo, Memo, MemoShard, OverlayMemo, SparseMemo};
+pub use memo::{DenseMemo, Memo, SparseMemo};
 pub use ordering::{
     optimize, optimize_predicate_orders, order_predicates, order_rules, order_rules_sample_greedy,
     OrderingAlgo,

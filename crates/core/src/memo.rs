@@ -83,10 +83,9 @@ impl DenseMemo {
     }
 
     /// Splits the memo into disjoint mutable views over contiguous pair
-    /// ranges (as produced by [`crate::executor::partition`]), so parallel
-    /// engines can write feature values **directly into this memo** from
-    /// worker threads — the values computed by a parallel run are retained,
-    /// not discarded with chunk-local copies.
+    /// ranges, so the sharded driver's workers write feature values
+    /// **directly into this memo** — whatever a parallel run or delta
+    /// computes is retained in place.
     ///
     /// Shard views cannot grow the feature axis; call
     /// [`DenseMemo::ensure_features`] for the full feature registry first.
@@ -95,8 +94,8 @@ impl DenseMemo {
     ///
     /// # Panics
     ///
-    /// Panics when the ranges are not ascending, disjoint, and within
-    /// `0..n_pairs` (the contract of `partition`).
+    /// Panics when the ranges do not tile a prefix of `0..n_pairs` in
+    /// order.
     pub fn shard_views(&mut self, ranges: &[std::ops::Range<usize>]) -> Vec<MemoShard<'_>> {
         let mut shards = Vec::with_capacity(ranges.len());
         let mut rest = &mut self.values[..];
@@ -210,8 +209,9 @@ impl Memo for DenseMemo {
 ///
 /// Implements [`Memo`], so the engines run unchanged over a shard — serial
 /// execution is simply the one-shard special case, which is what guarantees
-/// parallel runs produce byte-identical results.
-#[derive(Debug)]
+/// parallel runs produce byte-identical results. The default is an empty
+/// window, for passes that memoize nothing.
+#[derive(Debug, Default)]
 pub struct MemoShard<'a> {
     values: &'a mut [f64],
     n_features: usize,
@@ -281,68 +281,6 @@ impl Memo for MemoShard<'_> {
 
     fn heap_bytes(&self) -> usize {
         0 // borrowed storage is accounted by the owning DenseMemo
-    }
-}
-
-/// A copy-on-write view over a shared [`DenseMemo`]: reads fall through to
-/// the base, writes land in a small local overlay.
-///
-/// This is how the incremental algorithms parallelize: each worker gets an
-/// overlay over the *pre-edit* memo, evaluates its slice of the affected
-/// pairs (each pair only ever touches its own memo row, so overlays never
-/// conflict), and the owner folds the overlays back into the base memo
-/// serially afterwards via [`OverlayMemo::into_local`].
-#[derive(Debug)]
-pub struct OverlayMemo<'a> {
-    base: &'a DenseMemo,
-    local: HashMap<(u32, u32), f64>,
-}
-
-impl<'a> OverlayMemo<'a> {
-    /// An empty overlay over `base`.
-    pub fn new(base: &'a DenseMemo) -> Self {
-        OverlayMemo {
-            base,
-            local: HashMap::new(),
-        }
-    }
-
-    /// Consumes the overlay, yielding the locally-written values as
-    /// `(pair, feature, value)` triples for merging into the base memo.
-    pub fn into_local(self) -> Vec<(usize, FeatureId, f64)> {
-        self.local
-            .into_iter()
-            .map(|((p, f), v)| (p as usize, FeatureId(f), v))
-            .collect()
-    }
-}
-
-impl Memo for OverlayMemo<'_> {
-    #[inline]
-    fn get(&self, pair: usize, feature: FeatureId) -> Option<f64> {
-        self.local
-            .get(&(pair as u32, feature.0))
-            .copied()
-            .or_else(|| self.base.get(pair, feature))
-    }
-
-    #[inline]
-    fn put(&mut self, pair: usize, feature: FeatureId, value: f64) {
-        let value = if value.is_nan() { 0.0 } else { value }; // keep totality with DenseMemo
-        self.local.insert((pair as u32, feature.0), value);
-    }
-
-    fn stored(&self) -> usize {
-        self.base.stored() + self.local.len()
-    }
-
-    fn reset(&mut self) {
-        // The overlay cannot clear the shared base; only its own writes.
-        self.local.clear();
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.local.capacity() * (std::mem::size_of::<((u32, u32), f64)>() + 1)
     }
 }
 
@@ -480,29 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn overlay_reads_through_and_collects_writes() {
-        let mut base = DenseMemo::new(4, 2);
-        base.put(1, FeatureId(0), 0.5);
-        let mut overlay = OverlayMemo::new(&base);
-        assert_eq!(overlay.get(1, FeatureId(0)), Some(0.5), "base visible");
-        assert_eq!(overlay.get(2, FeatureId(1)), None);
-        overlay.put(2, FeatureId(1), 0.25);
-        assert_eq!(
-            overlay.get(2, FeatureId(1)),
-            Some(0.25),
-            "own write visible"
-        );
-        assert_eq!(overlay.stored(), 2);
-        let mut entries = overlay.into_local();
-        entries.sort_by_key(|&(p, f, _)| (p, f.0));
-        assert_eq!(entries, vec![(2, FeatureId(1), 0.25)]);
-        for (p, f, v) in entries {
-            base.put(p, f, v);
-        }
-        assert_eq!(base.get(2, FeatureId(1)), Some(0.25));
-    }
-
-    #[test]
     #[should_panic(expected = "tile the pair axis")]
     fn shard_views_reject_gaps() {
         let mut m = DenseMemo::new(10, 2);
@@ -520,10 +435,6 @@ mod tests {
         let mut sparse = SparseMemo::new();
         sparse.put(0, FeatureId(0), f64::NAN);
         assert_eq!(sparse.get(0, FeatureId(0)), Some(0.0));
-        let base = DenseMemo::new(2, 2);
-        let mut overlay = OverlayMemo::new(&base);
-        overlay.put(1, FeatureId(1), f64::NAN);
-        assert_eq!(overlay.get(1, FeatureId(1)), Some(0.0));
     }
 
     #[test]

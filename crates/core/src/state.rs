@@ -15,16 +15,16 @@
 use crate::bitmap::Bitmap;
 use crate::budget::EvalBudget;
 use crate::context::EvalContext;
-use crate::engine::{eval_rule_memoized, EvalStats};
-use crate::executor::{partition, run_sharded, split_mut, Executor};
+use crate::engine::EvalStats;
+use crate::executor::Executor;
 use crate::function::MatchingFunction;
-use crate::memo::{DenseMemo, Memo, MemoShard};
+use crate::incremental::{apply_delta, fire_first};
+use crate::memo::{DenseMemo, Memo};
 use crate::predicate::PredId;
-use crate::robust::{drive_pairs, fold_outcomes, DriveOutcome, PairList, PairSink};
+use crate::robust::{drive_sharded, PairList};
 use crate::rule::RuleId;
-use em_types::{CandidateSet, PairIdx};
+use em_types::CandidateSet;
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Memory accounting for the §7.4 experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +86,11 @@ impl MatchState {
     #[inline]
     pub fn verdict(&self, i: usize) -> bool {
         self.verdicts[i]
+    }
+
+    /// The memo, writable, beside the pre-edit verdicts a delta reads.
+    pub(crate) fn memo_and_verdicts(&mut self) -> (&mut DenseMemo, &[bool]) {
+        (&mut self.memo, &self.verdicts)
     }
 
     /// The rule that fired for pair `i`, if it matched.
@@ -253,12 +258,16 @@ pub struct FullRunOutcome {
 /// previous runs keep saving work, which is exactly the paper's
 /// "materialize between iterations" behaviour.
 ///
-/// Pair-parallel under `exec`: each worker writes feature values straight
-/// into its disjoint window of `state.memo` (parallel work is *retained*
-/// in the materialization) and records fired-rule / false-predicate events
-/// that are folded into the bitmaps serially afterwards. Serial execution
-/// is the one-shard case of the same path, so verdicts, `M(r)`, and `U(p)`
+/// Pair-parallel under `exec` through the same sharded driver and event
+/// replay as the incremental deltas: workers write feature values straight
+/// into their windows of `state.memo` and log fired-rule / false-predicate
+/// events, which are applied serially in pair order. Serial execution is
+/// the one-shard case of the same path, so verdicts, `M(r)`, and `U(p)`
 /// are identical for every thread count.
+///
+/// # Panics
+///
+/// Panics when `state` and `cands` do not cover the same pairs.
 pub fn run_full(
     func: &MatchingFunction,
     ctx: &EvalContext,
@@ -267,127 +276,23 @@ pub fn run_full(
     check_cache_first: bool,
     exec: &Executor,
 ) -> FullRunOutcome {
-    assert_eq!(
-        state.n_pairs(),
-        cands.len(),
-        "state and candidate set must cover the same pairs"
-    );
     state.reset_assignments();
-    // Shard views cannot grow the feature axis, so size it upfront.
-    state.memo.ensure_features(ctx.registry().len());
-    let ranges = partition(cands.len(), exec.n_workers());
-    let pairs = cands.as_slice();
-
-    struct Shard<'a> {
-        range: Range<usize>,
-        memo: MemoShard<'a>,
-        verdicts: &'a mut [bool],
-        fired: &'a mut [Option<RuleId>],
-        pred_false: Vec<(PredId, usize)>,
-        stats: EvalStats,
-        drive: DriveOutcome,
+    let pass = drive_sharded(
+        exec,
+        ctx,
+        cands,
+        PairList::Range(0..cands.len()),
+        Some(&mut state.memo),
+        &EvalBudget::unlimited(),
+        |w, i, pair| {
+            fire_first(func, ctx, check_cache_first, w, i, pair);
+        },
+    );
+    let report = apply_delta(state, pass);
+    FullRunOutcome {
+        stats: report.stats,
+        quarantined: report.quarantined,
     }
-    let shards: Vec<Shard<'_>> = ranges
-        .iter()
-        .cloned()
-        .zip(state.memo.shard_views(&ranges))
-        .zip(split_mut(&mut state.verdicts, &ranges))
-        .zip(split_mut(&mut state.fired, &ranges))
-        .map(|(((range, memo), verdicts), fired)| Shard {
-            range,
-            memo,
-            verdicts,
-            fired,
-            pred_false: Vec::new(),
-            stats: EvalStats::default(),
-            drive: DriveOutcome::default(),
-        })
-        .collect();
-
-    struct Sink<'a, 'b> {
-        func: &'b MatchingFunction,
-        ctx: &'b EvalContext,
-        pairs: &'b [PairIdx],
-        check_cache_first: bool,
-        base: usize,
-        memo: &'b mut MemoShard<'a>,
-        verdicts: &'b mut [bool],
-        fired: &'b mut [Option<RuleId>],
-        pred_false: &'b mut Vec<(PredId, usize)>,
-        stats: &'b mut EvalStats,
-    }
-    impl PairSink for Sink<'_, '_> {
-        fn process(&mut self, i: usize) {
-            let pair = self.pairs[i];
-            for rule in self.func.rules() {
-                let pred_false = &mut *self.pred_false;
-                if eval_rule_memoized(
-                    rule,
-                    i,
-                    pair,
-                    self.ctx,
-                    &mut *self.memo,
-                    self.check_cache_first,
-                    &mut *self.stats,
-                    |pid| pred_false.push((pid, i)),
-                ) {
-                    self.verdicts[i - self.base] = true;
-                    self.fired[i - self.base] = Some(rule.id);
-                    break;
-                }
-            }
-        }
-        // The pred-false event log is append-only: truncating back to the
-        // pre-chunk mark makes post-panic bisection re-runs idempotent.
-        fn mark(&mut self) -> usize {
-            self.pred_false.len()
-        }
-        fn rollback(&mut self, mark: usize) {
-            self.pred_false.truncate(mark);
-        }
-    }
-    let shards = run_sharded(exec, shards, |_, shard| {
-        let mut checker = EvalBudget::unlimited().checker();
-        let range = shard.range.clone();
-        let mut sink = Sink {
-            func,
-            ctx,
-            pairs,
-            check_cache_first,
-            base: range.start,
-            memo: &mut shard.memo,
-            verdicts: &mut *shard.verdicts,
-            fired: &mut *shard.fired,
-            pred_false: &mut shard.pred_false,
-            stats: &mut shard.stats,
-        };
-        shard.drive = drive_pairs(&PairList::Range(range), &mut checker, &mut sink);
-    });
-
-    let mut stats = EvalStats::default();
-    let mut new_stored = 0;
-    let mut pred_events = Vec::with_capacity(shards.len());
-    let mut drives = Vec::with_capacity(shards.len());
-    for shard in shards {
-        stats.absorb(&shard.stats);
-        new_stored += shard.memo.new_stored();
-        pred_events.push(shard.pred_false);
-        drives.push(shard.drive);
-    }
-    state.memo.add_stored(new_stored);
-
-    // Fold the per-shard events into the materialized bitmaps (bitmaps are
-    // sets, so application order is immaterial).
-    for i in 0..state.n_pairs {
-        if let Some(r) = state.fired[i] {
-            state.rule_bitmap_mut(r).set(i);
-        }
-    }
-    for (p, i) in pred_events.into_iter().flatten() {
-        state.record_pred_false(p, i);
-    }
-    let (_, quarantined, _) = fold_outcomes(drives);
-    FullRunOutcome { stats, quarantined }
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@ mod common;
 use common::{random_workload, reference_verdicts};
 use proptest::prelude::*;
 use rulem::core::{
-    run_early_exit, run_full, run_memo, run_memo_with, run_precompute, run_rudimentary, Executor,
-    FeatureId, MatchOutcome, MatchState, Memo, SparseMemo, Strategy,
+    run_early_exit, run_full, run_memo, run_memo_with, run_precompute, run_rudimentary,
+    ChangeReport, CmpOp, DebugSession, Executor, FeatureId, MatchOutcome, MatchState,
+    MatchingFunction, Memo, Predicate, Rule, SessionConfig, SparseMemo, Strategy,
 };
+use std::time::Duration;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -213,6 +215,26 @@ fn memo_part(memo: &impl Memo, n_pairs: usize, n_features: usize) -> String {
     format!("stored={} cells={:016x}", memo.stored(), fnv(words))
 }
 
+/// A digest of every `M(r)` and `U(p)` of `func`'s rules and predicates.
+fn bitmaps(func: &MatchingFunction, state: &MatchState) -> u64 {
+    let mut bits = Vec::new();
+    for rule in func.rules() {
+        let ones = state
+            .rule_bitmap(rule.id)
+            .into_iter()
+            .flat_map(|b| b.iter_ones());
+        bits.extend(std::iter::once(u64::from(rule.id.0)).chain(ones.map(|i| i as u64)));
+    }
+    for (_, bp) in func.predicates() {
+        let ones = state
+            .pred_bitmap(bp.id)
+            .into_iter()
+            .flat_map(|b| b.iter_ones());
+        bits.extend(std::iter::once(bp.id.0).chain(ones.map(|i| i as u64)));
+    }
+    fnv(bits)
+}
+
 fn work_line(seed: u64, engine: &str, out: &MatchOutcome, memo: &str) -> String {
     let s = out.stats;
     format!(
@@ -257,21 +279,6 @@ fn render_work(seed: u64) -> Vec<String> {
             let mut state = MatchState::new(n, nf);
             let exec = Executor::pool(threads);
             let full = run_full(&w.func, &w.ctx, &w.cands, &mut state, ccf, &exec);
-            let mut bits = Vec::new();
-            for rule in w.func.rules() {
-                let ones = state
-                    .rule_bitmap(rule.id)
-                    .into_iter()
-                    .flat_map(|b| b.iter_ones());
-                bits.extend(std::iter::once(u64::from(rule.id.0)).chain(ones.map(|i| i as u64)));
-            }
-            for (_, bp) in w.func.predicates() {
-                let ones = state
-                    .pred_bitmap(bp.id)
-                    .into_iter()
-                    .flat_map(|b| b.iter_ones());
-                bits.extend(std::iter::once(bp.id.0).chain(ones.map(|i| i as u64)));
-            }
             let out = MatchOutcome {
                 verdicts: state.verdicts().to_vec(),
                 stats: full.stats,
@@ -281,7 +288,7 @@ fn render_work(seed: u64) -> Vec<String> {
             let memo = format!(
                 "{} bitmaps={:016x}",
                 memo_part(&state.memo, n, nf),
-                fnv(bits)
+                bitmaps(&w.func, &state)
             );
             let name = format!("full(ccf={ccf},t={threads})");
             lines.push(work_line(seed, &name, &out, &memo));
@@ -297,5 +304,184 @@ fn engine_work_is_pinned() {
     assert_eq!(got.len(), want.len(), "one line per engine and seed");
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g, w);
+    }
+}
+
+/// One fixed edit script through a [`DebugSession`] on each of
+/// [`PINNED_SEEDS`], one line per step: `n_changed`, `pairs_examined`,
+/// the pairs left for a resume, and the step's `EvalStats`; then the memo
+/// cells stored with a digest of their values and a digest of every
+/// `M(r)` and `U(p)`. Every thread count must render exactly these lines.
+const PINNED_DELTA_WORK: &str = "\
+1 load: changed=3 examined=21 left=0 fc=24 ml=0 pe=24 re=21\n\
+1 load: changed=0 examined=18 left=0 fc=18 ml=0 pe=18 re=18\n\
+1 add rule: changed=0 examined=18 left=0 fc=18 ml=0 pe=18 re=18\n\
+1 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+1 add predicate: changed=3 examined=3 left=0 fc=6 ml=9 pe=15 re=6\n\
+1 undo: changed=3 examined=3 left=0 fc=0 ml=6 pe=6 re=3\n\
+1 tighten: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
+1 undo: changed=0 examined=18 left=0 fc=0 ml=18 pe=18 re=0\n\
+1 relax: changed=0 examined=18 left=0 fc=18 ml=36 pe=54 re=18\n\
+1 undo: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
+1 remove predicate: changed=0 examined=18 left=0 fc=0 ml=18 pe=18 re=18\n\
+1 undo: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
+1 remove rule: changed=3 examined=3 left=0 fc=0 ml=3 pe=3 re=3\n\
+1 undo: changed=3 examined=21 left=0 fc=0 ml=24 pe=24 re=21\n\
+1 parked add rule: changed=0 examined=0 left=18 fc=0 ml=0 pe=0 re=0\n\
+1 resume: changed=2 examined=18 left=0 fc=18 ml=0 pe=18 re=18\n\
+1 end: stored=102 cells=baac52b0b23a996b bitmaps=48a46d0855599771\n\
+7 load: changed=0 examined=10 left=0 fc=10 ml=0 pe=10 re=10\n\
+7 load: changed=2 examined=10 left=0 fc=10 ml=0 pe=10 re=10\n\
+7 add rule: changed=0 examined=8 left=0 fc=8 ml=0 pe=8 re=8\n\
+7 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+7 add predicate: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+7 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+7 tighten: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+7 undo: changed=0 examined=8 left=0 fc=0 ml=8 pe=8 re=0\n\
+7 relax: changed=0 examined=8 left=0 fc=8 ml=16 pe=24 re=8\n\
+7 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+7 remove predicate: changed=0 examined=8 left=0 fc=0 ml=8 pe=8 re=8\n\
+7 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+7 remove rule: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+7 undo: changed=0 examined=8 left=0 fc=0 ml=8 pe=8 re=8\n\
+7 parked add rule: changed=0 examined=0 left=8 fc=0 ml=0 pe=0 re=0\n\
+7 resume: changed=4 examined=8 left=0 fc=8 ml=0 pe=8 re=8\n\
+7 end: stored=44 cells=def3ddfd8778efbd bitmaps=3a4acabcaeb0b586\n\
+42 load: changed=3 examined=9 left=0 fc=12 ml=0 pe=12 re=9\n\
+42 load: changed=0 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
+42 add rule: changed=0 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
+42 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+42 add predicate: changed=1 examined=3 left=0 fc=4 ml=3 pe=7 re=2\n\
+42 undo: changed=1 examined=1 left=0 fc=0 ml=2 pe=2 re=1\n\
+42 tighten: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
+42 undo: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=0\n\
+42 relax: changed=0 examined=6 left=0 fc=6 ml=12 pe=18 re=6\n\
+42 undo: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
+42 remove predicate: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=6\n\
+42 undo: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
+42 remove rule: changed=2 examined=3 left=0 fc=2 ml=1 pe=3 re=3\n\
+42 undo: changed=2 examined=8 left=0 fc=0 ml=10 pe=10 re=8\n\
+42 parked add rule: changed=0 examined=0 left=6 fc=0 ml=0 pe=0 re=0\n\
+42 resume: changed=1 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
+42 end: stored=42 cells=469f1218468b52b0 bitmaps=61fc4a0431a2e0ac\n\
+311 load: changed=6 examined=42 left=0 fc=48 ml=0 pe=48 re=42\n\
+311 load: changed=1 examined=36 left=0 fc=36 ml=0 pe=36 re=36\n\
+311 add rule: changed=0 examined=35 left=0 fc=35 ml=0 pe=35 re=35\n\
+311 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+311 add predicate: changed=4 examined=6 left=0 fc=10 ml=12 pe=22 re=8\n\
+311 undo: changed=4 examined=4 left=0 fc=0 ml=8 pe=8 re=4\n\
+311 tighten: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=0\n\
+311 undo: changed=0 examined=35 left=0 fc=0 ml=35 pe=35 re=0\n\
+311 relax: changed=0 examined=35 left=0 fc=19 ml=54 pe=73 re=19\n\
+311 undo: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=0\n\
+311 remove predicate: changed=0 examined=19 left=0 fc=0 ml=19 pe=19 re=19\n\
+311 undo: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=0\n\
+311 remove rule: changed=4 examined=6 left=0 fc=2 ml=4 pe=6 re=6\n\
+311 undo: changed=4 examined=39 left=0 fc=0 ml=43 pe=43 re=39\n\
+311 parked add rule: changed=0 examined=0 left=35 fc=0 ml=0 pe=0 re=0\n\
+311 resume: changed=5 examined=35 left=0 fc=35 ml=0 pe=35 re=35\n\
+311 end: stored=185 cells=c7c9471d79b2dfb9 bitmaps=a4fe3862ba18c8b9\n\
+2024 load: changed=4 examined=12 left=0 fc=16 ml=0 pe=16 re=12\n\
+2024 load: changed=2 examined=8 left=0 fc=8 ml=0 pe=8 re=8\n\
+2024 add rule: changed=0 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
+2024 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+2024 add predicate: changed=2 examined=4 left=0 fc=6 ml=6 pe=12 re=4\n\
+2024 undo: changed=2 examined=2 left=0 fc=0 ml=4 pe=4 re=2\n\
+2024 tighten: changed=0 examined=4 left=0 fc=0 ml=4 pe=4 re=0\n\
+2024 undo: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=0\n\
+2024 relax: changed=0 examined=6 left=0 fc=6 ml=12 pe=18 re=6\n\
+2024 undo: changed=0 examined=4 left=0 fc=0 ml=4 pe=4 re=0\n\
+2024 remove predicate: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=6\n\
+2024 undo: changed=0 examined=4 left=0 fc=0 ml=4 pe=4 re=0\n\
+2024 remove rule: changed=2 examined=4 left=0 fc=2 ml=2 pe=4 re=4\n\
+2024 undo: changed=2 examined=8 left=0 fc=0 ml=10 pe=10 re=8\n\
+2024 parked add rule: changed=0 examined=0 left=6 fc=0 ml=0 pe=0 re=0\n\
+2024 resume: changed=0 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
+2024 end: stored=50 cells=5d141a1126820e68 bitmaps=790ec9440b71c62f";
+
+/// Loads a two-rule program on the workload's tables, then runs add rule,
+/// add predicate, tighten, relax, remove predicate and remove rule, each
+/// followed by `undo`, and one add-rule edit parked by a zero deadline and
+/// resumed with the deadline lifted.
+fn render_delta_work(seed: u64, threads: usize) -> Vec<String> {
+    let w = random_workload(seed);
+    let (n, nf, f) = (w.cands.len(), w.ctx.registry().len(), w.features);
+    let config = SessionConfig {
+        n_threads: threads,
+        ..SessionConfig::default()
+    };
+    let mut s = DebugSession::with_context(w.ctx, w.cands, config);
+    let mut lines = Vec::new();
+    let mut step = |name: &str, r: &ChangeReport| {
+        let st = r.stats;
+        lines.push(format!(
+            "{seed} {name}: changed={} examined={} left={} fc={} ml={} pe={} re={}",
+            r.n_changed(),
+            r.pairs_examined,
+            r.completion.remaining().len(),
+            st.feature_computations,
+            st.memo_lookups,
+            st.predicate_evals,
+            st.rule_evals
+        ));
+    };
+    let edited = Rule::new()
+        .pred(f[1], CmpOp::Ge, 0.7)
+        .pred(f[2], CmpOp::Ge, 0.3);
+    let (rid, r) = s.add_rule(edited).unwrap();
+    step("load", &r);
+    let (_, r) = s.add_rule(Rule::new().pred(f[0], CmpOp::Ge, 1.0)).unwrap();
+    step("load", &r);
+    let preds: Vec<_> = s.function().rule(rid).unwrap().preds.clone();
+    let (jw, jaccard) = (preds[0].id, preds[1].id);
+
+    let added = Rule::new()
+        .pred(f[4], CmpOp::Ge, 0.5)
+        .pred(f[3], CmpOp::Ge, 0.5);
+    let (_, r) = s.add_rule(added).unwrap();
+    step("add rule", &r);
+    step("undo", &s.undo().unwrap().unwrap());
+    let (_, r) = s
+        .add_predicate(rid, Predicate::new(f[3], CmpOp::Ge, 0.5))
+        .unwrap();
+    step("add predicate", &r);
+    step("undo", &s.undo().unwrap().unwrap());
+    step("tighten", &s.set_threshold(jw, 0.9).unwrap());
+    step("undo", &s.undo().unwrap().unwrap());
+    step("relax", &s.set_threshold(jw, 0.4).unwrap());
+    step("undo", &s.undo().unwrap().unwrap());
+    step("remove predicate", &s.remove_predicate(jaccard).unwrap());
+    step("undo", &s.undo().unwrap().unwrap());
+    step("remove rule", &s.remove_rule(rid).unwrap());
+    step("undo", &s.undo().unwrap().unwrap());
+
+    s.set_deadline(Some(Duration::ZERO));
+    let (_, r) = s.add_rule(Rule::new().pred(f[3], CmpOp::Ge, 0.3)).unwrap();
+    step("parked add rule", &r);
+    s.set_deadline(None);
+    step("resume", &s.resume().unwrap().unwrap());
+    assert!(s.pending_resume().is_none(), "the resume finished the edit");
+
+    let state = s.state();
+    lines.push(format!(
+        "{seed} end: {} bitmaps={:016x}",
+        memo_part(&state.memo, n, nf),
+        bitmaps(s.function(), state)
+    ));
+    lines
+}
+
+#[test]
+fn delta_work_is_pinned() {
+    let want: Vec<&str> = PINNED_DELTA_WORK.lines().collect();
+    for threads in [1usize, 2, 4] {
+        let got: Vec<String> = PINNED_SEEDS
+            .into_iter()
+            .flat_map(|seed| render_delta_work(seed, threads))
+            .collect();
+        assert_eq!(got.len(), want.len(), "one line per step and seed");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w, "at {threads} thread(s)");
+        }
     }
 }
