@@ -74,6 +74,12 @@ impl MatchingFunction {
 
     /// Appends `rule` at the end of the evaluation order.
     pub fn add_rule(&mut self, rule: Rule) -> Result<RuleId, EditError> {
+        self.insert_rule(rule, self.rules.len())
+    }
+
+    /// Inserts `rule` at evaluation position `position` (clamped to the
+    /// end), minting fresh ids for it and its predicates.
+    pub fn insert_rule(&mut self, rule: Rule, position: usize) -> Result<RuleId, EditError> {
         if rule.is_empty() {
             return Err(EditError::EmptyRule);
         }
@@ -91,8 +97,15 @@ impl MatchingFunction {
                 BoundPredicate { id: pid, pred }
             })
             .collect();
-        self.rules.push(BoundRule { id, preds });
+        let position = position.min(self.rules.len());
+        self.rules.insert(position, BoundRule { id, preds });
         Ok(id)
+    }
+
+    /// The next rule and predicate ids this function will mint; every id
+    /// it holds is below them.
+    pub(crate) fn id_counters(&self) -> (u32, u64) {
+        (self.next_rule, self.next_pred)
     }
 
     /// Removes a rule, returning it.
@@ -385,6 +398,22 @@ mod tests {
         // Bad permutations rejected.
         assert_eq!(f.set_rule_order(&[r1]), Err(EditError::InvalidOrder));
         assert_eq!(f.set_rule_order(&[r1, r1]), Err(EditError::InvalidOrder));
+    }
+
+    #[test]
+    fn insert_rule_at_position() {
+        let (mut f, r1, r2) = two_rule_function();
+        let r3 = f
+            .insert_rule(Rule::new().pred(FeatureId(0), CmpOp::Ge, 0.1), 1)
+            .unwrap();
+        let order: Vec<_> = f.rules().iter().map(|r| r.id).collect();
+        assert_eq!(order, vec![r1, r3, r2]);
+        // Past the end clamps to an append.
+        let r4 = f
+            .insert_rule(Rule::new().pred(FeatureId(0), CmpOp::Ge, 0.2), 99)
+            .unwrap();
+        assert_eq!(f.rules()[3].id, r4);
+        assert_eq!(f.id_counters(), (4, 6));
     }
 
     #[test]

@@ -1,26 +1,41 @@
 //! Incremental matching (§6): apply a single rule-set edit by recomputing
 //! only the minimal delta, using the materialized [`MatchState`].
 //!
-//! The four fundamental changes and their affected pair sets:
+//! The fundamental changes and their affected pair sets:
 //!
 //! | change | algorithm | pairs re-examined |
 //! |---|---|---|
 //! | add / tighten a predicate of rule `r` | Alg. 7 | `M(r)` — pairs `r` fired for |
-//! | remove / relax predicate `p` of rule `r` | Alg. 8 | unmatched pairs in `U(p)` |
+//! | relax predicate `p` of rule `r` | Alg. 8 | `U(p)` |
+//! | remove predicate `p` of rule `r` | Alg. 8 | `U(p)`, less pairs fired before `r` |
 //! | remove rule `r` | Alg. 9 | `M(r)` |
-//! | add rule `r` | Alg. 10 | all unmatched pairs |
+//! | insert rule `r` at a position | Alg. 10 | unmatched pairs and pairs fired after `r` |
 //!
-//! **Deviation from the paper, for correctness:** Algorithms 7 and 9 as
-//! printed re-evaluate only the rules *after* `r`, relying on the invariant
-//! that all rules before a pair's fired rule are false. That invariant can
-//! silently break after a relax edit (a rule *before* the fired one may
-//! have become true for an already-matched pair, which Algorithm 8 skips),
-//! or after a rule reordering. Our cascade therefore re-evaluates **all**
-//! rules in evaluation order. This is nearly free: every feature those
-//! earlier rules touch is already memoized, so the extra work is lookups,
-//! and the affected pair sets are small. Algorithms 8 and 10 keep their
-//! minimal form, which is airtight (see the per-function comments).
-
+//! Every edit keeps the state exact (see [`crate::state`]): `U(p)` bits are
+//! sound, fired pointers and `M(r)` equal a from-scratch run, and every
+//! rule before a pair's fired rule — every rule, for an unmatched pair —
+//! has a *failure witness*, a set `U(p)` bit for one of its predicates.
+//! Algorithm 8 therefore also re-tests the matched pairs of `U(p)`: a bit
+//! the relaxed threshold now passes is cleared, and when the loosened rule
+//! sits before the pair's fired rule and now holds, the pair is re-pointed
+//! to it (its verdict stands). Algorithm 10 inserts at any position, so
+//! undoing a rule removal restores the rule where it was.
+//!
+//! **The witness-pruned cascade.** A pair that leaves `M(r)` (Alg. 7 and 9)
+//! walks the rules in evaluation order, skips every rule that has a
+//! witness, and fires the first of the rest that holds. Witnesses are read
+//! from the pre-edit state, so a pair's cascade depends on nothing another
+//! pair's evaluation writes. Rules before `r` are witnessed by the exactness
+//! invariant, so the paper's printed form ("re-test only the rules after
+//! `r`") is the special case where no later rule has a witness either.
+//!
+//! **Per-edit work bound.** A pair leaving `M(r)` evaluates only the rules
+//! without a witness. Undoing a loosening of `r` — the re-tightening that
+//! sends the pairs it matched back out of `M(r)` — finds every rule but `r`
+//! still witnessed for a pair the loosening took from the unmatched, so it
+//! costs one rule evaluation (`r` itself) per pair that leaves `M(r)`,
+//! however many rules the function has. A pair the loosening re-pointed
+//! from a later rule also re-evaluates that rule, which fires again.
 //!
 //! **Parallel deltas:** every algorithm's affected-pair loop touches only
 //! that pair's memo row, verdict, and bitmap bits, so given the *pre-edit*
@@ -40,7 +55,7 @@ use crate::function::{EditError, MatchingFunction};
 use crate::predicate::{PredId, Predicate};
 use crate::robust::{drive_sharded, PairList, Pass, Shard};
 use crate::rule::{BoundRule, Rule, RuleId};
-use crate::state::MatchState;
+use crate::state::{MatchState, PreEdit};
 use em_types::{CandidateSet, PairIdx};
 use std::time::{Duration, Instant};
 
@@ -159,10 +174,14 @@ pub(crate) fn fire_first(
     fired.is_some()
 }
 
-/// Tests `rule` on pair `i`, logging each failed predicate; when it holds,
-/// the pair fires it and is reported newly matched.
+/// Tests `rule` on pair `i`, logging each failed predicate (the rule's new
+/// witness). When it holds, an unmatched pair fires it and is reported
+/// newly matched; a matched pair is re-pointed to it, its verdict
+/// unchanged. Callers only test a matched pair on a rule that sits before
+/// the pair's fired rule.
 fn fire_if_holds(
     rule: &BoundRule,
+    pre: PreEdit<'_>,
     ctx: &EvalContext,
     check_cache_first: bool,
     w: &mut Shard<'_>,
@@ -171,7 +190,7 @@ fn fire_if_holds(
 ) {
     let events = &mut w.events;
     let on_false = |p| events.push(DeltaEvent::PredFalse { p, i });
-    if eval_rule_memoized(
+    if !eval_rule_memoized(
         rule,
         i,
         pair,
@@ -181,9 +200,68 @@ fn fire_if_holds(
         &mut w.stats,
         on_false,
     ) {
+        return;
+    }
+    if pre.fired(i).is_some() {
+        w.events.push(DeltaEvent::Unfire { i });
+        w.events.push(DeltaEvent::Fire { i, r: rule.id });
+    } else {
         w.events.push(DeltaEvent::Fire { i, r: rule.id });
         w.events.push(DeltaEvent::Matched { i });
     }
+}
+
+/// The witness-pruned cascade for a pair that lost its fired rule: walks
+/// the rules in evaluation order, skips each one a pre-edit `U(p)` bit
+/// proves false, and fires the first of the rest that holds (logging the
+/// failed predicates of those that do not). Reports the pair newly
+/// unmatched when none holds.
+fn cascade(
+    func: &MatchingFunction,
+    pre: PreEdit<'_>,
+    ctx: &EvalContext,
+    check_cache_first: bool,
+    w: &mut Shard<'_>,
+    i: usize,
+    pair: PairIdx,
+) {
+    w.events.push(DeltaEvent::Unfire { i });
+    let events = &mut w.events;
+    let mut on_false = |p| events.push(DeltaEvent::PredFalse { p, i });
+    let fired = func.rules().iter().find(|rule| {
+        !pre.witnessed(rule, i)
+            && eval_rule_memoized(
+                rule,
+                i,
+                pair,
+                ctx,
+                &mut w.memo,
+                check_cache_first,
+                &mut w.stats,
+                &mut on_false,
+            )
+    });
+    w.events.push(match fired {
+        Some(rule) => DeltaEvent::Fire { i, r: rule.id },
+        None => DeltaEvent::Unmatched { i },
+    });
+}
+
+/// Marks, by rule id, the rules evaluated after rule `rid`.
+fn rules_after(func: &MatchingFunction, rid: RuleId) -> Vec<bool> {
+    let mut later = vec![false; func.id_counters().0 as usize];
+    let rules = func.rules();
+    let pos = func.rule_position(rid).unwrap_or(rules.len());
+    for rule in rules.iter().skip(pos + 1) {
+        later[rule.id.0 as usize] = true;
+    }
+    later
+}
+
+/// Whether a pair whose fired rule is `fired` reaches the rule `later` was
+/// built for (see [`rules_after`]): it is unmatched, or fired after it.
+fn reaches(later: &[bool], fired: Option<RuleId>) -> bool {
+    fired.is_none_or(|f| later.get(f.0 as usize) == Some(&true))
 }
 
 /// The kind of delta an edit started — everything needed to re-run the same
@@ -191,12 +269,13 @@ fn fire_if_holds(
 /// after a budget tripped mid-edit.
 #[derive(Debug, Clone)]
 pub enum PendingDelta {
-    /// Algorithm 10: evaluate a newly added rule over unmatched pairs.
+    /// Algorithm 10: evaluate a newly inserted rule over the unmatched
+    /// pairs and the pairs fired after it.
     AddRule {
         /// The added rule.
         rid: RuleId,
     },
-    /// Algorithm 9's per-pair body: unfire, then re-run all rules
+    /// Algorithm 9's per-pair body: unfire, then the witness-pruned cascade
     /// (used by rule removal — the rule is already gone from the function).
     Cascade,
     /// Algorithm 7: re-test a tightened/added predicate over `M(r)`,
@@ -207,8 +286,8 @@ pub enum PendingDelta {
         /// The added/tightened predicate.
         pid: PredId,
     },
-    /// Algorithm 8: re-test a removed/relaxed predicate's rule over the
-    /// unmatched pairs of `U(p)`.
+    /// Algorithm 8: re-test a removed/relaxed predicate (and its rule) over
+    /// `U(p)`.
     Loosen {
         /// The loosened rule.
         rid: RuleId,
@@ -237,25 +316,17 @@ fn run_kind(
 ) -> Result<ChangeReport, EditError> {
     let start = Instant::now();
     let ccf = check_cache_first;
-    let (memo, verdicts) = state.memo_and_verdicts();
+    let (memo, pre) = state.memo_and_pre_edit();
     let mut delta = |step: &(dyn Fn(&mut Shard<'_>, usize, PairIdx) + Sync)| {
         let pairs = PairList::Slice(affected);
         drive_sharded(exec, ctx, cands, pairs, Some(memo), budget, step)
     };
-    // Re-runs every rule for a matched pair that lost its fired rule (the
-    // robust cascade of the module docs).
-    let cascade = |w: &mut Shard<'_>, i: usize, pair: PairIdx| {
-        w.events.push(DeltaEvent::Unfire { i });
-        if !fire_first(func, ctx, ccf, w, i, pair) {
-            w.events.push(DeltaEvent::Unmatched { i });
-        }
-    };
     let pass = match kind {
         PendingDelta::AddRule { rid } => {
             let rule = func.rule(*rid).ok_or(EditError::UnknownRule(*rid))?;
-            delta(&|w, i, pair| fire_if_holds(rule, ctx, ccf, w, i, pair))
+            delta(&|w, i, pair| fire_if_holds(rule, pre, ctx, ccf, w, i, pair))
         }
-        PendingDelta::Cascade => delta(&cascade),
+        PendingDelta::Cascade => delta(&|w, i, pair| cascade(func, pre, ctx, ccf, w, i, pair)),
         PendingDelta::Restrict { pid, .. } => {
             let (_, bp) = func
                 .find_predicate(*pid)
@@ -268,16 +339,15 @@ fn run_kind(
                     return; // still matched by this rule
                 }
                 w.events.push(DeltaEvent::PredFalse { p: pid, i });
-                cascade(w, i, pair);
+                cascade(func, pre, ctx, ccf, w, i, pair);
             })
         }
         PendingDelta::Loosen { rid, pid, re_eval } => {
             let rule = func.rule(*rid).ok_or(EditError::UnknownRule(*rid))?;
+            let later = rules_after(func, *rid);
             delta(&|w, i, pair| {
-                if verdicts[i] {
-                    return; // already matched elsewhere; loosening cannot unmatch
-                }
                 if let Some(pred) = re_eval {
+                    // Memoized: the U(p) bit was set by an evaluation.
                     let v = memo_or_compute(pred.feature, i, pair, ctx, &mut w.memo, &mut w.stats);
                     w.stats.predicate_evals += 1;
                     if !pred.eval(v) {
@@ -285,8 +355,10 @@ fn run_kind(
                     }
                     w.events.push(DeltaEvent::PredClear { p: *pid, i });
                 }
-                // The changed predicate passes (or is gone); test the whole rule.
-                fire_if_holds(rule, ctx, ccf, w, i, pair);
+                if reaches(&later, pre.fired(i)) {
+                    // No rule before the loosened one holds; test it whole.
+                    fire_if_holds(rule, pre, ctx, ccf, w, i, pair);
+                }
             })
         }
     };
@@ -332,39 +404,58 @@ fn rule_affected(state: &MatchState, rid: RuleId) -> Vec<usize> {
         .unwrap_or_default()
 }
 
-/// The unmatched pairs of `U(p)`, ascending — the only pairs a loosen edit
-/// can change (matched pairs stay matched when a rule is loosened).
-fn loosen_affected(state: &MatchState, pid: PredId) -> Vec<usize> {
-    state
-        .pred_bitmap(pid)
-        .map(|bm| bm.iter_ones().filter(|&i| !state.verdict(i)).collect())
-        .unwrap_or_default()
+/// The pairs of `U(p)` a loosen edit of `p` (in rule `rid`) re-examines,
+/// ascending. A relax re-tests every bit, so the ones it passes are
+/// cleared; a removal drops `U(p)` whole, so it re-tests rule `rid` only
+/// where `p` may have been the rule's witness: unmatched pairs and pairs
+/// fired after `rid`.
+fn loosen_affected(
+    func: &MatchingFunction,
+    state: &MatchState,
+    rid: RuleId,
+    pid: PredId,
+    relax: bool,
+) -> Vec<usize> {
+    let Some(bm) = state.pred_bitmap(pid) else {
+        return Vec::new();
+    };
+    if relax {
+        return bm.iter_ones().collect();
+    }
+    let later = rules_after(func, rid);
+    bm.iter_ones()
+        .filter(|&i| reaches(&later, state.fired_rule(i)))
+        .collect()
 }
 
-/// Algorithm 10 — add a rule.
+/// Algorithm 10, generalised — insert a rule at evaluation position
+/// `position` (clamped to the end).
 ///
-/// The new rule is appended at the end of the evaluation order, so only
-/// currently-unmatched pairs can change: every matched pair fires before
-/// reaching it. This is exact — unmatched pairs have all existing rules
-/// false, and those rules are untouched.
+/// Only pairs that reach the new rule can change: the unmatched pairs and
+/// the pairs whose fired rule sits after it. Each tests the rule; one that
+/// holds fires it (an unmatched pair) or is re-pointed to it (a matched
+/// pair, verdict unchanged), and one that fails logs its witness. This is
+/// exact — the other rules are untouched.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
-pub fn add_rule(
+pub fn insert_rule(
     func: &mut MatchingFunction,
     state: &mut MatchState,
     ctx: &EvalContext,
     cands: &CandidateSet,
     rule: Rule,
+    position: usize,
     check_cache_first: bool,
     exec: &Executor,
     budget: &EvalBudget,
 ) -> Result<(RuleId, ChangeReport), EditError> {
-    let rid = func.add_rule(rule)?;
-    let unmatched: Vec<usize> = (0..state.n_pairs())
-        .filter(|&i| !state.verdict(i))
+    let rid = func.insert_rule(rule, position)?;
+    let later = rules_after(func, rid);
+    let affected: Vec<usize> = (0..state.n_pairs())
+        .filter(|&i| reaches(&later, state.fired_rule(i)))
         .collect();
     let report = run_kind(
         &PendingDelta::AddRule { rid },
-        &unmatched,
+        &affected,
         func,
         state,
         ctx,
@@ -376,10 +467,38 @@ pub fn add_rule(
     Ok((rid, report))
 }
 
+/// Algorithm 10 — add a rule at the end of the evaluation order, so only
+/// currently-unmatched pairs can change: every matched pair fires before
+/// reaching it. [`insert_rule`] at the last position.
+#[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
+pub fn add_rule(
+    func: &mut MatchingFunction,
+    state: &mut MatchState,
+    ctx: &EvalContext,
+    cands: &CandidateSet,
+    rule: Rule,
+    check_cache_first: bool,
+    exec: &Executor,
+    budget: &EvalBudget,
+) -> Result<(RuleId, ChangeReport), EditError> {
+    let end = func.n_rules();
+    insert_rule(
+        func,
+        state,
+        ctx,
+        cands,
+        rule,
+        end,
+        check_cache_first,
+        exec,
+        budget,
+    )
+}
+
 /// Algorithm 9 — remove a rule.
 ///
-/// Only the pairs `r` fired for can change; each is re-run through the
-/// remaining rules (robust cascade). Under a tripped budget the
+/// Only the pairs `r` fired for can change; each goes through the
+/// witness-pruned cascade of the remaining rules. Under a tripped budget the
 /// unprocessed pairs keep their stale verdict (and fired pointer) until
 /// the resume completes, so the caller must block further edits until
 /// then.
@@ -457,7 +576,7 @@ pub fn remove_predicate(
         .map(|(r, bp)| (r, bp.pred))
         .ok_or(EditError::UnknownPredicate(pid))?;
     func.remove_predicate(pid)?;
-    let affected = loosen_affected(state, pid);
+    let affected = loosen_affected(func, state, rid, pid, false);
     let report = run_kind(
         &PendingDelta::Loosen {
             rid,
@@ -518,7 +637,7 @@ pub fn set_threshold(
     };
     let affected = match &kind {
         PendingDelta::Restrict { .. } => rule_affected(state, rid),
-        _ => loosen_affected(state, pid),
+        _ => loosen_affected(func, state, rid, pid, true),
     };
     let report = run_kind(
         &kind,
@@ -808,6 +927,69 @@ mod tests {
         .unwrap();
         assert_eq!(report.newly_matched, vec![5]);
         assert_eq!(fix.state.n_matches(), 2);
+        assert_consistent(&fix);
+    }
+
+    #[test]
+    fn undoing_a_loosening_costs_one_rule_eval_per_pair_leaving_m_r() {
+        // r1 = title >= 0.2 AND model >= 1 fires a3b3 only; dropping the
+        // model predicate grows M(r1) by a4b4, and re-adding it (the undo)
+        // sends a4b4 back out. Two later rules fail every pair.
+        let mut fix = fixture();
+        let exec = Executor::serial();
+        let budget = EvalBudget::unlimited();
+        let model = Predicate::at_least(fix.f_model, 1.0);
+        let r1 = fix
+            .func
+            .add_rule(Rule::with([Predicate::at_least(fix.f_title, 0.2), model]))
+            .unwrap();
+        let never = Rule::new().pred(fix.f_title, CmpOp::Ge, 2.0);
+        fix.func.add_rule(never.clone()).unwrap();
+        fix.func
+            .add_rule(never.pred(fix.f_model, CmpOp::Ge, 2.0))
+            .unwrap();
+        run_full(
+            &fix.func,
+            &fix.ctx,
+            &fix.cands,
+            &mut fix.state,
+            false,
+            &exec,
+        );
+        let model_p = fix.func.rule(r1).unwrap().preds[1].id;
+
+        remove_predicate(
+            &mut fix.func,
+            &mut fix.state,
+            &fix.ctx,
+            &fix.cands,
+            model_p,
+            false,
+            &exec,
+            &budget,
+        )
+        .unwrap();
+        let grown: Vec<usize> = fix.state.rule_bitmap(r1).unwrap().iter_ones().collect();
+        assert_eq!(grown, vec![10, 15], "M(r1) grew by a4b4");
+
+        let (_, report) = add_predicate(
+            &mut fix.func,
+            &mut fix.state,
+            &fix.ctx,
+            &fix.cands,
+            r1,
+            model,
+            false,
+            &exec,
+            &budget,
+        )
+        .unwrap();
+        let after = fix.state.rule_bitmap(r1).unwrap();
+        let left = grown.iter().filter(|&&i| !after.get(i)).count();
+        assert_eq!(left, 1);
+        // a4b4 re-tests r1 only: r0 and the two later rules have witnesses.
+        assert_eq!(report.stats.rule_evals, left as u64);
+        assert_eq!(report.newly_unmatched, vec![15]);
         assert_consistent(&fix);
     }
 

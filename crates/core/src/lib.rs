@@ -99,8 +99,8 @@ pub use fault::{AppendFault, DiskFault, DiskFaultPlan, FaultPlan, IoFaultPlan, S
 pub use feature::{FeatureDef, FeatureId, FeatureRegistry};
 pub use function::{EditError, MatchingFunction};
 pub use incremental::{
-    add_predicate, add_rule, remove_predicate, remove_rule, resume_delta, set_threshold,
-    ChangeReport, PendingDelta, WorkerStats,
+    add_predicate, add_rule, insert_rule, remove_predicate, remove_rule, resume_delta,
+    set_threshold, ChangeReport, PendingDelta, WorkerStats,
 };
 pub use memo::{DenseMemo, Memo, SparseMemo};
 pub use ordering::{

@@ -21,6 +21,13 @@
 //! Bitmaps are serialized sorted by id, so a snapshot's bytes are a pure
 //! function of the session's logical state — the property the
 //! byte-for-byte recovery-convergence tests (1/2/4 threads) rely on.
+//!
+//! Decoding never trusts a `U(p)` bit it cannot prove: the incremental
+//! cascade skips every rule a bit witnesses false, so a stale bit (older
+//! versions let relaxed thresholds leave them behind) would hide a rule
+//! that holds. [`decode_snapshot`] clears each bit whose memoized value
+//! passes `p`, or that has no memoized value. For a state this version
+//! wrote, that clears nothing.
 
 use super::frame::{encode_frame, read_frame, ByteReader, ByteWriter, FrameRead};
 use super::PersistError;
@@ -33,7 +40,6 @@ use crate::predicate::PredId;
 use crate::rule::RuleId;
 use crate::session::{DebugSession, EditRecord, UndoOp};
 use crate::state::MatchState;
-use std::collections::HashMap;
 use std::time::Duration;
 
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 4] = b"RMSN";
@@ -190,7 +196,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, PersistEr
         FrameRead::Eof => {}
         _ => return Err(PersistError::Corrupt("snapshot: trailing data".into())),
     }
-    let state = decode_state(state_payload, meta.features.len())?;
+    let state = decode_state(state_payload, meta.features.len(), &meta.function)?;
 
     Ok(DecodedSnapshot {
         epoch,
@@ -246,19 +252,15 @@ pub(crate) fn encode_state(state: &MatchState) -> Vec<u8> {
     }
 
     // M(r) bitmaps, sorted by rule id.
-    let mut rules: Vec<_> = state.rule_fired_map().iter().collect();
-    rules.sort_by_key(|(rid, _)| rid.0);
-    w.u64(rules.len() as u64);
-    for (rid, bm) in rules {
+    w.u64(state.rule_bitmaps().count() as u64);
+    for (rid, bm) in state.rule_bitmaps() {
         w.u32(rid.0);
         write_bitmap(&mut w, bm);
     }
 
     // U(p) bitmaps, sorted by predicate id.
-    let mut preds: Vec<_> = state.pred_false_map().iter().collect();
-    preds.sort_by_key(|(pid, _)| pid.0);
-    w.u64(preds.len() as u64);
-    for (pid, bm) in preds {
+    w.u64(state.pred_bitmaps().count() as u64);
+    for (pid, bm) in state.pred_bitmaps() {
         w.u64(pid.0);
         write_bitmap(&mut w, bm);
     }
@@ -273,20 +275,42 @@ fn write_bitmap(w: &mut ByteWriter, bm: &Bitmap) {
     }
 }
 
-fn read_bitmap(r: &mut ByteReader<'_>, budget: usize) -> Result<Bitmap, PersistError> {
+/// Reads the bitmap of set `name`, which must cover all `n_pairs` pairs.
+fn read_set(
+    r: &mut ByteReader<'_>,
+    budget: usize,
+    n_pairs: usize,
+    name: std::fmt::Arguments<'_>,
+) -> Result<Bitmap, PersistError> {
     let len = r.count(budget.saturating_mul(64))?;
     let n_words = len.div_ceil(64);
     let mut words = Vec::with_capacity(n_words);
     for _ in 0..n_words {
         words.push(r.u64()?);
     }
-    Bitmap::from_words(words, len)
-        .ok_or_else(|| PersistError::Corrupt("state: bitmap word count mismatch".into()))
+    let bm = Bitmap::from_words(words, len)
+        .ok_or_else(|| PersistError::Corrupt("state: bitmap word count mismatch".into()))?;
+    if bm.len() != n_pairs {
+        return Err(PersistError::Corrupt(format!(
+            "state: {name} covers {} of {n_pairs} pairs",
+            bm.len()
+        )));
+    }
+    Ok(bm)
 }
 
 /// Deserializes the STATE frame. `n_features` comes from META so the memo
-/// grid width can be cross-checked against the feature table.
-pub(crate) fn decode_state(payload: &[u8], n_features: usize) -> Result<MatchState, PersistError> {
+/// grid width can be cross-checked against the feature table, and
+/// `function` so every bitmap id can be checked against the ids it minted
+/// (a set past them must be empty — an older version kept the emptied sets
+/// of a restored function's old ids — and is dropped) and every `U(p)` bit
+/// proven by the memo.
+pub(crate) fn decode_state(
+    payload: &[u8],
+    n_features: usize,
+    function: &MatchingFunction,
+) -> Result<MatchState, PersistError> {
+    let (next_rule, next_pred) = function.id_counters();
     let budget = payload.len();
     let mut r = ByteReader::new(payload, "state");
     let n_pairs = r.count(budget)?;
@@ -331,36 +355,105 @@ pub(crate) fn decode_state(payload: &[u8], n_features: usize) -> Result<MatchSta
 
     // M(r).
     let n_rules = r.count(budget)?;
-    let mut rule_fired = HashMap::with_capacity(n_rules);
+    let mut rule_fired = Vec::with_capacity(n_rules);
     for _ in 0..n_rules {
         let rid = RuleId(r.u32()?);
-        let bm = read_bitmap(&mut r, budget)?;
-        if bm.len() != n_pairs {
+        let bm = read_set(&mut r, budget, n_pairs, format_args!("M({rid})"))?;
+        if rid.0 < next_rule {
+            rule_fired.push((rid, bm));
+        } else if bm.count_ones() > 0 {
             return Err(PersistError::Corrupt(format!(
-                "state: M({rid}) covers {} of {n_pairs} pairs",
-                bm.len()
+                "state: M({rid}) was never minted"
             )));
         }
-        rule_fired.insert(rid, bm);
     }
 
     // U(p).
     let n_preds = r.count(budget)?;
-    let mut pred_false = HashMap::with_capacity(n_preds);
+    let mut pred_false = Vec::with_capacity(n_preds);
     for _ in 0..n_preds {
         let pid = PredId(r.u64()?);
-        let bm = read_bitmap(&mut r, budget)?;
-        if bm.len() != n_pairs {
+        let bm = read_set(&mut r, budget, n_pairs, format_args!("U({pid})"))?;
+        if pid.0 < next_pred {
+            pred_false.push((pid, bm));
+        } else if bm.count_ones() > 0 {
             return Err(PersistError::Corrupt(format!(
-                "state: U({pid}) covers {} of {n_pairs} pairs",
-                bm.len()
+                "state: U({pid}) was never minted"
             )));
         }
-        pred_false.insert(pid, bm);
     }
 
     r.done()?;
-    Ok(MatchState::from_parts(
-        n_pairs, memo, verdicts, fired, rule_fired, pred_false,
-    ))
+    let mut state = MatchState::from_parts(n_pairs, memo, verdicts, fired, rule_fired, pred_false);
+    state.clear_unproven_witnesses(function);
+    Ok(state)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::budget::EvalBudget;
+    use crate::context::EvalContext;
+    use crate::executor::Executor;
+    use crate::predicate::CmpOp;
+    use crate::rule::Rule;
+    use crate::state::run_full;
+    use em_similarity::{Measure, TokenScheme};
+    use em_types::{CandidateSet, Record, Schema, Table};
+
+    #[test]
+    fn decode_clears_witnesses_the_memo_does_not_prove() {
+        let schema = Schema::new(["title", "modelno"]);
+        let mut a = Table::new("A", schema.clone());
+        a.push(Record::new("a1", ["apple ipod nano", "MC037"]));
+        a.push(Record::new("a2", ["sony walkman player", "NWZ"]));
+        let mut b = Table::new("B", schema);
+        b.push(Record::new("b1", ["apple ipod nano", "MC037"]));
+        b.push(Record::new("b2", ["sony walkman player", "NWZ9"]));
+        let mut ctx = EvalContext::from_tables(a, b);
+        let title = Measure::Jaccard(TokenScheme::Whitespace);
+        let f_title = ctx.feature(title, "title", "title").unwrap();
+        let f_model = ctx.feature(Measure::Exact, "modelno", "modelno").unwrap();
+        let cands = CandidateSet::cartesian(ctx.table_a(), ctx.table_b());
+        // r0 fires for a1b1 and a2b2; r1 (model) also holds for a1b1.
+        let mut func = MatchingFunction::new();
+        let r0 = func
+            .add_rule(Rule::new().pred(f_title, CmpOp::Ge, 0.99))
+            .unwrap();
+        func.add_rule(Rule::new().pred(f_model, CmpOp::Ge, 1.0))
+            .unwrap();
+        let (title_p, model_p) = (func.rules()[0].preds[0].id, func.rules()[1].preds[0].id);
+        let exec = Executor::serial();
+        let mut state = MatchState::new(cands.len(), ctx.registry().len());
+        run_full(&func, &ctx, &cands, &mut state, false, &exec);
+        let n = ctx.registry().len();
+        let clean = decode_state(&encode_state(&state), n, &func).unwrap();
+        assert_eq!(
+            encode_state(&clean),
+            encode_state(&state),
+            "a sound state decodes as is"
+        );
+
+        // Stale witnesses, as an older version could leave behind: the
+        // title predicate "fails" a1b1 although its memoized value passes,
+        // and the model predicate "fails" it with no value memoized (r0
+        // fired first), although the model numbers are equal.
+        state.record_pred_false(title_p, 0);
+        state.record_pred_false(model_p, 0);
+        let mut state = decode_state(&encode_state(&state), n, &func).unwrap();
+        assert!(!state.pred_bitmap(title_p).unwrap().get(0), "memo passes p");
+        assert!(!state.pred_bitmap(model_p).unwrap().get(0), "no memo cell");
+
+        // Removing r0 cascades a1b1 and a2b2: r1 must be evaluated, not
+        // skipped, for a1b1 to stay matched.
+        let budget = EvalBudget::unlimited();
+        crate::incremental::remove_rule(
+            &mut func, &mut state, &ctx, &cands, r0, false, &exec, &budget,
+        )
+        .unwrap();
+        let mut fresh = MatchState::new(cands.len(), n);
+        run_full(&func, &ctx, &cands, &mut fresh, false, &exec);
+        assert_eq!(state.verdicts(), fresh.verdicts());
+        assert!(state.verdict(0));
+    }
 }

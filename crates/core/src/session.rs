@@ -330,7 +330,8 @@ impl DebugSession {
     /// Adds a rule and incrementally updates the match state (Alg. 10).
     pub fn add_rule(&mut self, rule: Rule) -> Result<(RuleId, ChangeReport), EditError> {
         self.ensure_idle()?;
-        let (rid, report) = self.delta_add_rule(rule)?;
+        let end = self.func.n_rules();
+        let (rid, report) = self.delta_insert_rule(rule, end)?;
         self.undo_stack.push(UndoOp::RemoveRule(rid));
         self.absorb(
             format!("add rule {rid}"),
@@ -491,17 +492,7 @@ impl DebugSession {
                 old_pred_ids,
                 position,
             } => {
-                let (new_id, report) = self.delta_add_rule(Rule::with(preds))?;
-                // Restore the rule's old evaluation position.
-                let mut order: Vec<RuleId> = self
-                    .func
-                    .rules()
-                    .iter()
-                    .map(|r| r.id)
-                    .filter(|&r| r != new_id)
-                    .collect();
-                order.insert(position.min(order.len()), new_id);
-                self.func.set_rule_order(&order)?;
+                let (new_id, report) = self.delta_insert_rule(Rule::with(preds), position)?;
                 // Remap older entries to the fresh ids.
                 self.remap_rule(old_id, new_id);
                 let new_pred_ids: Vec<PredId> = self
@@ -572,14 +563,19 @@ impl DebugSession {
     // runs under a fresh budget; history, the undo stack, and parking are
     // the caller's.
 
-    fn delta_add_rule(&mut self, rule: Rule) -> Result<(RuleId, ChangeReport), EditError> {
+    fn delta_insert_rule(
+        &mut self,
+        rule: Rule,
+        position: usize,
+    ) -> Result<(RuleId, ChangeReport), EditError> {
         let budget = self.begin_budget();
-        incremental::add_rule(
+        incremental::insert_rule(
             &mut self.func,
             &mut self.state,
             &self.ctx,
             &self.cands,
             rule,
+            position,
             self.config.check_cache_first,
             &self.exec,
             &budget,
@@ -1046,6 +1042,10 @@ impl DebugSession {
             func.add_rule(Rule::with(preds))
                 .map_err(SessionError::Edit)?;
         }
+        // The rebuilt function re-mints ids from zero: drop the sets of the
+        // old ids past its counters, which nothing can reach any more.
+        let (next_rule, next_pred) = func.id_counters();
+        self.state.drop_ids_from(next_rule, next_pred);
         self.func = func;
         self.undo_stack.clear();
         let stats = self.run_full();

@@ -11,6 +11,21 @@
 //!
 //! [`MatchState`] additionally tracks, per pair, *which* rule fired — the
 //! inverse of `M(r)` — because the incremental algorithms need it in O(1).
+//!
+//! Both bitmap families are indexed by dense id: rule and predicate ids are
+//! minted monotonically, so slot `id` of a `Vec<Option<Bitmap>>` holds the
+//! set of that id (`None` when it was never created or has been dropped).
+//! A lookup is one index, with no hashing, which is what lets an edit's
+//! cascade probe the `U(p)` witnesses of every rule for every affected pair.
+//!
+//! After every edit the state is *exact*:
+//!
+//! * every `U(p)` bit is sound — `p` is false for that pair;
+//! * the fired pointers and every `M(r)` equal those of a from-scratch
+//!   [`run_full`];
+//! * every rule before a pair's fired rule has a *witness* — a set `U(p)`
+//!   bit for one of its predicates — and for an unmatched pair every rule
+//!   has one.
 
 use crate::bitmap::Bitmap;
 use crate::budget::EvalBudget;
@@ -22,9 +37,8 @@ use crate::incremental::{apply_delta, fire_first};
 use crate::memo::{DenseMemo, Memo};
 use crate::predicate::PredId;
 use crate::robust::{drive_sharded, PairList};
-use crate::rule::RuleId;
+use crate::rule::{BoundRule, RuleId};
 use em_types::CandidateSet;
-use std::collections::HashMap;
 
 /// Memory accounting for the §7.4 experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +68,59 @@ pub struct MatchState {
     pub memo: DenseMemo,
     verdicts: Vec<bool>,
     fired: Vec<Option<RuleId>>,
-    rule_fired: HashMap<RuleId, Bitmap>,
-    pred_false: HashMap<PredId, Bitmap>,
+    /// `M(r)`, slot `r.0`.
+    rule_fired: Vec<Option<Bitmap>>,
+    /// `U(p)`, slot `p.0`.
+    pred_false: Vec<Option<Bitmap>>,
+}
+
+/// Slot `id` of a dense bitmap family.
+#[inline]
+fn slot(family: &[Option<Bitmap>], id: usize) -> Option<&Bitmap> {
+    family.get(id).and_then(Option::as_ref)
+}
+
+/// Slot `id` of a dense bitmap family, created empty over `n_pairs` when
+/// absent.
+fn slot_mut(family: &mut Vec<Option<Bitmap>>, id: usize, n_pairs: usize) -> &mut Bitmap {
+    if family.len() <= id {
+        family.resize_with(id + 1, || None);
+    }
+    family[id].get_or_insert_with(|| Bitmap::new(n_pairs))
+}
+
+/// The slot of a predicate id. Ids are minted one per predicate, so every
+/// id a live function holds fits a `usize`.
+#[inline]
+fn pred_slot(p: PredId) -> usize {
+    p.0 as usize
+}
+
+/// What an incremental delta reads of the pre-edit state while its workers
+/// write the memo: each pair's fired rule, and the `U(p)` witnesses. Pairs
+/// are independent, so reading the state as it was before the edit gives
+/// the same answer at every thread count.
+#[derive(Clone, Copy)]
+pub(crate) struct PreEdit<'a> {
+    fired: &'a [Option<RuleId>],
+    pred_false: &'a [Option<Bitmap>],
+}
+
+impl PreEdit<'_> {
+    /// The rule that fired for pair `i` before the edit.
+    #[inline]
+    pub(crate) fn fired(&self, i: usize) -> Option<RuleId> {
+        self.fired[i]
+    }
+
+    /// Whether a `U(p)` bit of one of `rule`'s predicates proves the rule
+    /// false for pair `i` — a failure witness.
+    #[inline]
+    pub(crate) fn witnessed(&self, rule: &BoundRule, i: usize) -> bool {
+        rule.preds
+            .iter()
+            .any(|bp| slot(self.pred_false, pred_slot(bp.id)).is_some_and(|bm| bm.get(i)))
+    }
 }
 
 impl MatchState {
@@ -67,8 +132,8 @@ impl MatchState {
             memo: DenseMemo::new(n_pairs, n_features),
             verdicts: vec![false; n_pairs],
             fired: vec![None; n_pairs],
-            rule_fired: HashMap::new(),
-            pred_false: HashMap::new(),
+            rule_fired: Vec::new(),
+            pred_false: Vec::new(),
         }
     }
 
@@ -88,9 +153,13 @@ impl MatchState {
         self.verdicts[i]
     }
 
-    /// The memo, writable, beside the pre-edit verdicts a delta reads.
-    pub(crate) fn memo_and_verdicts(&mut self) -> (&mut DenseMemo, &[bool]) {
-        (&mut self.memo, &self.verdicts)
+    /// The memo, writable, beside the pre-edit state a delta reads.
+    pub(crate) fn memo_and_pre_edit(&mut self) -> (&mut DenseMemo, PreEdit<'_>) {
+        let pre = PreEdit {
+            fired: &self.fired,
+            pred_false: &self.pred_false,
+        };
+        (&mut self.memo, pre)
     }
 
     /// The rule that fired for pair `i`, if it matched.
@@ -114,12 +183,12 @@ impl MatchState {
 
     /// `M(r)` — the pairs for which rule `r` fired.
     pub fn rule_bitmap(&self, r: RuleId) -> Option<&Bitmap> {
-        self.rule_fired.get(&r)
+        slot(&self.rule_fired, r.0 as usize)
     }
 
     /// `U(p)` — the pairs for which predicate `p` evaluated false.
     pub fn pred_bitmap(&self, p: PredId) -> Option<&Bitmap> {
-        self.pred_false.get(&p)
+        slot(&self.pred_false, pred_slot(p))
     }
 
     /// Marks pair `i` as matched via rule `r`.
@@ -149,39 +218,74 @@ impl MatchState {
         self.pred_bitmap_mut(p).clear(i);
     }
 
-    pub(crate) fn rule_bitmap_mut(&mut self, r: RuleId) -> &mut Bitmap {
-        self.rule_fired
-            .entry(r)
-            .or_insert_with(|| Bitmap::new(self.n_pairs))
+    fn rule_bitmap_mut(&mut self, r: RuleId) -> &mut Bitmap {
+        slot_mut(&mut self.rule_fired, r.0 as usize, self.n_pairs)
     }
 
-    pub(crate) fn pred_bitmap_mut(&mut self, p: PredId) -> &mut Bitmap {
-        self.pred_false
-            .entry(p)
-            .or_insert_with(|| Bitmap::new(self.n_pairs))
+    fn pred_bitmap_mut(&mut self, p: PredId) -> &mut Bitmap {
+        slot_mut(&mut self.pred_false, pred_slot(p), self.n_pairs)
     }
 
     /// Drops the materialized sets of a removed rule and its predicates.
     pub(crate) fn drop_rule_state(&mut self, r: RuleId, preds: &[PredId]) {
-        self.rule_fired.remove(&r);
-        for p in preds {
-            self.pred_false.remove(p);
+        if let Some(s) = self.rule_fired.get_mut(r.0 as usize) {
+            *s = None;
+        }
+        for &p in preds {
+            self.drop_pred_state(p);
         }
     }
 
     /// Drops the materialized set of a removed predicate.
     pub(crate) fn drop_pred_state(&mut self, p: PredId) {
-        self.pred_false.remove(&p);
+        if let Some(s) = self.pred_false.get_mut(pred_slot(p)) {
+            *s = None;
+        }
     }
 
-    /// The per-rule fired map, for stable serialization.
-    pub(crate) fn rule_fired_map(&self) -> &HashMap<RuleId, Bitmap> {
-        &self.rule_fired
+    /// Drops every set whose id is at or past the given id counters — the
+    /// sets of a function whose ids were re-minted from zero (a restore).
+    pub(crate) fn drop_ids_from(&mut self, next_rule: u32, next_pred: u64) {
+        self.rule_fired.truncate(next_rule as usize);
+        self.pred_false.truncate(pred_slot(PredId(next_pred)));
     }
 
-    /// The per-predicate false map, for stable serialization.
-    pub(crate) fn pred_false_map(&self) -> &HashMap<PredId, Bitmap> {
-        &self.pred_false
+    /// Every `M(r)` in ascending rule id, for stable serialization.
+    pub(crate) fn rule_bitmaps(&self) -> impl Iterator<Item = (RuleId, &Bitmap)> {
+        let ids = (0u32..).map(RuleId);
+        ids.zip(&self.rule_fired)
+            .filter_map(|(r, bm)| Some((r, bm.as_ref()?)))
+    }
+
+    /// Every `U(p)` in ascending predicate id, for stable serialization.
+    pub(crate) fn pred_bitmaps(&self) -> impl Iterator<Item = (PredId, &Bitmap)> {
+        let ids = (0u64..).map(PredId);
+        ids.zip(&self.pred_false)
+            .filter_map(|(p, bm)| Some((p, bm.as_ref()?)))
+    }
+
+    /// Clears every `U(p)` bit of `func`'s predicates that the memo does not
+    /// prove: the pair's memoized value passes `p`, or no value is
+    /// memoized. A cleared bit only costs the next cascade an evaluation,
+    /// while an unsound one would let it skip a rule that holds. Clears
+    /// nothing in a state this version kept.
+    pub(crate) fn clear_unproven_witnesses(&mut self, func: &MatchingFunction) {
+        for (_, bp) in func.predicates() {
+            let Some(Some(bm)) = self.pred_false.get_mut(pred_slot(bp.id)) else {
+                continue;
+            };
+            let unproven: Vec<usize> = bm
+                .iter_ones()
+                .filter(|&i| {
+                    self.memo
+                        .get(i, bp.pred.feature)
+                        .is_none_or(|v| bp.pred.eval(v))
+                })
+                .collect();
+            for i in unproven {
+                bm.clear(i);
+            }
+        }
     }
 
     /// The fired-rule-per-pair vector, for stable serialization.
@@ -197,19 +301,26 @@ impl MatchState {
         memo: DenseMemo,
         verdicts: Vec<bool>,
         fired: Vec<Option<RuleId>>,
-        rule_fired: HashMap<RuleId, Bitmap>,
-        pred_false: HashMap<PredId, Bitmap>,
+        rule_fired: Vec<(RuleId, Bitmap)>,
+        pred_false: Vec<(PredId, Bitmap)>,
     ) -> Self {
         debug_assert_eq!(verdicts.len(), n_pairs);
         debug_assert_eq!(fired.len(), n_pairs);
-        MatchState {
+        let mut state = MatchState {
             n_pairs,
             memo,
             verdicts,
             fired,
-            rule_fired,
-            pred_false,
+            rule_fired: Vec::new(),
+            pred_false: Vec::new(),
+        };
+        for (r, bm) in rule_fired {
+            *state.rule_bitmap_mut(r) = bm;
         }
+        for (p, bm) in pred_false {
+            *state.pred_bitmap_mut(p) = bm;
+        }
+        state
     }
 
     /// Clears verdicts and bitmaps but *keeps the memo* — used when the
@@ -218,10 +329,12 @@ impl MatchState {
     pub fn reset_assignments(&mut self) {
         self.verdicts.fill(false);
         self.fired.fill(None);
-        for bm in self.rule_fired.values_mut() {
-            bm.clear_all();
-        }
-        for bm in self.pred_false.values_mut() {
+        for bm in self
+            .rule_fired
+            .iter_mut()
+            .chain(&mut self.pred_false)
+            .flatten()
+        {
             bm.clear_all();
         }
     }
@@ -230,15 +343,16 @@ impl MatchState {
     pub fn memory_report(&self) -> MemoryReport {
         let bitmap_bytes: usize = self
             .rule_fired
-            .values()
-            .chain(self.pred_false.values())
+            .iter()
+            .chain(&self.pred_false)
+            .flatten()
             .map(Bitmap::heap_bytes)
             .sum();
         MemoryReport {
             memo_bytes: self.memo.heap_bytes(),
             bitmap_bytes,
-            n_rule_bitmaps: self.rule_fired.len(),
-            n_pred_bitmaps: self.pred_false.len(),
+            n_rule_bitmaps: self.rule_fired.iter().flatten().count(),
+            n_pred_bitmaps: self.pred_false.iter().flatten().count(),
         }
     }
 }

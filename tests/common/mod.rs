@@ -3,7 +3,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rulem::core::{CmpOp, EvalContext, FeatureId, MatchingFunction, Rule};
+use rulem::core::{
+    run_full, CmpOp, EvalContext, Executor, FeatureId, MatchState, MatchingFunction, Rule,
+};
 use rulem::similarity::{Measure, TokenScheme};
 use rulem::types::{CandidateSet, Record, Schema, Table};
 
@@ -112,4 +114,75 @@ pub fn reference_verdicts(w: &RandomWorkload) -> Vec<bool> {
         .iter()
         .map(|(_, pair)| w.func.eval_reference(|f| w.ctx.compute(f, pair)))
         .collect()
+}
+
+/// Checks the §6.1 exactness invariants a state holds after every edit:
+///
+/// * `unsound` — every `U(p)` bit is sound (`p` is false for that pair);
+/// * `pointer` — the fired pointers and every `M(r)` equal a from-scratch
+///   `run_full`;
+/// * `witness` — every rule before a pair's fired rule (every rule, for an
+///   unmatched pair) has a failure witness: a set `U(p)` bit for one of its
+///   predicates.
+///
+/// The error names the first violation, prefixed by its invariant.
+#[allow(dead_code)]
+pub fn check_exact(
+    func: &MatchingFunction,
+    ctx: &EvalContext,
+    cands: &CandidateSet,
+    state: &MatchState,
+) -> Result<(), String> {
+    for (_, bp) in func.predicates() {
+        for i in state
+            .pred_bitmap(bp.id)
+            .into_iter()
+            .flat_map(|b| b.iter_ones())
+        {
+            let v = ctx.compute(bp.pred.feature, cands.pair(i));
+            if bp.pred.eval(v) {
+                return Err(format!(
+                    "unsound: U({}) holds pair {i}, whose value {v} passes",
+                    bp.id
+                ));
+            }
+        }
+    }
+    let mut fresh = MatchState::new(cands.len(), ctx.registry().len());
+    run_full(func, ctx, cands, &mut fresh, true, &Executor::serial());
+    for i in 0..cands.len() {
+        let (got, want) = (state.fired_rule(i), fresh.fired_rule(i));
+        if got != want {
+            return Err(format!(
+                "pointer: pair {i} fired {got:?}, run_full fires {want:?}"
+            ));
+        }
+    }
+    for rule in func.rules() {
+        let ones = |s: &MatchState| -> Vec<usize> {
+            s.rule_bitmap(rule.id)
+                .into_iter()
+                .flat_map(|b| b.iter_ones())
+                .collect()
+        };
+        if ones(state) != ones(&fresh) {
+            return Err(format!("pointer: M({}) differs from run_full's", rule.id));
+        }
+    }
+    for i in 0..cands.len() {
+        let fired = state.fired_rule(i);
+        for rule in func.rules().iter().take_while(|r| Some(r.id) != fired) {
+            let witnessed = rule
+                .preds
+                .iter()
+                .any(|bp| state.pred_bitmap(bp.id).is_some_and(|b| b.get(i)));
+            if !witnessed {
+                return Err(format!(
+                    "witness: rule {} has none for pair {i} (fired {fired:?})",
+                    rule.id
+                ));
+            }
+        }
+    }
+    Ok(())
 }

@@ -215,8 +215,8 @@ fn memo_part(memo: &impl Memo, n_pairs: usize, n_features: usize) -> String {
     format!("stored={} cells={:016x}", memo.stored(), fnv(words))
 }
 
-/// A digest of every `M(r)` and `U(p)` of `func`'s rules and predicates.
-fn bitmaps(func: &MatchingFunction, state: &MatchState) -> u64 {
+/// Every `M(r)` of `func`'s rules: each rule id, then its pairs.
+fn mr_words(func: &MatchingFunction, state: &MatchState) -> Vec<u64> {
     let mut bits = Vec::new();
     for rule in func.rules() {
         let ones = state
@@ -225,6 +225,12 @@ fn bitmaps(func: &MatchingFunction, state: &MatchState) -> u64 {
             .flat_map(|b| b.iter_ones());
         bits.extend(std::iter::once(u64::from(rule.id.0)).chain(ones.map(|i| i as u64)));
     }
+    bits
+}
+
+/// Every `U(p)` of `func`'s predicates: each predicate id, then its pairs.
+fn up_words(func: &MatchingFunction, state: &MatchState) -> Vec<u64> {
+    let mut bits = Vec::new();
     for (_, bp) in func.predicates() {
         let ones = state
             .pred_bitmap(bp.id)
@@ -232,7 +238,36 @@ fn bitmaps(func: &MatchingFunction, state: &MatchState) -> u64 {
             .flat_map(|b| b.iter_ones());
         bits.extend(std::iter::once(bp.id.0).chain(ones.map(|i| i as u64)));
     }
-    fnv(bits)
+    bits
+}
+
+/// A digest of every `M(r)` and `U(p)` of `func`'s rules and predicates.
+fn bitmaps(func: &MatchingFunction, state: &MatchState) -> u64 {
+    fnv(mr_words(func, state)
+        .into_iter()
+        .chain(up_words(func, state)))
+}
+
+/// A digest of every `M(r)` of the session, asserted equal to that of a
+/// from-scratch `run_full` of its function.
+fn mr_of(s: &DebugSession) -> u64 {
+    let mr = fnv(mr_words(s.function(), s.state()));
+    let (ctx, cands) = (s.context(), s.candidates());
+    let mut fresh = MatchState::new(cands.len(), ctx.registry().len());
+    run_full(
+        s.function(),
+        ctx,
+        cands,
+        &mut fresh,
+        true,
+        &Executor::serial(),
+    );
+    assert_eq!(
+        mr,
+        fnv(mr_words(s.function(), &fresh)),
+        "M(r) differs from run_full's"
+    );
+    mr
 }
 
 fn work_line(seed: u64, engine: &str, out: &MatchOutcome, memo: &str) -> String {
@@ -310,8 +345,14 @@ fn engine_work_is_pinned() {
 /// One fixed edit script through a [`DebugSession`] on each of
 /// [`PINNED_SEEDS`], one line per step: `n_changed`, `pairs_examined`,
 /// the pairs left for a resume, and the step's `EvalStats`; then the memo
-/// cells stored with a digest of their values and a digest of every
-/// `M(r)` and `U(p)`. Every thread count must render exactly these lines.
+/// cells stored with a digest of their values, a digest of every `M(r)`
+/// (`mr`) and one of every `U(p)` (`up`). Every thread count must render
+/// exactly these lines, and after every completed step `M(r)` must equal
+/// a from-scratch run's.
+///
+/// Work counters change by design when the delta algorithms do; verdicts
+/// never do. A change that moves these lines re-captures them only with
+/// every `changed=` column unchanged and the `M(r)` assertion passing.
 const PINNED_DELTA_WORK: &str = "\
 1 load: changed=3 examined=21 left=0 fc=24 ml=0 pe=24 re=21\n\
 1 load: changed=0 examined=18 left=0 fc=18 ml=0 pe=18 re=18\n\
@@ -325,11 +366,11 @@ const PINNED_DELTA_WORK: &str = "\
 1 undo: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
 1 remove predicate: changed=0 examined=18 left=0 fc=0 ml=18 pe=18 re=18\n\
 1 undo: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
-1 remove rule: changed=3 examined=3 left=0 fc=0 ml=3 pe=3 re=3\n\
+1 remove rule: changed=3 examined=3 left=0 fc=0 ml=0 pe=0 re=0\n\
 1 undo: changed=3 examined=21 left=0 fc=0 ml=24 pe=24 re=21\n\
 1 parked add rule: changed=0 examined=0 left=18 fc=0 ml=0 pe=0 re=0\n\
 1 resume: changed=2 examined=18 left=0 fc=18 ml=0 pe=18 re=18\n\
-1 end: stored=102 cells=baac52b0b23a996b bitmaps=48a46d0855599771\n\
+1 end: stored=102 cells=baac52b0b23a996b mr=36ed72b4a6e455ae up=27443343688a889a\n\
 7 load: changed=0 examined=10 left=0 fc=10 ml=0 pe=10 re=10\n\
 7 load: changed=2 examined=10 left=0 fc=10 ml=0 pe=10 re=10\n\
 7 add rule: changed=0 examined=8 left=0 fc=8 ml=0 pe=8 re=8\n\
@@ -337,16 +378,16 @@ const PINNED_DELTA_WORK: &str = "\
 7 add predicate: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
 7 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
 7 tighten: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
-7 undo: changed=0 examined=8 left=0 fc=0 ml=8 pe=8 re=0\n\
-7 relax: changed=0 examined=8 left=0 fc=8 ml=16 pe=24 re=8\n\
+7 undo: changed=0 examined=10 left=0 fc=0 ml=10 pe=10 re=0\n\
+7 relax: changed=0 examined=10 left=0 fc=10 ml=20 pe=30 re=10\n\
 7 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
-7 remove predicate: changed=0 examined=8 left=0 fc=0 ml=8 pe=8 re=8\n\
+7 remove predicate: changed=0 examined=10 left=0 fc=0 ml=10 pe=10 re=10\n\
 7 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
 7 remove rule: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
-7 undo: changed=0 examined=8 left=0 fc=0 ml=8 pe=8 re=8\n\
+7 undo: changed=0 examined=10 left=0 fc=0 ml=10 pe=10 re=10\n\
 7 parked add rule: changed=0 examined=0 left=8 fc=0 ml=0 pe=0 re=0\n\
 7 resume: changed=4 examined=8 left=0 fc=8 ml=0 pe=8 re=8\n\
-7 end: stored=44 cells=def3ddfd8778efbd bitmaps=3a4acabcaeb0b586\n\
+7 end: stored=46 cells=cc1f3fa5e075df50 mr=95bafc010501190e up=27b701bd4fc84f80\n\
 42 load: changed=3 examined=9 left=0 fc=12 ml=0 pe=12 re=9\n\
 42 load: changed=0 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
 42 add rule: changed=0 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
@@ -359,11 +400,11 @@ const PINNED_DELTA_WORK: &str = "\
 42 undo: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
 42 remove predicate: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=6\n\
 42 undo: changed=0 examined=3 left=0 fc=0 ml=3 pe=3 re=0\n\
-42 remove rule: changed=2 examined=3 left=0 fc=2 ml=1 pe=3 re=3\n\
-42 undo: changed=2 examined=8 left=0 fc=0 ml=10 pe=10 re=8\n\
+42 remove rule: changed=2 examined=3 left=0 fc=2 ml=0 pe=2 re=2\n\
+42 undo: changed=2 examined=9 left=0 fc=0 ml=12 pe=12 re=9\n\
 42 parked add rule: changed=0 examined=0 left=6 fc=0 ml=0 pe=0 re=0\n\
 42 resume: changed=1 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
-42 end: stored=42 cells=469f1218468b52b0 bitmaps=61fc4a0431a2e0ac\n\
+42 end: stored=42 cells=469f1218468b52b0 mr=5eb9f58d16bc9b23 up=a75700382072da4a\n\
 311 load: changed=6 examined=42 left=0 fc=48 ml=0 pe=48 re=42\n\
 311 load: changed=1 examined=36 left=0 fc=36 ml=0 pe=36 re=36\n\
 311 add rule: changed=0 examined=35 left=0 fc=35 ml=0 pe=35 re=35\n\
@@ -371,16 +412,16 @@ const PINNED_DELTA_WORK: &str = "\
 311 add predicate: changed=4 examined=6 left=0 fc=10 ml=12 pe=22 re=8\n\
 311 undo: changed=4 examined=4 left=0 fc=0 ml=8 pe=8 re=4\n\
 311 tighten: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=0\n\
-311 undo: changed=0 examined=35 left=0 fc=0 ml=35 pe=35 re=0\n\
-311 relax: changed=0 examined=35 left=0 fc=19 ml=54 pe=73 re=19\n\
+311 undo: changed=0 examined=36 left=0 fc=0 ml=36 pe=36 re=0\n\
+311 relax: changed=0 examined=36 left=0 fc=20 ml=56 pe=76 re=20\n\
 311 undo: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=0\n\
-311 remove predicate: changed=0 examined=19 left=0 fc=0 ml=19 pe=19 re=19\n\
+311 remove predicate: changed=0 examined=20 left=0 fc=0 ml=20 pe=20 re=20\n\
 311 undo: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=0\n\
-311 remove rule: changed=4 examined=6 left=0 fc=2 ml=4 pe=6 re=6\n\
-311 undo: changed=4 examined=39 left=0 fc=0 ml=43 pe=43 re=39\n\
+311 remove rule: changed=4 examined=6 left=0 fc=2 ml=0 pe=2 re=2\n\
+311 undo: changed=4 examined=42 left=0 fc=0 ml=48 pe=48 re=42\n\
 311 parked add rule: changed=0 examined=0 left=35 fc=0 ml=0 pe=0 re=0\n\
 311 resume: changed=5 examined=35 left=0 fc=35 ml=0 pe=35 re=35\n\
-311 end: stored=185 cells=c7c9471d79b2dfb9 bitmaps=a4fe3862ba18c8b9\n\
+311 end: stored=186 cells=66f2fe19b568d478 mr=c8f34ed6dc998540 up=5707b1de2904099b\n\
 2024 load: changed=4 examined=12 left=0 fc=16 ml=0 pe=16 re=12\n\
 2024 load: changed=2 examined=8 left=0 fc=8 ml=0 pe=8 re=8\n\
 2024 add rule: changed=0 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
@@ -388,16 +429,16 @@ const PINNED_DELTA_WORK: &str = "\
 2024 add predicate: changed=2 examined=4 left=0 fc=6 ml=6 pe=12 re=4\n\
 2024 undo: changed=2 examined=2 left=0 fc=0 ml=4 pe=4 re=2\n\
 2024 tighten: changed=0 examined=4 left=0 fc=0 ml=4 pe=4 re=0\n\
-2024 undo: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=0\n\
-2024 relax: changed=0 examined=6 left=0 fc=6 ml=12 pe=18 re=6\n\
+2024 undo: changed=0 examined=8 left=0 fc=0 ml=8 pe=8 re=0\n\
+2024 relax: changed=0 examined=8 left=0 fc=8 ml=16 pe=24 re=8\n\
 2024 undo: changed=0 examined=4 left=0 fc=0 ml=4 pe=4 re=0\n\
-2024 remove predicate: changed=0 examined=6 left=0 fc=0 ml=6 pe=6 re=6\n\
+2024 remove predicate: changed=0 examined=8 left=0 fc=0 ml=8 pe=8 re=8\n\
 2024 undo: changed=0 examined=4 left=0 fc=0 ml=4 pe=4 re=0\n\
-2024 remove rule: changed=2 examined=4 left=0 fc=2 ml=2 pe=4 re=4\n\
-2024 undo: changed=2 examined=8 left=0 fc=0 ml=10 pe=10 re=8\n\
+2024 remove rule: changed=2 examined=4 left=0 fc=2 ml=0 pe=2 re=2\n\
+2024 undo: changed=2 examined=12 left=0 fc=0 ml=16 pe=16 re=12\n\
 2024 parked add rule: changed=0 examined=0 left=6 fc=0 ml=0 pe=0 re=0\n\
 2024 resume: changed=0 examined=6 left=0 fc=6 ml=0 pe=6 re=6\n\
-2024 end: stored=50 cells=5d141a1126820e68 bitmaps=790ec9440b71c62f";
+2024 end: stored=52 cells=04862489342a3452 mr=1f77ae47ba8cdf8b up=84d89a890b1c0323";
 
 /// Loads a two-rule program on the workload's tables, then runs add rule,
 /// add predicate, tighten, relax, remove predicate and remove rule, each
@@ -412,7 +453,10 @@ fn render_delta_work(seed: u64, threads: usize) -> Vec<String> {
     };
     let mut s = DebugSession::with_context(w.ctx, w.cands, config);
     let mut lines = Vec::new();
-    let mut step = |name: &str, r: &ChangeReport| {
+    let mut step = |name: &str, r: &ChangeReport, s: &DebugSession| {
+        if r.completion.is_complete() {
+            mr_of(s);
+        }
         let st = r.stats;
         lines.push(format!(
             "{seed} {name}: changed={} examined={} left={} fc={} ml={} pe={} re={}",
@@ -429,9 +473,9 @@ fn render_delta_work(seed: u64, threads: usize) -> Vec<String> {
         .pred(f[1], CmpOp::Ge, 0.7)
         .pred(f[2], CmpOp::Ge, 0.3);
     let (rid, r) = s.add_rule(edited).unwrap();
-    step("load", &r);
+    step("load", &r, &s);
     let (_, r) = s.add_rule(Rule::new().pred(f[0], CmpOp::Ge, 1.0)).unwrap();
-    step("load", &r);
+    step("load", &r, &s);
     let preds: Vec<_> = s.function().rule(rid).unwrap().preds.clone();
     let (jw, jaccard) = (preds[0].id, preds[1].id);
 
@@ -439,34 +483,39 @@ fn render_delta_work(seed: u64, threads: usize) -> Vec<String> {
         .pred(f[4], CmpOp::Ge, 0.5)
         .pred(f[3], CmpOp::Ge, 0.5);
     let (_, r) = s.add_rule(added).unwrap();
-    step("add rule", &r);
-    step("undo", &s.undo().unwrap().unwrap());
+    step("add rule", &r, &s);
+    step("undo", &s.undo().unwrap().unwrap(), &s);
     let (_, r) = s
         .add_predicate(rid, Predicate::new(f[3], CmpOp::Ge, 0.5))
         .unwrap();
-    step("add predicate", &r);
-    step("undo", &s.undo().unwrap().unwrap());
-    step("tighten", &s.set_threshold(jw, 0.9).unwrap());
-    step("undo", &s.undo().unwrap().unwrap());
-    step("relax", &s.set_threshold(jw, 0.4).unwrap());
-    step("undo", &s.undo().unwrap().unwrap());
-    step("remove predicate", &s.remove_predicate(jaccard).unwrap());
-    step("undo", &s.undo().unwrap().unwrap());
-    step("remove rule", &s.remove_rule(rid).unwrap());
-    step("undo", &s.undo().unwrap().unwrap());
+    step("add predicate", &r, &s);
+    step("undo", &s.undo().unwrap().unwrap(), &s);
+    step("tighten", &s.set_threshold(jw, 0.9).unwrap(), &s);
+    step("undo", &s.undo().unwrap().unwrap(), &s);
+    step("relax", &s.set_threshold(jw, 0.4).unwrap(), &s);
+    step("undo", &s.undo().unwrap().unwrap(), &s);
+    step(
+        "remove predicate",
+        &s.remove_predicate(jaccard).unwrap(),
+        &s,
+    );
+    step("undo", &s.undo().unwrap().unwrap(), &s);
+    step("remove rule", &s.remove_rule(rid).unwrap(), &s);
+    step("undo", &s.undo().unwrap().unwrap(), &s);
 
     s.set_deadline(Some(Duration::ZERO));
     let (_, r) = s.add_rule(Rule::new().pred(f[3], CmpOp::Ge, 0.3)).unwrap();
-    step("parked add rule", &r);
+    step("parked add rule", &r, &s);
     s.set_deadline(None);
-    step("resume", &s.resume().unwrap().unwrap());
+    step("resume", &s.resume().unwrap().unwrap(), &s);
     assert!(s.pending_resume().is_none(), "the resume finished the edit");
 
     let state = s.state();
     lines.push(format!(
-        "{seed} end: {} bitmaps={:016x}",
+        "{seed} end: {} mr={:016x} up={:016x}",
         memo_part(&state.memo, n, nf),
-        bitmaps(s.function(), state)
+        mr_of(&s),
+        fnv(up_words(s.function(), state))
     ));
     lines
 }

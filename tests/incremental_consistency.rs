@@ -1,16 +1,19 @@
 //! Incremental matching (§6) must be *exactly* equivalent to re-running
 //! matching from scratch, for arbitrary edit sequences — including the
 //! paper-breaking interleavings (relax after tighten, edits after
-//! reordering) the robust cascade exists for.
+//! reordering, undoing a rule removal) — down to the materialized state:
+//! sound `U(p)` bits, `run_full`'s fired pointers and `M(r)`, and a failure
+//! witness for every rule the witness-pruned cascade skips.
 
 mod common;
 
-use common::{random_workload, RandomWorkload};
+use common::{check_exact, random_workload, RandomWorkload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rulem::core::{
-    run_full, CmpOp, EvalBudget, Executor, MatchState, MatchingFunction, OrderingAlgo, Rule,
+    run_full, CmpOp, DebugSession, EvalBudget, Executor, MatchState, MatchingFunction,
+    OrderingAlgo, Rule, SessionConfig,
 };
 
 /// Applies one random edit to `(func, state)` and returns its description.
@@ -182,6 +185,8 @@ proptest! {
                 "diverged after edits {:?}",
                 trace
             );
+            let exact = check_exact(&func, &w.ctx, &w.cands, &state);
+            prop_assert!(exact.is_ok(), "{} after edits {:?}", exact.unwrap_err(), trace);
         }
     }
 
@@ -259,8 +264,7 @@ proptest! {
         // The same random edit sequence applied through a worker pool must
         // leave a state *identical* to applying it serially — verdicts,
         // fired rules, and both bitmap families — and both must agree with
-        // a from-scratch run on verdicts (the paper's §6 guarantee; fired
-        // rules may differ from scratch because Alg 9 skips matched pairs).
+        // a from-scratch run on verdicts, fired rules and M(r).
         let w = random_workload(seed);
         let pool = Executor::with_threads(threads);
         let serial = Executor::serial();
@@ -301,15 +305,123 @@ proptest! {
                 prop_assert_eq!(a, b, "{} threads: U({}) differs after {:?}", threads, bp.id, trace);
             }
 
-            // Both must still match a serial from-scratch run on verdicts.
-            let mut fresh = MatchState::new(w.cands.len(), w.ctx.registry().len());
-            run_full(&func_s, &w.ctx, &w.cands, &mut fresh, true, &serial);
-            prop_assert_eq!(
-                state_s.verdicts(),
-                fresh.verdicts(),
-                "serial incremental diverged from scratch after {:?}",
-                trace
-            );
+            // Both must still match a serial from-scratch run — verdicts,
+            // fired rules and M(r) — with the state exact.
+            let exact = check_exact(&func_s, &w.ctx, &w.cands, &state_s);
+            prop_assert!(exact.is_ok(), "{} after {:?}", exact.unwrap_err(), trace);
         }
     }
+
+    #[test]
+    fn session_edits_and_undos_keep_the_state_exact(seed in 0u64..10_000, n_steps in 1usize..12) {
+        // A DebugSession driven through random edits and undos, a rule
+        // removal undone at once among them: after every step its state is
+        // exact, which undoing a removal reaches only by re-inserting the
+        // rule at its old position.
+        let w = random_workload(seed);
+        let features = w.features.clone();
+        let mut s = DebugSession::with_context(w.ctx, w.cands, SessionConfig::default());
+        for rule in w.func.rules() {
+            s.add_rule(Rule::with(rule.preds.iter().map(|bp| bp.pred))).unwrap();
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5E55);
+        let mut trace = Vec::new();
+        for _ in 0..n_steps {
+            trace.push(random_session_step(&mut s, &features, &mut rng));
+            let exact = check_exact(s.function(), s.context(), s.candidates(), s.state());
+            prop_assert!(exact.is_ok(), "{} after {:?}", exact.unwrap_err(), trace);
+        }
+    }
+}
+
+/// Applies one random session step — an edit, an undo, or a rule removal
+/// undone at once — and returns its description.
+fn random_session_step(
+    s: &mut DebugSession,
+    features: &[rulem::core::FeatureId],
+    rng: &mut StdRng,
+) -> String {
+    let pick_rule = |s: &DebugSession, rng: &mut StdRng| {
+        let rules = s.function().rules();
+        (!rules.is_empty()).then(|| rules[rng.gen_range(0..rules.len())].clone())
+    };
+    let threshold = |rng: &mut StdRng| rng.gen_range(0..=10) as f64 / 10.0;
+    match rng.gen_range(0..7u8) {
+        0 => {
+            let f = features[rng.gen_range(0..features.len())];
+            s.add_rule(Rule::new().pred(f, CmpOp::Ge, threshold(rng)))
+                .unwrap();
+            "add_rule".into()
+        }
+        1 | 2 => match pick_rule(s, rng) {
+            Some(rule) => {
+                s.remove_rule(rule.id).unwrap();
+                s.undo().unwrap().expect("the removal is undoable");
+                "remove_rule+undo".into()
+            }
+            None => "skip".into(),
+        },
+        3 => match pick_rule(s, rng) {
+            Some(rule) => {
+                let f = features[rng.gen_range(0..features.len())];
+                let op = if rng.gen_bool(0.5) {
+                    CmpOp::Ge
+                } else {
+                    CmpOp::Lt
+                };
+                let pred = rulem::core::Predicate::new(f, op, threshold(rng));
+                s.add_predicate(rule.id, pred).unwrap();
+                "add_predicate".into()
+            }
+            None => "skip".into(),
+        },
+        4 => match pick_rule(s, rng).filter(|r| r.preds.len() >= 2) {
+            Some(rule) => {
+                s.remove_predicate(rule.preds[rng.gen_range(0..rule.preds.len())].id)
+                    .unwrap();
+                "remove_predicate".into()
+            }
+            None => "skip".into(),
+        },
+        5 => match pick_rule(s, rng) {
+            Some(rule) => {
+                let pid = rule.preds[rng.gen_range(0..rule.preds.len())].id;
+                s.set_threshold(pid, threshold(rng)).unwrap();
+                "set_threshold".into()
+            }
+            None => "skip".into(),
+        },
+        _ => match s.undo().unwrap() {
+            Some(_) => "undo".into(),
+            None => "skip".into(),
+        },
+    }
+}
+
+/// Applies the first random edit of `edit_sequences_match_scratch_runs`
+/// for `seed`, checks that it is the edit `kind`, and returns the state's
+/// exactness verdict.
+fn first_edit_exactness(seed: u64, kind: &str) -> Result<(), String> {
+    let w = random_workload(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xED17);
+    let mut func = w.func.clone();
+    let mut state = MatchState::new(w.cands.len(), w.ctx.registry().len());
+    let serial = Executor::serial();
+    run_full(&func, &w.ctx, &w.cands, &mut state, true, &serial);
+    let edit = random_edit(&w, &mut func, &mut state, &mut rng, &serial);
+    assert_eq!(edit, kind, "seed {seed} draws a different first edit");
+    check_exact(&func, &w.ctx, &w.cands, &state)
+}
+
+#[test]
+fn relax_clears_the_bits_it_passes_seed_101() {
+    // A relaxed threshold passes a matched pair that U(p) still listed.
+    first_edit_exactness(101, "set_threshold").unwrap();
+}
+
+#[test]
+fn remove_predicate_repoints_pairs_seed_36() {
+    // A removed predicate was the only witness of its rule for a pair
+    // fired by a later rule; the rule now holds and must fire first.
+    first_edit_exactness(36, "remove_predicate").unwrap();
 }
