@@ -53,6 +53,40 @@
 //! Diagnostics are deterministic and severity-ranked: sorted by severity
 //! (errors first), then rule position in evaluation order, then predicate
 //! position, then kind.
+//!
+//! ## Cost
+//!
+//! Every finding is either *local* to one rule (unsatisfiable rule and
+//! the predicate-level kinds, which read that rule alone) or one rule's
+//! *row* of the duplicate/subsumption relation: its first earlier rule
+//! with an equal normal form, else its first strict subsumer. [`analyze`]
+//! builds each normal form once, linear in the predicates, then fills
+//! every row: O(rules²) tests of a 64-bit feature mask, and an interval
+//! test only where the masks allow one. A rule's mask has bit `f % 64`
+//! set for each feature `f` it constrains; a rule `g` constraining a
+//! feature that `s` leaves free can neither equal nor contain `s`, so
+//! `g.mask & !s.mask != 0` rules the pair out. The filter is exact: a
+//! mod-64 collision only costs the interval test. A feature name is
+//! formatted only for a finding that is reported.
+//!
+//! ## What an edit introduced
+//!
+//! An analyst edit changes one rule, so [`introduced`] computes its
+//! advisories from that rule's two versions rather than from two
+//! whole-program passes. In the order before the edit and the order
+//! after it, it takes the edited rule's local findings and row, plus the
+//! rows of every rule for which the edited rule is a *candidate* (an
+//! earlier rule with an equal normal form, or a strict subsumer) in
+//! either order, and returns the after-findings whose [`Diagnostic::key`]
+//! is not among the before-findings. Its contract: equal, element for
+//! element, to `new_diagnostics(&analyze(before), &analyze(after))`
+//! ([`new_diagnostics`] stays as that oracle). It is exact because every
+//! other rule's local findings depend on that rule alone, and the other
+//! rules keep their relative order, so a row's pick can change only if
+//! its candidate set gains or loses the edited rule. Its cost is the
+//! normal forms plus O(rules) per recomputed row. The root
+//! `lint_advisories` proptest pins the contract through every analyst
+//! edit of the command executor.
 
 use crate::context::EvalContext;
 use crate::feature::FeatureId;
@@ -60,6 +94,7 @@ use crate::function::MatchingFunction;
 use crate::predicate::{CmpOp, PredId};
 use crate::rule::{BoundRule, RuleId};
 use em_similarity::{Codomain, JoinGuarantee};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Normalized bounds on one feature: the tightest lower bound (`Ge`/`Gt`)
@@ -207,13 +242,17 @@ impl fmt::Display for Interval {
 /// The raw per-feature intervals of one rule (codomain not applied), in
 /// first-appearance order of features.
 pub fn rule_intervals(rule: &BoundRule) -> Vec<(FeatureId, Interval)> {
-    let mut index: std::collections::HashMap<FeatureId, usize> = std::collections::HashMap::new();
-    let mut out: Vec<(FeatureId, Interval)> = Vec::new();
+    // Room for the clamped copy `RuleNf::of` appends.
+    let mut out: Vec<(FeatureId, Interval)> = Vec::with_capacity(2 * rule.preds.len());
     for bp in &rule.preds {
-        let slot = *index.entry(bp.pred.feature).or_insert_with(|| {
-            out.push((bp.pred.feature, Interval::unconstrained()));
-            out.len() - 1
-        });
+        let f = bp.pred.feature;
+        let slot = match out.iter().position(|&(g, _)| g == f) {
+            Some(slot) => slot,
+            None => {
+                out.push((f, Interval::unconstrained()));
+                out.len() - 1
+            }
+        };
         out[slot].1.add_bound(bp.pred.op, bp.pred.threshold);
     }
     out
@@ -361,7 +400,8 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// Identity of the finding modulo message text — used to tell which
-    /// diagnostics an edit *introduced* (see [`new_diagnostics`]).
+    /// diagnostics an edit *introduced* (see [`introduced`] and
+    /// [`new_diagnostics`]).
     pub fn key(&self) -> (DiagnosticKind, RuleId, Option<PredId>, Option<RuleId>) {
         (self.kind, self.rule, self.pred, self.other_rule)
     }
@@ -382,10 +422,56 @@ impl fmt::Display for Diagnostic {
 }
 
 /// The diagnostics in `after` whose [`Diagnostic::key`] does not appear in
-/// `before` — what an edit introduced.
+/// `before` — what an edit introduced. This is the definition
+/// [`introduced`] computes without the two whole-program passes.
 pub fn new_diagnostics<'a>(before: &[Diagnostic], after: &'a [Diagnostic]) -> Vec<&'a Diagnostic> {
     let seen: std::collections::HashSet<_> = before.iter().map(|d| d.key()).collect();
     after.iter().filter(|d| !seen.contains(&d.key())).collect()
+}
+
+/// What the analyzer reads about features: each one's codomain, the
+/// lower bound blocking guarantees for it, and its display name.
+struct Facts<'a> {
+    codomain_of: &'a dyn Fn(FeatureId) -> Codomain,
+    guaranteed_min: &'a dyn Fn(FeatureId) -> Option<f64>,
+    name_of: &'a dyn Fn(FeatureId) -> String,
+}
+
+/// Runs `f` over the facts of `ctx`: codomains from each feature's
+/// measure, names from the context, and each guarantee resolved to the
+/// features it bounds (same measure, and both attribute names equal to
+/// the guaranteed attribute; the highest bound wins).
+fn with_facts<R>(
+    ctx: &EvalContext,
+    guarantees: &[JoinGuarantee],
+    f: impl FnOnce(&Facts<'_>) -> R,
+) -> R {
+    let reg = ctx.registry();
+    let schema_a = ctx.table_a().schema();
+    let schema_b = ctx.table_b().schema();
+    let mut mins: HashMap<FeatureId, f64> = HashMap::new();
+    for g in guarantees {
+        for (fid, def) in reg.iter() {
+            if def.measure == g.measure
+                && schema_a.attr_name(def.attr_a) == Some(g.attr.as_str())
+                && schema_b.attr_name(def.attr_b) == Some(g.attr.as_str())
+            {
+                let min = mins.entry(fid).or_insert(f64::NEG_INFINITY);
+                if g.min_similarity > *min {
+                    *min = g.min_similarity;
+                }
+            }
+        }
+    }
+    f(&Facts {
+        codomain_of: &|fid| {
+            reg.try_def(fid)
+                .map(|d| d.measure.codomain())
+                .unwrap_or(Codomain::UNIT)
+        },
+        guaranteed_min: &|fid| mins.get(&fid).copied(),
+        name_of: &|fid| ctx.feature_name(fid),
+    })
 }
 
 /// Analyzes `func` against an evaluation context and the blocking step's
@@ -401,35 +487,7 @@ pub fn analyze(
     ctx: &EvalContext,
     guarantees: &[JoinGuarantee],
 ) -> Vec<Diagnostic> {
-    let reg = ctx.registry();
-    let schema_a = ctx.table_a().schema();
-    let schema_b = ctx.table_b().schema();
-    // Resolve each guarantee to the features it bounds: same measure, and
-    // both attribute names equal to the guaranteed attribute.
-    let mut mins: std::collections::HashMap<FeatureId, f64> = std::collections::HashMap::new();
-    for g in guarantees {
-        for (fid, def) in reg.iter() {
-            if def.measure == g.measure
-                && schema_a.attr_name(def.attr_a) == Some(g.attr.as_str())
-                && schema_b.attr_name(def.attr_b) == Some(g.attr.as_str())
-            {
-                let min = mins.entry(fid).or_insert(f64::NEG_INFINITY);
-                if g.min_similarity > *min {
-                    *min = g.min_similarity;
-                }
-            }
-        }
-    }
-    analyze_with(
-        func,
-        |fid| {
-            reg.try_def(fid)
-                .map(|d| d.measure.codomain())
-                .unwrap_or(Codomain::UNIT)
-        },
-        |fid| mins.get(&fid).copied(),
-        |fid| ctx.feature_name(fid),
-    )
+    with_facts(ctx, guarantees, |facts| analyze_in(func, facts))
 }
 
 /// The context-free core of [`analyze`]: codomains, blocking bounds, and
@@ -441,166 +499,306 @@ pub fn analyze_with(
     guaranteed_min: impl Fn(FeatureId) -> Option<f64>,
     name_of: impl Fn(FeatureId) -> String,
 ) -> Vec<Diagnostic> {
-    let mut out: Vec<Diagnostic> = Vec::new();
+    let facts = Facts {
+        codomain_of: &codomain_of,
+        guaranteed_min: &guaranteed_min,
+        name_of: &name_of,
+    };
+    analyze_in(func, &facts)
+}
 
-    // Per rule: raw intervals, clamped normal form, unsatisfiability.
-    struct RuleNf {
-        rule: RuleId,
-        pos: usize,
-        /// (feature, clamped interval) sorted by feature id.
-        normal: Vec<(FeatureId, Interval)>,
-        unsat: bool,
+/// Every rule's local findings, then every rule's row, sorted.
+fn analyze_in(func: &MatchingFunction, facts: &Facts<'_>) -> Vec<Diagnostic> {
+    let nfs: Vec<RuleNf<'_>> = func
+        .rules()
+        .iter()
+        .map(|rule| RuleNf::of(rule, facts))
+        .collect();
+    let order: Vec<&RuleNf<'_>> = nfs.iter().collect();
+    let mut out = Vec::new();
+    for (pos, nf) in nfs.iter().enumerate() {
+        local_findings(nf, pos, facts, &mut out);
     }
-    let mut nfs: Vec<RuleNf> = Vec::new();
+    out.extend((0..order.len()).filter_map(|i| row_finding(i, &order)));
+    sort_findings(&mut out);
+    out
+}
 
-    for (pos, rule) in func.rules().iter().enumerate() {
-        let raw = rule_intervals(rule);
-        let mut normal: Vec<(FeatureId, Interval)> = raw
-            .iter()
-            .map(|&(f, iv)| (f, iv.clamp_to(&codomain_of(f))))
-            .collect();
-        normal.sort_by_key(|&(f, _)| f);
+/// The findings an edit of rule `edited` introduced: equal, element for
+/// element, to `new_diagnostics(&analyze(before), &analyze(after))` when
+/// `after` differs from the function before the edit in rule `edited`
+/// only (see the module docs for why).
+///
+/// `before_rule` is the rule's version before the edit and its position
+/// then, or `None` when the edit added it; `after` lacks `edited` when the
+/// edit removed it.
+pub fn introduced(
+    before_rule: Option<(&BoundRule, usize)>,
+    after: &MatchingFunction,
+    edited: RuleId,
+    ctx: &EvalContext,
+    guarantees: &[JoinGuarantee],
+) -> Vec<Diagnostic> {
+    with_facts(ctx, guarantees, |facts| {
+        introduced_in(before_rule, after, edited, facts)
+    })
+}
+
+fn introduced_in(
+    before_rule: Option<(&BoundRule, usize)>,
+    after: &MatchingFunction,
+    edited: RuleId,
+    facts: &Facts<'_>,
+) -> Vec<Diagnostic> {
+    let nfs: Vec<RuleNf<'_>> = after
+        .rules()
+        .iter()
+        .map(|rule| RuleNf::of(rule, facts))
+        .collect();
+    let old = before_rule.map(|(rule, pos)| (RuleNf::of(rule, facts), pos));
+    // The edited rule's position in each order. The "before" order is the
+    // "after" order with the edited rule replaced, put back or taken out;
+    // every other rule keeps its relative order.
+    let at_after = after.rule_position(edited);
+    let at_before = old.as_ref().map(|&(_, pos)| pos);
+    let after_order: Vec<&RuleNf<'_>> = nfs.iter().collect();
+    let mut before_order = after_order.clone();
+    if let Some(at) = at_after {
+        before_order.remove(at);
+    }
+    if let Some((nf, pos)) = &old {
+        before_order.insert(*pos, nf);
+    }
+
+    let mut affected: Vec<RuleId> = Vec::new();
+    for (order, at) in [(&before_order, at_before), (&after_order, at_after)] {
+        let Some(at) = at else { continue };
+        for (pos, s) in order.iter().enumerate() {
+            if pos != at && order[at].is_candidate_for(at, s, pos) && !affected.contains(&s.rule.id)
+            {
+                affected.push(s.rule.id);
+            }
+        }
+    }
+    // The findings that can differ between the two orders: the edited
+    // rule's own, and the rows of the affected rules.
+    let touched = |order: &[&RuleNf<'_>], at: Option<usize>| {
+        let mut out = Vec::new();
+        if let Some(at) = at {
+            local_findings(order[at], at, facts, &mut out);
+        }
+        for (pos, s) in order.iter().enumerate() {
+            if Some(pos) == at || affected.contains(&s.rule.id) {
+                out.extend(row_finding(pos, order));
+            }
+        }
+        out
+    };
+    let before_keys: Vec<_> = touched(&before_order, at_before)
+        .iter()
+        .map(Diagnostic::key)
+        .collect();
+    let mut out = touched(&after_order, at_after);
+    out.retain(|d| !before_keys.contains(&d.key()));
+    sort_findings(&mut out);
+    out
+}
+
+/// One rule's normal form: what the relation and the local findings read.
+struct RuleNf<'r> {
+    rule: &'r BoundRule,
+    /// The raw intervals (codomain not applied) in first-appearance order,
+    /// then the normal form: the same features' clamped intervals, sorted
+    /// by feature id. One buffer, so a normal form costs one allocation.
+    intervals: Vec<(FeatureId, Interval)>,
+    /// Some clamped interval is empty: the rule can never fire.
+    unsat: bool,
+    /// Bit `f % 64` set for every feature `f` whose clamped interval is
+    /// not [`Interval::unconstrained`].
+    mask: u64,
+}
+
+/// How one rule's normal form relates to another's.
+enum Cover {
+    /// Equal normal forms.
+    Equal,
+    /// Strictly containing: the rule fires whenever the other does.
+    Strict,
+    /// Neither, or one of the two rules is unsatisfiable.
+    No,
+}
+
+impl<'r> RuleNf<'r> {
+    fn of(rule: &'r BoundRule, facts: &Facts<'_>) -> Self {
+        let mut intervals = rule_intervals(rule);
+        let n = intervals.len();
+        for k in 0..n {
+            let (f, iv) = intervals[k];
+            intervals.push((f, iv.clamp_to(&(facts.codomain_of)(f))));
+        }
+        intervals[n..].sort_by_key(|&(f, _)| f);
+        let normal = &intervals[n..];
         let unsat = normal.iter().any(|(_, iv)| iv.is_empty());
-
-        if unsat {
-            let bad: Vec<String> = normal
-                .iter()
-                .filter(|(_, iv)| iv.is_empty())
-                .map(|(f, _)| name_of(*f))
-                .collect();
-            out.push(Diagnostic {
-                kind: DiagnosticKind::UnsatisfiableRule,
-                severity: Severity::Error,
-                rule: rule.id,
-                rule_pos: pos,
-                pred: None,
-                pred_pos: None,
-                feature: raw
-                    .iter()
-                    .find(|(f, iv)| iv.clamp_to(&codomain_of(*f)).is_empty())
-                    .map(|(f, _)| *f),
-                other_rule: None,
-                message: format!(
-                    "rule {} can never fire: contradictory bounds on {}",
-                    rule.id,
-                    bad.join(", ")
-                ),
-                // The rule never fires, so dropping it flips no verdict.
-                fix: Some(FixIt::DropRule(rule.id)),
-                safe: true,
-            });
-        }
-
-        analyze_predicates(
+        let mask = normal
+            .iter()
+            .filter(|(_, iv)| *iv != Interval::unconstrained())
+            .fold(0u64, |mask, (f, _)| mask | 1 << (f.0 % 64));
+        RuleNf {
             rule,
-            pos,
-            &raw,
-            &codomain_of,
-            &guaranteed_min,
-            &name_of,
-            &mut out,
-        );
-
-        nfs.push(RuleNf {
-            rule: rule.id,
-            pos,
-            normal,
+            intervals,
             unsat,
-        });
+            mask,
+        }
     }
 
-    // Duplicate and subsumed rules, over the clamped normal forms.
-    // Unsatisfiable rules are excluded: they already carry an error, and
-    // an empty rule is trivially subsumed by everything.
-    for i in 0..nfs.len() {
-        if nfs[i].unsat {
-            continue;
+    /// Raw intervals (codomain not applied), first-appearance order.
+    fn raw(&self) -> &[(FeatureId, Interval)] {
+        &self.intervals[..self.intervals.len() / 2]
+    }
+
+    /// (feature, clamped interval) sorted by feature id.
+    fn normal(&self) -> &[(FeatureId, Interval)] {
+        &self.intervals[self.intervals.len() / 2..]
+    }
+
+    /// How this rule's normal form relates to `s`'s. Unsatisfiable rules
+    /// are related to nothing: they already carry an error, and an empty
+    /// rule is trivially contained in everything.
+    fn covers(&self, s: &RuleNf<'_>) -> Cover {
+        // A constrained interval is never implied by an unconstrained one.
+        if self.unsat || s.unsat || self.mask & !s.mask != 0 {
+            return Cover::No;
         }
-        let mut duplicate_of: Option<&RuleNf> = None;
-        let mut subsumed_by: Option<&RuleNf> = None;
-        for j in 0..nfs.len() {
-            if i == j || nfs[j].unsat {
-                continue;
-            }
-            let (s, g) = (&nfs[i], &nfs[j]);
-            if j < i && s.normal == g.normal {
-                duplicate_of = Some(g);
-                break; // duplicate beats subsumption; earliest twin wins
-            }
-            // `g` subsumes `s` when every constraint of `g` is implied by
-            // `s`'s interval on that feature (features `g` leaves
-            // unconstrained are trivially implied).
-            let g_implied = g.normal.iter().all(|(gf, giv)| {
-                let siv = s
-                    .normal
-                    .iter()
-                    .find(|(sf, _)| sf == gf)
-                    .map(|&(_, iv)| iv)
-                    .unwrap_or_else(Interval::unconstrained);
-                siv.implies(giv)
-            });
-            if g_implied && s.normal != g.normal && subsumed_by.is_none() {
-                subsumed_by = Some(g);
-            }
+        if self.normal() == s.normal() {
+            return Cover::Equal;
         }
-        let (kind, other) = match (duplicate_of, subsumed_by) {
-            (Some(g), _) => (DiagnosticKind::DuplicateRule, g),
-            (None, Some(g)) => (DiagnosticKind::SubsumedRule, g),
-            (None, None) => continue,
-        };
-        let s = &nfs[i];
+        // Features `self` leaves unconstrained are trivially implied.
+        let implied = self.normal().iter().all(|(gf, giv)| {
+            let siv = s.normal().iter().find(|(sf, _)| sf == gf);
+            siv.map_or_else(Interval::unconstrained, |&(_, iv)| iv)
+                .implies(giv)
+        });
+        if implied {
+            Cover::Strict
+        } else {
+            Cover::No
+        }
+    }
+
+    /// Whether this rule, at position `at`, can be picked in the row of
+    /// `s` at `pos`: it is an earlier rule with an equal normal form, or a
+    /// strict subsumer.
+    fn is_candidate_for(&self, at: usize, s: &RuleNf<'_>, pos: usize) -> bool {
+        match self.covers(s) {
+            Cover::Equal => at < pos,
+            Cover::Strict => true,
+            Cover::No => false,
+        }
+    }
+}
+
+/// The rule-local findings: an unsatisfiable rule, then the
+/// predicate-level kinds. They read the rule alone.
+fn local_findings(nf: &RuleNf<'_>, pos: usize, facts: &Facts<'_>, out: &mut Vec<Diagnostic>) {
+    let rule = nf.rule;
+    if nf.unsat {
+        let bad: Vec<String> = nf
+            .normal()
+            .iter()
+            .filter(|(_, iv)| iv.is_empty())
+            .map(|(f, _)| (facts.name_of)(*f))
+            .collect();
         out.push(Diagnostic {
-            kind,
-            severity: Severity::Warning,
-            rule: s.rule,
-            rule_pos: s.pos,
+            kind: DiagnosticKind::UnsatisfiableRule,
+            severity: Severity::Error,
+            rule: rule.id,
+            rule_pos: pos,
             pred: None,
             pred_pos: None,
-            feature: None,
-            other_rule: Some(other.rule),
-            message: match kind {
-                DiagnosticKind::DuplicateRule => format!(
-                    "rule {} is identical to rule {} (same normal form)",
-                    s.rule, other.rule
-                ),
-                _ if other.pos < s.pos => format!(
-                    "rule {} is subsumed by earlier rule {}: whenever {} fires, {} already fired",
-                    s.rule, other.rule, s.rule, other.rule
-                ),
-                _ => format!(
-                    "rule {} is subsumed by later rule {} (dropping it re-attributes its \
-                     matches to {}, verdicts unchanged)",
-                    s.rule, other.rule, other.rule
-                ),
-            },
-            fix: Some(FixIt::DropRule(s.rule)),
-            // Dropping is attribution-safe only when the subsumer comes
-            // EARLIER in evaluation order: then the subsumed rule never
-            // fires under early exit and removing it is a strict no-op.
-            // A later subsumer still makes the drop verdict-safe, but
-            // pairs it claimed re-attribute to the subsumer (`M(r)`
-            // bitmaps shift), so it is not marked safe.
-            safe: other.pos < s.pos,
+            feature: nf
+                .raw()
+                .iter()
+                .find(|(f, iv)| iv.clamp_to(&(facts.codomain_of)(*f)).is_empty())
+                .map(|(f, _)| *f),
+            other_rule: None,
+            message: format!(
+                "rule {} can never fire: contradictory bounds on {}",
+                rule.id,
+                bad.join(", ")
+            ),
+            // The rule never fires, so dropping it flips no verdict.
+            fix: Some(FixIt::DropRule(rule.id)),
+            safe: true,
         });
     }
+    analyze_predicates(rule, pos, nf.raw(), facts, out);
+}
 
-    // Deterministic, severity-ranked order. Rule-level findings sort
-    // before predicate-level findings of the same rule.
-    out.sort_by(|a, b| {
+/// Row `i` of the duplicate/subsumption relation over `order` (the rules
+/// in evaluation order): rule `i`'s first earlier duplicate, else its
+/// first strict subsumer.
+fn row_finding(i: usize, order: &[&RuleNf<'_>]) -> Option<Diagnostic> {
+    let s = order[i];
+    let mut picked = None;
+    for (j, g) in order.iter().enumerate() {
+        if j > i && picked.is_some() {
+            break; // no duplicate lies later, and the first subsumer is set
+        }
+        match g.covers(s) {
+            // Duplicate beats subsumption; the earliest twin wins.
+            Cover::Equal if j < i => {
+                picked = Some((DiagnosticKind::DuplicateRule, j));
+                break;
+            }
+            Cover::Strict if picked.is_none() => picked = Some((DiagnosticKind::SubsumedRule, j)),
+            _ => {}
+        }
+    }
+    let (kind, j) = picked?;
+    let (s, other) = (s.rule.id, order[j].rule.id);
+    Some(Diagnostic {
+        kind,
+        severity: Severity::Warning,
+        rule: s,
+        rule_pos: i,
+        pred: None,
+        pred_pos: None,
+        feature: None,
+        other_rule: Some(other),
+        message: match kind {
+            DiagnosticKind::DuplicateRule => {
+                format!("rule {s} is identical to rule {other} (same normal form)")
+            }
+            _ if j < i => format!(
+                "rule {s} is subsumed by earlier rule {other}: whenever {s} fires, {other} already fired"
+            ),
+            _ => format!(
+                "rule {s} is subsumed by later rule {other} (dropping it re-attributes its \
+                 matches to {other}, verdicts unchanged)"
+            ),
+        },
+        fix: Some(FixIt::DropRule(s)),
+        // Dropping is attribution-safe only when the subsumer comes
+        // EARLIER in evaluation order: then the subsumed rule never
+        // fires under early exit and removing it is a strict no-op.
+        // A later subsumer still makes the drop verdict-safe, but
+        // pairs it claimed re-attribute to the subsumer (`M(r)`
+        // bitmaps shift), so it is not marked safe.
+        safe: j < i,
+    })
+}
+
+/// Deterministic, severity-ranked order. Rule-level findings sort before
+/// predicate-level findings of the same rule.
+fn sort_findings(out: &mut [Diagnostic]) {
+    out.sort_by_key(|d| {
         (
-            a.severity,
-            a.rule_pos,
-            a.pred_pos.map_or(-1, |p| p as i64),
-            a.kind,
+            d.severity,
+            d.rule_pos,
+            d.pred_pos.map_or(-1, |p| p as i64),
+            d.kind,
         )
-            .cmp(&(
-                b.severity,
-                b.rule_pos,
-                b.pred_pos.map_or(-1, |p| p as i64),
-                b.kind,
-            ))
     });
-    out
 }
 
 /// Predicate-level diagnostics for one rule: out-of-range thresholds,
@@ -609,9 +807,7 @@ fn analyze_predicates(
     rule: &BoundRule,
     pos: usize,
     raw: &[(FeatureId, Interval)],
-    codomain_of: &impl Fn(FeatureId) -> Codomain,
-    guaranteed_min: &impl Fn(FeatureId) -> Option<f64>,
-    name_of: &impl Fn(FeatureId) -> String,
+    facts: &Facts<'_>,
     out: &mut Vec<Diagnostic>,
 ) {
     let single_pred = rule.preds.len() == 1;
@@ -621,8 +817,9 @@ fn analyze_predicates(
     for (ppos, bp) in rule.preds.iter().enumerate() {
         let f = bp.pred.feature;
         let (op, t) = (bp.pred.op, bp.pred.threshold);
-        let cod = codomain_of(f);
-        let name = name_of(f);
+        let cod = (facts.codomain_of)(f);
+        // Formatted only for a finding that is reported.
+        let name_of = || (facts.name_of)(f);
         let mk = |kind, severity, message, fix, safe| Diagnostic {
             kind,
             severity,
@@ -647,6 +844,7 @@ fn analyze_predicates(
             // clamps to `f >= lo` (still always true); the strict forms
             // would start excluding the endpoint.
             let clamp_safe = !dead && matches!(op, CmpOp::Ge | CmpOp::Le);
+            let name = name_of();
             out.push(mk(
                 DiagnosticKind::OutOfRangeThreshold,
                 if dead { Severity::Error } else { Severity::Warning },
@@ -667,6 +865,7 @@ fn analyze_predicates(
         // closed lower bound (or ceiling for a closed upper bound).
         if (op == CmpOp::Ge && t == cod.lo) || (op == CmpOp::Le && t == cod.hi) {
             let fix = (!single_pred).then_some(FixIt::DropPredicate(bp.id));
+            let name = name_of();
             out.push(mk(
                 DiagnosticKind::TautologicalPredicate,
                 Severity::Warning,
@@ -718,6 +917,7 @@ fn analyze_predicates(
                     && Interval::of_bound(q.pred.op, q.pred.threshold)
                         .implies(&Interval::of_bound(op, t))
             });
+            let name = name_of();
             out.push(mk(
                 DiagnosticKind::RedundantPredicate,
                 Severity::Warning,
@@ -743,11 +943,12 @@ fn analyze_predicates(
 
         // 4. Blocking-vacuous: every candidate pair already satisfies the
         // predicate because the join guarantees `feature >= min`.
-        if let Some(min) = guaranteed_min(f) {
+        if let Some(min) = (facts.guaranteed_min)(f) {
             let candidate_range = Interval::closed(min, cod.hi).clamp_to(&cod);
             let pred_iv = Interval::of_bound(op, t);
             if !candidate_range.is_empty() && candidate_range.implies(&pred_iv) {
                 let fix = (!single_pred).then_some(FixIt::DropPredicate(bp.id));
+                let name = name_of();
                 out.push(mk(
                     DiagnosticKind::BlockingVacuousPredicate,
                     Severity::Info,
@@ -767,6 +968,8 @@ fn analyze_predicates(
 mod tests {
     use super::*;
     use crate::rule::Rule;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn f(i: u32) -> FeatureId {
         FeatureId(i)
@@ -1178,6 +1381,207 @@ mod tests {
         assert_eq!(fresh[0].kind, DiagnosticKind::DuplicateRule);
         // Unchanged set diffs to nothing.
         assert!(new_diagnostics(&after, &after).is_empty());
+    }
+
+    #[test]
+    fn mask_collisions_relate_nothing() {
+        // f1 and f65 share mask bit 1, so the prefilter lets each pair
+        // through; the interval test must still tell the features apart.
+        let mut func = MatchingFunction::new();
+        func.add_rule(Rule::new().pred(f(1), CmpOp::Ge, 0.5))
+            .unwrap();
+        func.add_rule(Rule::new().pred(f(65), CmpOp::Ge, 0.5))
+            .unwrap();
+        func.add_rule(
+            Rule::new()
+                .pred(f(65), CmpOp::Ge, 0.2)
+                .pred(f(1), CmpOp::Le, 0.3),
+        )
+        .unwrap();
+        let nfs: Vec<_> = func
+            .rules()
+            .iter()
+            .map(|r| RuleNf::of(r, &unit_facts()))
+            .collect();
+        assert!(nfs.iter().all(|nf| nf.mask == 1 << 1));
+        for g in &nfs {
+            for s in &nfs {
+                if !std::ptr::eq(g, s) {
+                    let related = !matches!(g.covers(s), Cover::No);
+                    assert!(!related, "{} vs {}", g.rule.id, s.rule.id);
+                }
+            }
+        }
+        assert!(lint(&func).is_empty(), "{:?}", lint(&func));
+    }
+
+    fn unit_facts() -> Facts<'static> {
+        Facts {
+            codomain_of: &|_| Codomain::UNIT,
+            guaranteed_min: &|_| None,
+            name_of: &|f| f.to_string(),
+        }
+    }
+
+    /// Binary codomains on every third feature, a blocking bound on f1.
+    fn mixed_facts() -> Facts<'static> {
+        Facts {
+            codomain_of: &|f| {
+                if f.0 % 3 == 0 {
+                    Codomain::BINARY
+                } else {
+                    Codomain::UNIT
+                }
+            },
+            guaranteed_min: &|f| (f.0 == 1).then_some(0.3),
+            name_of: &|f| f.to_string(),
+        }
+    }
+
+    /// A random rule over `features`, thresholds from a grid that reaches
+    /// outside the unit interval and repeats across rules.
+    fn random_rule(rng: &mut StdRng, features: &[u32]) -> Rule {
+        let mut rule = Rule::new();
+        for _ in 0..rng.gen_range(1..=3) {
+            let op = [CmpOp::Ge, CmpOp::Ge, CmpOp::Gt, CmpOp::Le, CmpOp::Lt][rng.gen_range(0..5)];
+            let t = [-0.5, 0.0, 0.3, 0.5, 0.8, 1.0, 1.5][rng.gen_range(0..7)];
+            rule = rule.pred(f(features[rng.gen_range(0..features.len())]), op, t);
+        }
+        rule
+    }
+
+    fn random_function(rng: &mut StdRng, features: &[u32], max_rules: usize) -> MatchingFunction {
+        let mut func = MatchingFunction::new();
+        for _ in 0..rng.gen_range(1..=max_rules) {
+            func.add_rule(random_rule(rng, features)).unwrap();
+        }
+        func
+    }
+
+    /// The relation by brute force, with no mask: per rule, the first
+    /// earlier rule with an equal normal form, else the first strict
+    /// subsumer; unsatisfiable rules take no part.
+    fn brute_force_rows(
+        func: &MatchingFunction,
+        codomain_of: impl Fn(FeatureId) -> Codomain,
+    ) -> Vec<Option<(DiagnosticKind, RuleId)>> {
+        let nfs: Vec<Vec<(FeatureId, Interval)>> = func
+            .rules()
+            .iter()
+            .map(|rule| {
+                let mut nf: Vec<_> = rule_intervals(rule)
+                    .into_iter()
+                    .map(|(f, iv)| (f, iv.clamp_to(&codomain_of(f))))
+                    .collect();
+                nf.sort_by_key(|&(f, _)| f);
+                nf
+            })
+            .collect();
+        let unsat = |j: usize| nfs[j].iter().any(|(_, iv)| iv.is_empty());
+        let interval = |j: usize, f: FeatureId| {
+            let found = nfs[j].iter().find(|&&(g, _)| g == f);
+            found.map_or_else(Interval::unconstrained, |&(_, iv)| iv)
+        };
+        let contains =
+            |g: usize, s: usize| nfs[g].iter().all(|&(f, iv)| interval(s, f).implies(&iv));
+        (0..nfs.len())
+            .map(|i| {
+                if unsat(i) {
+                    return None;
+                }
+                let mut others = (0..nfs.len()).filter(|&j| j != i && !unsat(j));
+                let duplicate = others.clone().find(|&j| j < i && nfs[j] == nfs[i]);
+                let subsumer = others.find(|&j| nfs[j] != nfs[i] && contains(j, i));
+                let id = |j: usize| func.rules()[j].id;
+                duplicate
+                    .map(|j| (DiagnosticKind::DuplicateRule, id(j)))
+                    .or(subsumer.map(|j| (DiagnosticKind::SubsumedRule, id(j))))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prefiltered_rows_equal_brute_force_past_feature_63() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0a11);
+        let mut related = 0;
+        for _ in 0..400 {
+            // Three ids with one residue mod 64, plus one anywhere below 200.
+            let x = rng.gen_range(0..72);
+            let features = [x, x + 64, x + 128, rng.gen_range(0..200)];
+            let func = random_function(&mut rng, &features, 8);
+            let facts = mixed_facts();
+            let diags = analyze_in(&func, &facts);
+            let rows: Vec<_> = func
+                .rules()
+                .iter()
+                .map(|rule| {
+                    diags
+                        .iter()
+                        .find(|d| {
+                            d.rule == rule.id
+                                && matches!(
+                                    d.kind,
+                                    DiagnosticKind::DuplicateRule | DiagnosticKind::SubsumedRule
+                                )
+                        })
+                        .map(|d| (d.kind, d.other_rule.expect("a row names its other rule")))
+                })
+                .collect();
+            let want = brute_force_rows(&func, facts.codomain_of);
+            related += want.iter().flatten().count();
+            assert_eq!(rows, want, "{func:?}");
+        }
+        assert!(related > 100, "the sweep relates too few rules: {related}");
+    }
+
+    #[test]
+    fn introduced_equals_the_full_diff_for_every_edit_kind() {
+        let mut rng = StdRng::seed_from_u64(0x0ed1_7ed1);
+        let facts = mixed_facts();
+        let mut kinds_seen = std::collections::BTreeSet::new();
+        for case in 0..3000 {
+            let features: Vec<u32> = (0..4).map(|_| rng.gen_range(0..6)).collect();
+            let before = random_function(&mut rng, &features, 8);
+            let mut after = before.clone();
+            let rules = before.rules();
+            let target = &rules[rng.gen_range(0..rules.len())];
+            let edited = match rng.gen_range(0..6) {
+                // Add a fresh rule, or a copy of an existing one.
+                0 => after.add_rule(random_rule(&mut rng, &features)).unwrap(),
+                1 => after
+                    .add_rule(Rule::with(target.preds.iter().map(|bp| bp.pred)))
+                    .unwrap(),
+                2 => after.remove_rule(target.id).map(|r| r.id).unwrap(),
+                3 => {
+                    let pred = random_rule(&mut rng, &features).predicates()[0];
+                    after.add_predicate(target.id, pred).unwrap();
+                    target.id
+                }
+                4 if target.preds.len() > 1 => {
+                    let bp = &target.preds[rng.gen_range(0..target.preds.len())];
+                    after.remove_predicate(bp.id).unwrap();
+                    target.id
+                }
+                _ => {
+                    let bp = &target.preds[rng.gen_range(0..target.preds.len())];
+                    let t = [-0.5, 0.0, 0.3, 0.5, 0.8, 1.0, 1.5][rng.gen_range(0..7)];
+                    after.set_threshold(bp.id, t).unwrap();
+                    target.id
+                }
+            };
+            let before_rule = before
+                .rule(edited)
+                .map(|r| (r, before.rule_position(edited).unwrap()));
+            let want: Vec<Diagnostic> =
+                new_diagnostics(&analyze_in(&before, &facts), &analyze_in(&after, &facts))
+                    .into_iter()
+                    .cloned()
+                    .collect();
+            let got = introduced_in(before_rule, &after, edited, &facts);
+            assert_eq!(got, want, "case {case}: {before:?} -> {after:?}");
+            kinds_seen.extend(got.iter().map(|d| d.kind));
+        }
+        assert_eq!(kinds_seen.len(), 7, "kinds exercised: {kinds_seen:?}");
     }
 
     #[test]

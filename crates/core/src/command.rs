@@ -8,7 +8,7 @@
 //! [`crate::porcelain::render`] (also what the CLI prints under
 //! `--porcelain`), the human text lives in `em-cli`.
 
-use crate::analyze::{new_diagnostics, Diagnostic};
+use crate::analyze::{introduced, Diagnostic};
 use crate::engine::EvalStats;
 use crate::feature::FeatureId;
 use crate::incremental::ChangeReport;
@@ -435,7 +435,8 @@ pub struct Change {
     /// Edits left on the undo stack afterwards.
     pub undo_depth: usize,
     /// Static-analysis findings the edit introduced (present after, absent
-    /// before); `undo` and `resume` carry none.
+    /// before), from the edited rule's two versions
+    /// ([`crate::analyze::introduced`]); `undo` and `resume` carry none.
     pub advisories: Vec<Diagnostic>,
 }
 
@@ -543,22 +544,22 @@ pub fn execute(
 ) -> Result<Outcome, CommandError> {
     Ok(match cmd {
         Command::Help => Outcome::Text(HELP.to_string()),
-        Command::AddRule(text) => change(store, |s| {
+        Command::AddRule(text) => change(store, None, |s| {
             let (rid, report) = s.add_rule_text(text)?;
             Ok((ChangeOp::AddRule(rid), report))
         })?,
-        Command::RemoveRule(rid) => change(store, |s| {
+        Command::RemoveRule(rid) => change(store, Some(*rid), |s| {
             Ok((ChangeOp::RemoveRule(*rid), s.remove_rule(*rid)?))
         })?,
-        Command::AddPredicate(rid, text) => change(store, |s| {
+        Command::AddPredicate(rid, text) => change(store, Some(*rid), |s| {
             let pred = s.parse_predicate(text)?;
             let (pid, report) = s.add_predicate(*rid, pred)?;
             Ok((ChangeOp::AddPredicate(*rid, pid), report))
         })?,
-        Command::RemovePredicate(pid) => change(store, |s| {
+        Command::RemovePredicate(pid) => change(store, owner(store, *pid), |s| {
             Ok((ChangeOp::RemovePredicate(*pid), s.remove_predicate(*pid)?))
         })?,
-        Command::SetThreshold(pid, t) => change(store, |s| {
+        Command::SetThreshold(pid, t) => change(store, owner(store, *pid), |s| {
             Ok((ChangeOp::SetThreshold(*pid, *t), s.set_threshold(*pid, *t)?))
         })?,
         Command::Undo => {
@@ -696,22 +697,40 @@ pub fn execute(
     })
 }
 
-/// Runs one analyst edit between two lint passes; the advisories are the
-/// findings present after the edit and absent before it.
+/// Runs one analyst edit of rule `target` (`None` for `add`, which mints
+/// it); the advisories are the findings present after the edit and absent
+/// before it, computed from the rule's two versions by [`introduced`].
 fn change(
     store: &mut SessionStore,
+    target: Option<RuleId>,
     edit: impl FnOnce(&mut SessionStore) -> Result<(ChangeOp, ChangeReport), SessionError>,
 ) -> Result<Outcome, CommandError> {
-    let before = store.session().analyze();
+    let func = store.session().function();
+    let before = target.and_then(|rid| Some((func.rule(rid)?.clone(), func.rule_position(rid)?)));
     let (op, report) = edit(store)?;
-    let after = store.session().analyze();
-    let advisories = new_diagnostics(&before, &after).into_iter().cloned();
+    let edited = target
+        .or(op.rule())
+        .expect("an analyst edit that succeeded names its rule");
+    let session = store.session();
+    let advisories = introduced(
+        before.as_ref().map(|(rule, pos)| (rule, *pos)),
+        session.function(),
+        edited,
+        session.context(),
+        session.block_guarantees(),
+    );
     Ok(Outcome::Change(Change {
         op,
         report,
-        undo_depth: store.session().undo_depth(),
-        advisories: advisories.collect(),
+        undo_depth: session.undo_depth(),
+        advisories,
     }))
+}
+
+/// The rule owning predicate `pid`, if it exists.
+fn owner(store: &SessionStore, pid: PredId) -> Option<RuleId> {
+    let found = store.session().function().find_predicate(pid);
+    found.map(|(rid, _)| rid)
 }
 
 /// The outcome of `undo` / `resume`: a delta, or a no-op.

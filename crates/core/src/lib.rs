@@ -79,7 +79,8 @@ pub mod state;
 pub mod stats;
 
 pub use analyze::{
-    analyze, analyze_with, new_diagnostics, Diagnostic, DiagnosticKind, FixIt, Interval, Severity,
+    analyze, analyze_with, introduced, new_diagnostics, Diagnostic, DiagnosticKind, FixIt,
+    Interval, Severity,
 };
 pub use bitmap::Bitmap;
 pub use budget::{CancelToken, Completion, EvalBudget, StopReason};

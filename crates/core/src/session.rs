@@ -208,7 +208,11 @@ impl DebugSession {
     /// duplicate, and subsumed rules; redundant, tautological,
     /// out-of-range, and blocking-vacuous predicates — each with a fix-it
     /// in the edit grammar where one exists. Read-only and cheap (no
-    /// candidate evaluation); see [`crate::analyze`].
+    /// candidate evaluation): O(rules²) feature-mask tests, with interval
+    /// tests only where the masks allow; see [`crate::analyze`]. This is
+    /// the whole-program pass behind `lint`. An edit's advisories come
+    /// from the edited rule's two versions instead
+    /// ([`crate::analyze::introduced`]), not from two of these passes.
     pub fn analyze(&self) -> Vec<crate::analyze::Diagnostic> {
         crate::analyze::analyze(&self.func, &self.ctx, &self.block_guarantees)
     }
