@@ -17,9 +17,9 @@
 //! - `SCALE`      dataset scale (default 0.1, see `em_bench::scale`)
 //! - `BENCH_OUT`  output path (default `BENCH_lint.json`)
 
-use em_bench::{scale, Workload, SEED};
+use em_bench::{program_hash, scale, Workload, SEED};
 use em_core::rule::{BoundRule, Rule, RuleId};
-use em_core::{analyze, introduced, parse::function_to_text, MatchingFunction};
+use em_core::{analyze, introduced, MatchingFunction};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -27,12 +27,6 @@ use std::time::Instant;
 const REPS: usize = 101;
 /// Program sizes.
 const RULES: [usize; 2] = [24, 240];
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
@@ -146,7 +140,7 @@ fn main() {
     let mut rows = Vec::new();
     for n in RULES {
         let func = w.function_with_rules(n, SEED);
-        let program_hash = format!("{:016x}", fnv1a(&function_to_text(&func, &w.ctx)));
+        let program_hash = program_hash(&func, &w.ctx);
         let mut row = |op: String, (findings, [q1, median, q3]): (usize, [f64; 3])| {
             rows.push(Row {
                 rules: func.n_rules(),

@@ -17,8 +17,8 @@
 //! - `SCALE`      dataset scale (default 0.1, see `em_bench::scale`)
 //! - `BENCH_OUT`  output path (default `BENCH_similarity.json`)
 
-use em_bench::{scale, Workload, SEED};
-use em_core::{parse::function_to_text, run_memo, Executor};
+use em_bench::{program_hash, scale, Workload, SEED};
+use em_core::{run_memo, Executor};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -39,12 +39,6 @@ fn min_median(reps: usize, mut run: impl FnMut() -> f64) -> (f64, f64) {
 
 fn round1(x: f64) -> f64 {
     (x * 10.0).round() / 10.0
-}
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 #[derive(Serialize)]
@@ -125,7 +119,7 @@ fn main() {
     let mut full_runs = Vec::new();
     for rules in FULL_RUN_RULES {
         let func = w.function_with_rules(rules, SEED);
-        let program_hash = format!("{:016x}", fnv1a(&function_to_text(&func, &w.ctx)));
+        let program_hash = program_hash(&func, &w.ctx);
         for check_cache_first in [false, true] {
             let mut last = None;
             let (min, median) = min_median(FULL_RUN_REPS, || {

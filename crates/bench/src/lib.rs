@@ -219,6 +219,16 @@ pub fn feature_menu_extended(ctx: &mut EvalContext, domain: Domain) -> Vec<Featu
     menu
 }
 
+/// FNV-1a of `func`'s rule text, as 16 hex digits: names the program a
+/// `BENCH_*.json` row measured.
+pub fn program_hash(func: &MatchingFunction, ctx: &EvalContext) -> String {
+    let text = em_core::parse::function_to_text(func, ctx);
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
+
 /// Times `f` over `reps` runs and returns the mean duration.
 pub fn time_mean<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     assert!(reps > 0);

@@ -28,6 +28,12 @@
 //! pair's evaluation writes. Rules before `r` are witnessed by the exactness
 //! invariant, so the paper's printed form ("re-test only the rules after
 //! `r`") is the special case where no later rule has a witness either.
+//! The scan costs one pass over the rules' `U(p)` words per 64-pair word
+//! that holds a cascading pair, not one per pair: the first cascading pair
+//! of a word resolves, for all 64 pairs, which rules lack a witness
+//! ([`OpenRules`], cached in the shard), and each pair of the word then
+//! tests only those. A word is resolved only when one of its pairs
+//! cascades, so a pass in which no pair leaves `M(r)` scans nothing.
 //!
 //! **Per-edit work bound.** A pair leaving `M(r)` evaluates only the rules
 //! without a witness. Undoing a loosening of `r` — the re-tightening that
@@ -117,6 +123,21 @@ pub(crate) enum DeltaEvent {
     Matched { i: usize },
     /// Report pair `i` as newly unmatched.
     Unmatched { i: usize },
+}
+
+/// One 64-pair word of the cascade's witness scan, cached per shard: the
+/// rules, by evaluation position, that some pair of word `word` has no
+/// pre-edit failure witness for, each with the mask of those pairs (see
+/// [`PreEdit::resolve_word`]). A shard is built fresh for every pass and
+/// the pre-edit `U(p)` is read-only during one, so a resolved word stays
+/// valid until the shard's next cascading pair falls in another word.
+#[derive(Default)]
+pub(crate) struct OpenRules {
+    /// The resolved word; `None` before the first.
+    pub word: Option<usize>,
+    /// `(evaluation position, pairs of the word without a witness)`, in
+    /// evaluation order; rules witnessed for all 64 pairs are left out.
+    pub rules: Vec<(u32, u64)>,
 }
 
 /// Replays a pass's event log onto the state, in pair order, and reports
@@ -215,7 +236,9 @@ fn fire_if_holds(
 /// the rules in evaluation order, skips each one a pre-edit `U(p)` bit
 /// proves false, and fires the first of the rest that holds (logging the
 /// failed predicates of those that do not). Reports the pair newly
-/// unmatched when none holds.
+/// unmatched when none holds. The witnesses are resolved for the pair's
+/// whole 64-pair word at once and cached in the shard, so the pair walks
+/// only the rules whose mask has its bit.
 fn cascade(
     func: &MatchingFunction,
     pre: PreEdit<'_>,
@@ -226,20 +249,25 @@ fn cascade(
     pair: PairIdx,
 ) {
     w.events.push(DeltaEvent::Unfire { i });
+    if w.open.word != Some(i / 64) {
+        pre.resolve_word(func, i / 64, &mut w.open);
+    }
+    let bit = 1u64 << (i % 64);
+    let rules = func.rules();
     let events = &mut w.events;
     let mut on_false = |p| events.push(DeltaEvent::PredFalse { p, i });
-    let fired = func.rules().iter().find(|rule| {
-        !pre.witnessed(rule, i)
-            && eval_rule_memoized(
-                rule,
-                i,
-                pair,
-                ctx,
-                &mut w.memo,
-                check_cache_first,
-                &mut w.stats,
-                &mut on_false,
-            )
+    let open = w.open.rules.iter().filter(|&&(_, mask)| mask & bit != 0);
+    let fired = open.map(|&(pos, _)| &rules[pos as usize]).find(|rule| {
+        eval_rule_memoized(
+            rule,
+            i,
+            pair,
+            ctx,
+            &mut w.memo,
+            check_cache_first,
+            &mut w.stats,
+            &mut on_false,
+        )
     });
     w.events.push(match fired {
         Some(rule) => DeltaEvent::Fire { i, r: rule.id },
@@ -991,6 +1019,179 @@ mod tests {
         assert_eq!(report.stats.rule_evals, left as u64);
         assert_eq!(report.newly_unmatched, vec![15]);
         assert_consistent(&fix);
+    }
+
+    /// A 12×12 fixture (144 pairs, three words) with a title Jaccard, a
+    /// code equality and a code Levenshtein feature. Codes cycle through
+    /// four values on both sides, so pairs 63 and 64 (`a5` with `b3` and
+    /// `b4`), the last bit of word 0 and the first of word 1, differ in
+    /// code.
+    fn wide_fixture() -> (EvalContext, CandidateSet, [crate::feature::FeatureId; 3]) {
+        const COLORS: [&str; 3] = ["red", "blue", "green"];
+        const ITEMS: [&str; 5] = ["lamp", "desk", "chair", "shelf", "sofa"];
+        let schema = Schema::new(["title", "code"]);
+        let table = |name: &str, shift: usize| {
+            let mut t = Table::new(name, schema.clone());
+            for k in 0..12 {
+                let title = format!("{} {}", COLORS[k % 3], ITEMS[(k + shift) % 5]);
+                t.push(Record::new(
+                    format!("{name}{k}"),
+                    [title, format!("C{}", k % 4)],
+                ));
+            }
+            t
+        };
+        let mut ctx = EvalContext::from_tables(table("a", 0), table("b", 2));
+        let title = ctx
+            .feature(Measure::Jaccard(TokenScheme::Whitespace), "title", "title")
+            .unwrap();
+        let code = ctx.feature(Measure::Exact, "code", "code").unwrap();
+        let lev = ctx.feature(Measure::Levenshtein, "code", "code").unwrap();
+        let cands = CandidateSet::cartesian(ctx.table_a(), ctx.table_b());
+        (ctx, cands, [title, code, lev])
+    }
+
+    /// The rule evaluations a witness-pruned cascade of `pairs` costs,
+    /// counted by brute force: for each pair, the rules of `func` up to the
+    /// one it fires in `after` (all of them, when it is unmatched) that no
+    /// `U(p)` bit of `before` proves false.
+    fn unwitnessed_walk(
+        func: &MatchingFunction,
+        before: &MatchState,
+        after: &MatchState,
+        pairs: &[usize],
+    ) -> u64 {
+        let mut evals = 0;
+        for &i in pairs {
+            for rule in func.rules() {
+                let witnessed = rule
+                    .preds
+                    .iter()
+                    .any(|bp| before.pred_bitmap(bp.id).is_some_and(|b| b.get(i)));
+                evals += u64::from(!witnessed);
+                if after.fired_rule(i) == Some(rule.id) {
+                    break;
+                }
+            }
+        }
+        evals
+    }
+
+    #[test]
+    fn cascade_work_across_words_is_one_eval_per_unwitnessed_rule() {
+        let (ctx, cands, [title, code, lev]) = wide_fixture();
+        let budget = EvalBudget::unlimited();
+        for threads in [1, 4] {
+            let exec = Executor::with_threads(threads);
+            let mut func = MatchingFunction::new();
+            func.add_rule(Rule::new().pred(code, CmpOp::Ge, 1.0))
+                .unwrap();
+            func.add_rule(Rule::new().pred(title, CmpOp::Ge, 0.5))
+                .unwrap();
+            func.add_rule(
+                Rule::new()
+                    .pred(title, CmpOp::Ge, 0.3)
+                    .pred(lev, CmpOp::Ge, 0.5),
+            )
+            .unwrap();
+            let mut state = MatchState::new(cands.len(), ctx.registry().len());
+            run_full(&func, &ctx, &cands, &mut state, false, &exec);
+            // A catch-all rule second takes every pair the first leaves, and
+            // a rule inserted right after it has no witness for those pairs.
+            let insert = |func: &mut _, state: &mut _, rule, at| {
+                insert_rule(func, state, &ctx, &cands, rule, at, false, &exec, &budget)
+                    .unwrap()
+                    .0
+            };
+            let all = insert(
+                &mut func,
+                &mut state,
+                Rule::new().pred(title, CmpOp::Ge, 0.0),
+                1,
+            );
+            insert(
+                &mut func,
+                &mut state,
+                Rule::new().pred(lev, CmpOp::Ge, 0.99),
+                2,
+            );
+
+            let before = state.clone();
+            let affected = rule_affected(&before, all);
+            assert!(
+                affected.contains(&63) && affected.contains(&64),
+                "{affected:?}"
+            );
+            let report = remove_rule(
+                &mut func, &mut state, &ctx, &cands, all, false, &exec, &budget,
+            )
+            .unwrap();
+            let expected = unwitnessed_walk(&func, &before, &state, &affected);
+            assert!(
+                expected > affected.len() as u64,
+                "some pair walks two rules"
+            );
+            assert_eq!(report.stats.rule_evals, expected, "{threads} threads");
+            assert_eq!(report.pairs_examined, affected.len());
+            let mut fresh = MatchState::new(cands.len(), ctx.registry().len());
+            run_full(&func, &ctx, &cands, &mut fresh, false, &Executor::serial());
+            assert_eq!(state.verdicts(), fresh.verdicts(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn ballooned_undo_across_words_costs_one_rule_eval_per_leaving_pair() {
+        // r = title >= 0 AND code >= 1 fires for the 36 code-equal pairs;
+        // dropping its code predicate balloons M(r) to all 144, and
+        // re-adding it (the undo) sends the other 108 back out. Every later
+        // rule needs equal codes too.
+        let (ctx, cands, [title, code, lev]) = wide_fixture();
+        let budget = EvalBudget::unlimited();
+        for threads in [1, 4] {
+            let exec = Executor::with_threads(threads);
+            let equal = Predicate::at_least(code, 1.0);
+            let mut func = MatchingFunction::new();
+            let r = func
+                .add_rule(Rule::with([Predicate::at_least(title, 0.0), equal]))
+                .unwrap();
+            func.add_rule(
+                Rule::new()
+                    .pred(title, CmpOp::Ge, 0.5)
+                    .pred(code, CmpOp::Ge, 1.0),
+            )
+            .unwrap();
+            func.add_rule(Rule::new().pred(lev, CmpOp::Ge, 0.99))
+                .unwrap();
+            let mut state = MatchState::new(cands.len(), ctx.registry().len());
+            run_full(&func, &ctx, &cands, &mut state, false, &exec);
+            let matched = rule_affected(&state, r);
+
+            let code_p = func.rule(r).unwrap().preds[1].id;
+            remove_predicate(
+                &mut func, &mut state, &ctx, &cands, code_p, false, &exec, &budget,
+            )
+            .unwrap();
+            let grown = rule_affected(&state, r);
+            assert_eq!(grown.len(), cands.len(), "M(r) ballooned");
+
+            let (_, report) = add_predicate(
+                &mut func, &mut state, &ctx, &cands, r, equal, false, &exec, &budget,
+            )
+            .unwrap();
+            assert_eq!(rule_affected(&state, r), matched);
+            let left: Vec<usize> = grown
+                .into_iter()
+                .filter(|i| matched.binary_search(i).is_err())
+                .collect();
+            assert_eq!(left.len(), 108);
+            assert!(left.contains(&63) && left.contains(&64));
+            assert_eq!(
+                report.stats.rule_evals,
+                left.len() as u64,
+                "{threads} threads"
+            );
+            assert_eq!(report.newly_unmatched, left);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::budget::{BudgetChecker, Completion, EvalBudget, StopReason};
 use crate::context::EvalContext;
 use crate::engine::EvalStats;
 use crate::executor::{partition, run_sharded, Executor};
-use crate::incremental::{DeltaEvent, WorkerStats};
+use crate::incremental::{DeltaEvent, OpenRules, WorkerStats};
 use crate::memo::{DenseMemo, MemoShard};
 use em_types::{CandidateSet, PairIdx};
 use std::ops::Range;
@@ -216,6 +216,8 @@ pub(crate) struct Shard<'a> {
     pub stats: EvalStats,
     /// State mutations and reports, in pair order.
     pub events: Vec<DeltaEvent>,
+    /// The cascade's last resolved 64-pair word of witnesses.
+    pub open: OpenRules,
 }
 
 /// What one sharded pass produced.
@@ -304,6 +306,7 @@ pub(crate) fn drive_sharded(
                 memo,
                 stats: EvalStats::default(),
                 events: Vec::new(),
+                open: OpenRules::default(),
             };
             (range, shard, DriveOutcome::default())
         })

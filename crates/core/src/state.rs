@@ -15,8 +15,11 @@
 //! Both bitmap families are indexed by dense id: rule and predicate ids are
 //! minted monotonically, so slot `id` of a `Vec<Option<Bitmap>>` holds the
 //! set of that id (`None` when it was never created or has been dropped).
-//! A lookup is one index, with no hashing, which is what lets an edit's
-//! cascade probe the `U(p)` witnesses of every rule for every affected pair.
+//! A lookup is one index, with no hashing. An edit's cascade reads the
+//! `U(p)` witnesses one 64-pair word at a time: for the word of a
+//! cascading pair it ORs each rule's predicate words once
+//! ([`PreEdit::resolve_word`]), so every pair of the word walks only the
+//! rules it has no witness for.
 //!
 //! After every edit the state is *exact*:
 //!
@@ -33,11 +36,11 @@ use crate::context::EvalContext;
 use crate::engine::EvalStats;
 use crate::executor::Executor;
 use crate::function::MatchingFunction;
-use crate::incremental::{apply_delta, fire_first};
+use crate::incremental::{apply_delta, fire_first, OpenRules};
 use crate::memo::{DenseMemo, Memo};
 use crate::predicate::PredId;
 use crate::robust::{drive_sharded, PairList};
-use crate::rule::{BoundRule, RuleId};
+use crate::rule::RuleId;
 use em_types::CandidateSet;
 
 /// Memory accounting for the §7.4 experiment.
@@ -113,13 +116,29 @@ impl PreEdit<'_> {
         self.fired[i]
     }
 
-    /// Whether a `U(p)` bit of one of `rule`'s predicates proves the rule
-    /// false for pair `i` — a failure witness.
-    #[inline]
-    pub(crate) fn witnessed(&self, rule: &BoundRule, i: usize) -> bool {
-        rule.preds
-            .iter()
-            .any(|bp| slot(self.pred_false, pred_slot(bp.id)).is_some_and(|bm| bm.get(i)))
+    /// Resolves the failure witnesses of the 64 pairs of word `w` into
+    /// `open`: every rule of `func`, by evaluation position, that some pair
+    /// of the word has no witness for — no `U(p)` bit of one of its
+    /// predicates — with the mask of those pairs. A rule's mask is the
+    /// complement of word `w` OR-ed over its predicates that have a set,
+    /// and the OR stops once it covers all 64 pairs.
+    pub(crate) fn resolve_word(&self, func: &MatchingFunction, w: usize, open: &mut OpenRules) {
+        open.word = Some(w);
+        open.rules.clear();
+        for (pos, rule) in func.rules().iter().enumerate() {
+            let mut witnessed = 0u64;
+            for bp in &rule.preds {
+                if let Some(bm) = slot(self.pred_false, pred_slot(bp.id)) {
+                    witnessed |= bm.words()[w];
+                    if witnessed == u64::MAX {
+                        break;
+                    }
+                }
+            }
+            if witnessed != u64::MAX {
+                open.rules.push((pos as u32, !witnessed));
+            }
+        }
     }
 }
 

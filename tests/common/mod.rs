@@ -39,6 +39,21 @@ pub struct RandomWorkload {
 }
 
 pub fn random_workload(seed: u64) -> RandomWorkload {
+    workload_with_sides(seed, 2..8)
+}
+
+/// A random workload whose two tables hold 9–24 records each (81–576
+/// pairs), so an edit's cascade crosses 64-pair words and, on a pool, shard
+/// boundaries. Drawn the same way as [`random_workload`], with larger
+/// tables.
+#[allow(dead_code)]
+pub fn wide_workload(seed: u64) -> RandomWorkload {
+    workload_with_sides(seed, 9..25)
+}
+
+/// The workload of `seed` with each table's record count drawn from
+/// `sides`.
+fn workload_with_sides(seed: u64, sides: std::ops::Range<usize>) -> RandomWorkload {
     let mut rng = StdRng::seed_from_u64(seed);
     let schema = Schema::new(["title", "code"]);
 
@@ -64,8 +79,8 @@ pub fn random_workload(seed: u64) -> RandomWorkload {
         t
     };
 
-    let n_a = rng.gen_range(2..8);
-    let n_b = rng.gen_range(2..8);
+    let n_a = rng.gen_range(sides.clone());
+    let n_b = rng.gen_range(sides);
     let a = make_table("a", n_a, &mut rng);
     let b = make_table("b", n_b, &mut rng);
     let cands = CandidateSet::cartesian(&a, &b);

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{check_exact, random_workload, RandomWorkload};
+use common::{check_exact, random_workload, wide_workload, RandomWorkload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -330,6 +330,46 @@ proptest! {
             trace.push(random_session_step(&mut s, &features, &mut rng));
             let exact = check_exact(s.function(), s.context(), s.candidates(), s.state());
             prop_assert!(exact.is_ok(), "{} after {:?}", exact.unwrap_err(), trace);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn wide_session_steps_keep_the_state_exact_at_1_2_4_threads(
+        seed in 0u64..10_000,
+        n_steps in 1usize..12,
+    ) {
+        // 81–576 pairs, so a cascade resolves its witnesses over several
+        // 64-pair words, and on a pool shards meet inside a word. The same
+        // random steps at every thread count; after each the state is exact.
+        for threads in [1usize, 2, 4] {
+            let w = wide_workload(seed);
+            let (features, n_pairs) = (w.features.clone(), w.cands.len());
+            let config = SessionConfig {
+                n_threads: threads,
+                ..SessionConfig::default()
+            };
+            let mut s = DebugSession::with_context(w.ctx, w.cands, config);
+            for rule in w.func.rules() {
+                s.add_rule(Rule::with(rule.preds.iter().map(|bp| bp.pred))).unwrap();
+            }
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5E55);
+            let mut trace = Vec::new();
+            for _ in 0..n_steps {
+                trace.push(random_session_step(&mut s, &features, &mut rng));
+                let exact = check_exact(s.function(), s.context(), s.candidates(), s.state());
+                prop_assert!(
+                    exact.is_ok(),
+                    "{} after {:?} ({} threads, {} pairs)",
+                    exact.unwrap_err(),
+                    trace,
+                    threads,
+                    n_pairs
+                );
+            }
         }
     }
 }
