@@ -7,7 +7,9 @@
 //! looser rules, thresholds outside a measure's codomain, predicates made
 //! vacuous by the blocking step. This module derives them statically, so
 //! the analyst gets instant feedback on every edit before any evaluation
-//! is spent.
+//! is spent. [`crate::simplify`] applies the fixes of the four kinds that
+//! fire under codomain-free facts (unsatisfiable, redundant predicate,
+//! duplicate, subsumed).
 //!
 //! ## The domain
 //!
@@ -241,7 +243,7 @@ impl fmt::Display for Interval {
 
 /// The raw per-feature intervals of one rule (codomain not applied), in
 /// first-appearance order of features.
-pub fn rule_intervals(rule: &BoundRule) -> Vec<(FeatureId, Interval)> {
+fn rule_intervals(rule: &BoundRule) -> Vec<(FeatureId, Interval)> {
     // Room for the clamped copy `RuleNf::of` appends.
     let mut out: Vec<(FeatureId, Interval)> = Vec::with_capacity(2 * rule.preds.len());
     for bp in &rule.preds {
@@ -888,8 +890,8 @@ fn analyze_predicates(
 
         // 3. Redundant predicate: the rule's raw interval on this feature
         // is just as tight without it (a sibling imposes an equal or
-        // stricter same-direction bound). Mirrors `simplify`'s dominance
-        // pass, which removes exactly these.
+        // stricter same-direction bound). `simplify` removes exactly
+        // these, outside unsatisfiable rules.
         let iv = raw
             .iter()
             .find(|(rf, _)| *rf == f)

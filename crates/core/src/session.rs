@@ -657,11 +657,12 @@ impl DebugSession {
         self.undo_stack.len()
     }
 
-    /// Logically simplifies the rule set (see [`crate::simplify`]): drops
-    /// dominated predicates, unsatisfiable rules, and subsumed rules —
-    /// none of which can change any verdict — then re-runs matching so
-    /// the materialized state reflects the smaller function (cheap: the
-    /// memo is warm).
+    /// Logically simplifies the rule set (see [`crate::simplify`]): applies
+    /// the analyzer's codomain-free fixes, dropping unsatisfiable rules,
+    /// redundant predicates, and duplicate or subsumed rules — none of
+    /// which can change any verdict — then re-runs matching so the
+    /// materialized state reflects the smaller function (cheap: the memo
+    /// is warm).
     ///
     /// Clears the undo stack: removed ids no longer exist to restore.
     pub fn simplify(&mut self) -> Result<crate::simplify::SimplifyReport, EditError> {

@@ -2,38 +2,70 @@
 //!
 //! Rule sets accumulated over a debugging session — and especially rule
 //! sets extracted from random forests (§7.1) — contain redundancy:
-//! predicates implied by other predicates of the same rule, and whole
-//! rules subsumed by more permissive rules. Removing them is a pure
-//! semantic-preserving rewrite (verdicts cannot change) that makes the
-//! function cheaper to evaluate and easier for the analyst to read.
+//! predicates implied by other predicates of the same rule, rules that
+//! can never fire, and whole rules subsumed by more permissive rules.
+//! Removing them is a pure semantic-preserving rewrite (verdicts cannot
+//! change) that makes the function cheaper to evaluate and easier for
+//! the analyst to read.
 //!
-//! Two rewrites are applied:
+//! [`simplify`] decides nothing itself: it runs the static analyzer
+//! ([`crate::analyze`]) once and applies the fixes of what comes back.
 //!
-//! 1. **Predicate dominance** (within a rule): of two predicates on the
-//!    same feature with the same direction, only the stricter binds —
-//!    `f ≥ 0.5 ∧ f ≥ 0.7` ⇒ `f ≥ 0.7`. Contradictory bounds
-//!    (`f ≥ 0.7 ∧ f < 0.5`) make the rule unsatisfiable; such rules are
-//!    dropped entirely (they can never fire). (Bounds with `f` outside
-//!    `[0, 1]` are kept as-is — they are the analyst's business.)
-//! 2. **Rule subsumption** (across rules): rule `s` is redundant when some
-//!    other rule `g` is *at most as strict*: every predicate of `g` is
-//!    implied by `s`'s predicates on the same feature. Whenever `s` fires,
-//!    `g` fires too, so removing `s` changes nothing.
+//! 1. [`DiagnosticKind::UnsatisfiableRule`]: contradictory bounds
+//!    (`f ≥ 0.7 ∧ f < 0.5`); the rule can never fire, so it goes.
+//! 2. [`DiagnosticKind::RedundantPredicate`] of a satisfiable rule: a
+//!    sibling imposes an equal or stricter same-direction bound on the
+//!    same feature (`f ≥ 0.5 ∧ f ≥ 0.7` ⇒ `f ≥ 0.7`), so the predicate
+//!    goes; of two equal bounds the first stays.
+//! 3. [`DiagnosticKind::DuplicateRule`] and
+//!    [`DiagnosticKind::SubsumedRule`]: another rule fires whenever this
+//!    one does, so it goes. Of rules with equal normal forms the earliest
+//!    stays, so what survives is the earliest rule of each maximal normal
+//!    form.
+//!
+//! The analysis runs under *codomain-free* facts: every feature may take
+//! any value in `(-∞, +∞)` (no codomain is binary), and the blocking step
+//! guarantees nothing. Thresholds are finite (every edit of a
+//! [`MatchingFunction`] refuses others), so out-of-range, tautological and
+//! blocking-vacuous findings cannot fire, the raw intervals are the normal
+//! forms, and one pass is already a fixpoint. The rewrite therefore reads
+//! the rule text alone, and bounds that only a measure's codomain makes
+//! contradictory (`f > 1` for a similarity) are the analyst's business:
+//! `lint` reports them, `simplify` keeps them. That is deliberate:
+//! `Edit::Simplify` is journaled as a bare record and replayed — on
+//! recovery and on followers — by running `simplify` again, so it must
+//! remove exactly what it removed when the journal was written, and the
+//! public `simplify(&mut MatchingFunction)` has no context to read
+//! codomains from.
 
-use crate::analyze::{rule_intervals, Interval};
+use crate::analyze::{analyze_with, DiagnosticKind};
 use crate::function::MatchingFunction;
-use crate::predicate::{CmpOp, PredId};
+use crate::predicate::PredId;
 use crate::rule::RuleId;
+use em_similarity::Codomain;
 
-/// What [`simplify`] removed.
+/// The codomain [`simplify`] analyzes every feature under: any value.
+const FREE: Codomain = Codomain {
+    lo: f64::NEG_INFINITY,
+    hi: f64::INFINITY,
+    binary: false,
+};
+
+/// What [`simplify`] removed. Each list is in the analyzer's order: by
+/// rule position in the evaluation order, then predicate position.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimplifyReport {
-    /// Predicates dropped because a stricter same-feature bound exists.
+    /// Redundant predicates of satisfiable rules (a sibling bound on the
+    /// same feature is at least as strict), including those of rules then
+    /// dropped as subsumed.
     pub dominated_predicates: Vec<PredId>,
     /// Rules dropped because their bounds are contradictory (never fire).
     pub unsatisfiable_rules: Vec<RuleId>,
-    /// Rules dropped because another rule is at most as strict.
-    pub subsumed_rules: Vec<(RuleId, RuleId)>, // (removed, kept-subsumer)
+    /// `(removed, other)`: a rule dropped because `other` fires whenever
+    /// it does. `other` is the rule the analyzer's row names — the
+    /// earliest earlier duplicate, else the first strict subsumer — and
+    /// may itself be dropped in the same pass.
+    pub subsumed_rules: Vec<(RuleId, RuleId)>,
 }
 
 impl SimplifyReport {
@@ -43,129 +75,46 @@ impl SimplifyReport {
             && self.unsatisfiable_rules.is_empty()
             && self.subsumed_rules.is_empty()
     }
-
-    /// Total number of removed elements.
-    pub fn n_removed(&self) -> usize {
-        self.dominated_predicates.len() + self.unsatisfiable_rules.len() + self.subsumed_rules.len()
-    }
 }
 
 /// Simplifies `func` in place, returning what was removed. Verdicts are
 /// guaranteed unchanged for every possible input (the rewrites are pure
 /// logical equivalences on the DNF).
 pub fn simplify(func: &mut MatchingFunction) -> SimplifyReport {
-    let mut report = SimplifyReport::default();
-
-    // Pass 1: drop dominated predicates / unsatisfiable rules.
-    let mut removed_preds: std::collections::HashSet<PredId> = std::collections::HashSet::new();
-    let rules: Vec<RuleId> = func.rules().iter().map(|r| r.id).collect();
-    for rid in &rules {
-        let rule = func.rule(*rid).expect("rule exists").clone();
-        let intervals = rule_intervals(&rule);
-
-        if intervals.iter().any(|(_, iv)| iv.is_empty()) {
-            func.remove_rule(*rid).expect("rule exists");
-            report.unsatisfiable_rules.push(*rid);
-            continue;
-        }
-
-        // A predicate is dominated when removing it leaves the rule's
-        // intervals unchanged (some other predicate imposes an equal or
-        // stricter same-direction bound on the same feature).
-        for bp in &rule.preds {
-            if removed_preds.contains(&bp.id) {
-                continue; // already dropped as a duplicate of an earlier one
+    let findings = analyze_with(func, |_| FREE, |_| None, |f| f.to_string());
+    let mut report = SimplifyReport {
+        unsatisfiable_rules: findings
+            .iter()
+            .filter(|d| d.kind == DiagnosticKind::UnsatisfiableRule)
+            .map(|d| d.rule)
+            .collect(),
+        ..SimplifyReport::default()
+    };
+    for d in &findings {
+        match d.kind {
+            // An unsatisfiable rule goes whole; its predicates do not count.
+            DiagnosticKind::RedundantPredicate if !report.unsatisfiable_rules.contains(&d.rule) => {
+                report
+                    .dominated_predicates
+                    .push(d.pred.expect("a predicate finding names its predicate"));
             }
-            let t = bp.pred.threshold;
-            let iv = intervals
-                .iter()
-                .find(|(f, _)| *f == bp.pred.feature)
-                .map(|(_, iv)| *iv)
-                .expect("feature has an interval");
-            let binding = match bp.pred.op {
-                CmpOp::Ge => iv.lo == t && !iv.lo_strict,
-                CmpOp::Gt => iv.lo == t && iv.lo_strict,
-                CmpOp::Le => iv.hi == t && !iv.hi_strict,
-                CmpOp::Lt => iv.hi == t && iv.hi_strict,
-            };
-            if !binding {
-                func.remove_predicate(bp.id).expect("predicate exists");
-                removed_preds.insert(bp.id);
-                report.dominated_predicates.push(bp.id);
-            } else {
-                // Multiple identical binding predicates: keep this (first)
-                // one, drop the rest.
-                let still_there = func.rule(*rid).expect("rule exists");
-                let duplicates: Vec<PredId> = still_there
-                    .preds
-                    .iter()
-                    .filter(|other| {
-                        other.id != bp.id
-                            && other.pred.feature == bp.pred.feature
-                            && other.pred.op == bp.pred.op
-                            && other.pred.threshold == t
-                    })
-                    .map(|other| other.id)
-                    .collect();
-                for dup in duplicates {
-                    if func.remove_predicate(dup).is_ok() {
-                        removed_preds.insert(dup);
-                        report.dominated_predicates.push(dup);
-                    }
-                }
-            }
+            DiagnosticKind::DuplicateRule | DiagnosticKind::SubsumedRule => report
+                .subsumed_rules
+                .push((d.rule, d.other_rule.expect("a row names its other rule"))),
+            // Unsatisfiable rules are listed above; the other kinds cannot
+            // fire under codomain-free facts.
+            _ => {}
         }
     }
-
-    // Pass 2: drop subsumed rules. `s` is subsumed by `g` when g's every
-    // interval is implied by s's interval on that feature (features absent
-    // from g are unconstrained there, hence trivially implied).
-    let snapshot: Vec<(RuleId, Vec<(crate::feature::FeatureId, Interval)>)> = func
-        .rules()
-        .iter()
-        .map(|r| (r.id, rule_intervals(r)))
-        .collect();
-    let mut removed: Vec<RuleId> = Vec::new();
-    for (i, (sid, s_ivs)) in snapshot.iter().enumerate() {
-        for (j, (gid, g_ivs)) in snapshot.iter().enumerate() {
-            if i == j || removed.contains(gid) || removed.contains(sid) {
-                continue;
-            }
-            // Prefer keeping the earlier rule on mutual subsumption
-            // (identical rules): only remove `s` if g comes first, or g is
-            // strictly more permissive.
-            let g_implied_by_s = g_ivs.iter().all(|(gf, giv)| {
-                let siv = s_ivs
-                    .iter()
-                    .find(|(sf, _)| sf == gf)
-                    .map(|(_, iv)| *iv)
-                    .unwrap_or_else(Interval::unconstrained);
-                siv.implies(giv)
-            });
-            if !g_implied_by_s {
-                continue;
-            }
-            let s_implied_by_g = s_ivs.iter().all(|(sf, siv)| {
-                let giv = g_ivs
-                    .iter()
-                    .find(|(gf, _)| gf == sf)
-                    .map(|(_, iv)| *iv)
-                    .unwrap_or_else(Interval::unconstrained);
-                giv.implies(siv)
-            });
-            if s_implied_by_g && j > i {
-                continue; // identical rules: the later one will be removed
-                          // when the loop reaches (s=j, g=i).
-            }
-            removed.push(*sid);
-            report.subsumed_rules.push((*sid, *gid));
-            break;
-        }
+    // Predicates first: their rules may be dropped next.
+    for &pid in &report.dominated_predicates {
+        func.remove_predicate(pid)
+            .expect("a redundant predicate has a binding sibling");
     }
-    for rid in removed {
+    let dropped = report.subsumed_rules.iter().map(|&(rid, _)| rid);
+    for rid in report.unsatisfiable_rules.iter().copied().chain(dropped) {
         func.remove_rule(rid).expect("rule exists");
     }
-
     report
 }
 
@@ -173,6 +122,7 @@ pub fn simplify(func: &mut MatchingFunction) -> SimplifyReport {
 mod tests {
     use super::*;
     use crate::feature::FeatureId;
+    use crate::predicate::CmpOp;
     use crate::rule::Rule;
 
     fn f(i: u32) -> FeatureId {

@@ -26,7 +26,7 @@ use crate::manager::{Role, SessionManager, SessionTemplate};
 use crate::proto::{self, Request, MAX_LINE};
 use crate::replica::{FollowerOpts, Replicator};
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -142,9 +142,21 @@ impl ServerHandle {
         self.shutdown.load(Ordering::Acquire)
     }
 
+    /// Raises the shutdown flag, then wakes the accept thread's blocking
+    /// `accept` with a connect of its own (to loopback when the listener
+    /// is bound to an unspecified address) and joins it.
     fn stop_accepting(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(if wake.is_ipv4() {
+                    Ipv4Addr::LOCALHOST.into()
+                } else {
+                    Ipv6Addr::LOCALHOST.into()
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = t.join();
         }
     }
@@ -165,7 +177,6 @@ impl Drop for ServerHandle {
 pub fn serve(template: SessionTemplate, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let manager = Arc::new(SessionManager::new(
         template,
         config.store_root.clone(),
@@ -277,8 +288,14 @@ fn accept_loop(
     max_conns: usize,
 ) {
     let active = Arc::new(AtomicUsize::new(0));
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked after every accept: shutdown wakes this loop with a
+        // connect of its own, and a client racing it is dropped.
+        if shutdown.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((mut stream, _)) => {
                 // Admission control: reserve a slot or refuse fast.
                 if active.fetch_add(1, Ordering::AcqRel) >= max_conns {
@@ -316,9 +333,7 @@ fn accept_loop(
                     active.fetch_sub(1, Ordering::AcqRel);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
+            // E.g. out of file descriptors: back off rather than spin.
             Err(_) => thread::sleep(POLL_INTERVAL),
         }
     }

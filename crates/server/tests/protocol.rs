@@ -9,7 +9,7 @@ use em_server::{read_frame, serve, Client, ServerConfig, ServerHandle, SessionTe
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn demo_template() -> SessionTemplate {
     let config = SessionConfig {
@@ -102,6 +102,27 @@ fn bad_requests_get_err_frames_and_the_connection_survives() {
     assert!(
         c.request("ping").is_err(),
         "connection must be closed after quit"
+    );
+}
+
+/// An idle server accepts a new client at once: the accept loop blocks
+/// in `accept` instead of sleeping between polls, so no connect waits
+/// out a sleep before its first reply.
+#[test]
+fn idle_server_answers_a_new_client_at_once() {
+    let handle = serve_ephemeral();
+    let mut round_trips: Vec<Duration> = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let mut c = Client::connect(handle.addr()).unwrap();
+            assert_eq!(c.expect_ok("ping").unwrap(), "{\"event\":\"pong\"}");
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    assert!(
+        round_trips[2] < Duration::from_millis(20),
+        "connect + ping round trips: {round_trips:?}"
     );
 }
 
