@@ -4,7 +4,7 @@
 //! block unboundedly. An [`EvalBudget`] bounds an evaluation pass with an
 //! optional deadline and an optional [`CancelToken`] (wired to Ctrl-C in the
 //! CLI). Incremental edits poll the budget through a [`BudgetChecker`]
-//! every few pairs; when it trips they stop early and report a
+//! before every 64-pair word; when it trips they stop early and report a
 //! [`Completion::Partial`] with the untouched pair indices, which the session
 //! stores so `resume()` can finish the remainder later. Full runs take no
 //! budget: they always complete.
@@ -55,9 +55,9 @@ pub enum StopReason {
 
 /// How often (in pairs) a [`BudgetChecker`] consults the wall clock.
 ///
-/// Small enough that a 50 ms deadline is detected well within 2× the
-/// deadline even when each evaluation takes ~1 ms; the cancel token is
-/// checked on every call (an atomic load is nearly free).
+/// At most one 64-pair word, so the clock is read before every full word
+/// and a deadline is overrun by at most one word's evaluation; the cancel
+/// token is checked on every call (an atomic load is nearly free).
 const DEFAULT_CHECK_EVERY: usize = 16;
 
 /// Bounds one evaluation pass: optional deadline, optional cancel token.
@@ -108,7 +108,7 @@ impl EvalBudget {
             deadline: self.deadline,
             token: self.token.clone(),
             check_every: self.check_every.unwrap_or(DEFAULT_CHECK_EVERY),
-            until_clock: 1, // first call consults the clock
+            until_clock: 0, // the first call consults the clock
         }
     }
 }
@@ -126,21 +126,24 @@ pub struct BudgetChecker {
 }
 
 impl BudgetChecker {
-    /// Returns `Some(reason)` when evaluation should stop.
+    /// Returns `Some(reason)` when evaluation should stop before the next
+    /// `pairs` pairs.
     ///
-    /// The cancel token is polled on every call; the wall clock only every
-    /// `check_every` calls (an `Instant::now()` per pair would dominate
+    /// The cancel token is polled on every call; the wall clock on the
+    /// first call and then once `check_every` pairs have been announced
+    /// since it was last read (an `Instant::now()` per pair would dominate
     /// cheap features).
     #[inline]
-    pub fn should_stop(&mut self) -> Option<StopReason> {
+    pub fn should_stop(&mut self, pairs: usize) -> Option<StopReason> {
         if let Some(t) = &self.token {
             if t.is_cancelled() {
                 return Some(StopReason::Cancelled);
             }
         }
         if let Some(deadline) = self.deadline {
-            self.until_clock -= 1;
-            if self.until_clock == 0 {
+            if self.until_clock > pairs {
+                self.until_clock -= pairs;
+            } else {
                 self.until_clock = self.check_every;
                 if Instant::now() >= deadline {
                     return Some(StopReason::Deadline);
@@ -198,7 +201,7 @@ mod tests {
     fn unlimited_never_stops() {
         let mut c = EvalBudget::unlimited().checker();
         for _ in 0..10_000 {
-            assert_eq!(c.should_stop(), None);
+            assert_eq!(c.should_stop(1), None);
         }
     }
 
@@ -207,18 +210,18 @@ mod tests {
         let token = CancelToken::new();
         let budget = EvalBudget::unlimited().with_token(token.clone());
         let mut c = budget.checker();
-        assert_eq!(c.should_stop(), None);
+        assert_eq!(c.should_stop(1), None);
         token.cancel();
-        assert_eq!(c.should_stop(), Some(StopReason::Cancelled));
+        assert_eq!(c.should_stop(1), Some(StopReason::Cancelled));
         token.clear();
-        assert_eq!(c.should_stop(), None, "cleared token re-arms");
+        assert_eq!(c.should_stop(1), None, "cleared token re-arms");
     }
 
     #[test]
     fn expired_deadline_stops_on_first_check() {
         let budget = EvalBudget::unlimited().with_deadline(Duration::ZERO);
         let mut c = budget.checker();
-        assert_eq!(c.should_stop(), Some(StopReason::Deadline));
+        assert_eq!(c.should_stop(1), Some(StopReason::Deadline));
     }
 
     #[test]
@@ -226,7 +229,7 @@ mod tests {
         let budget = EvalBudget::unlimited().with_deadline(Duration::from_secs(3600));
         let mut c = budget.checker();
         for _ in 0..1000 {
-            assert_eq!(c.should_stop(), None);
+            assert_eq!(c.should_stop(1), None);
         }
     }
 

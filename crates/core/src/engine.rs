@@ -6,14 +6,17 @@
 //! feature computation they perform. The test-suite property "all engines
 //! agree" is the workspace's central correctness check.
 //!
-//! Every engine is a per-pair step run by the sharded driver in
-//! `robust.rs`, which partitions the candidate set into contiguous pair
-//! shards under an [`Executor`] (candidate pairs are independent, so this
-//! is embarrassingly parallel) and reports each match as an event. Serial
-//! execution is the one-shard special case of the same code path, which is
-//! what makes "parallel ≡ serial" hold by construction rather than by
-//! testing alone.
+//! Every engine is a word step run by the sharded driver in `robust.rs`,
+//! which partitions the candidate set into contiguous shards of 64-pair
+//! words under an [`Executor`] (candidate pairs are independent, so this
+//! is embarrassingly parallel) and reports each word's matches as one
+//! event. A step runs each rule over its word's live pairs, predicate by
+//! predicate, so every pair goes through exactly the evaluations it would
+//! alone. Serial execution is the one-shard special case of the same code
+//! path, which is what makes "parallel ≡ serial" hold by construction
+//! rather than by testing alone.
 
+use crate::bitmap::{all_words, word_pairs};
 use crate::budget::EvalBudget;
 use crate::context::EvalContext;
 use crate::executor::Executor;
@@ -21,10 +24,10 @@ use crate::feature::FeatureId;
 use crate::function::MatchingFunction;
 use crate::incremental::DeltaEvent;
 use crate::memo::{DenseMemo, Memo};
-use crate::predicate::PredId;
-use crate::robust::{drive_pairs, drive_sharded, PairList, Shard};
-use crate::rule::{BoundRule, RuleId};
-use em_types::{CandidateSet, PairIdx};
+use crate::predicate::{PredId, Predicate};
+use crate::robust::{drive_sharded, drive_words, Shard};
+use crate::rule::BoundRule;
+use em_types::CandidateSet;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -73,22 +76,24 @@ impl MatchOutcome {
     }
 }
 
-/// Runs an engine's per-pair `step` over every candidate pair (no budget:
+/// Runs an engine's word `step` over every candidate pair (no budget:
 /// engines always complete) and collects the matches it reports.
 fn run_engine(
     ctx: &EvalContext,
     cands: &CandidateSet,
     memo: Option<&mut DenseMemo>,
     exec: &Executor,
-    step: impl Fn(&mut Shard<'_>, usize, PairIdx) + Sync,
+    step: impl Fn(&mut Shard<'_>, usize, u64) + Sync,
 ) -> MatchOutcome {
     let start = Instant::now();
-    let all = PairList::Range(0..cands.len());
-    let pass = drive_sharded(exec, ctx, cands, all, memo, &EvalBudget::unlimited(), step);
+    let all = all_words(cands.len());
+    let pass = drive_sharded(exec, ctx, cands, &all, memo, &EvalBudget::unlimited(), step);
     let mut verdicts = vec![false; cands.len()];
     for event in pass.events {
-        if let DeltaEvent::Matched { i } = event {
-            verdicts[i] = true;
+        if let DeltaEvent::Matched { word, mask } = event {
+            for i in word_pairs(word, mask) {
+                verdicts[i] = true;
+            }
         }
     }
     MatchOutcome {
@@ -97,6 +102,35 @@ fn run_engine(
         elapsed: start.elapsed(),
         quarantined: pass.quarantined,
     }
+}
+
+/// Reports the pairs of `mask` in word `word` matched, if any.
+fn report_matched(w: &mut Shard<'_>, word: usize, mask: u64) {
+    if mask != 0 {
+        w.events.push(DeltaEvent::Matched { word, mask });
+    }
+}
+
+/// The pairs of `among` in word `word` for which `pred` is false on a
+/// freshly computed value, counting each computation and comparison.
+fn failing_computed(
+    pred: &Predicate,
+    word: usize,
+    among: u64,
+    cands: &CandidateSet,
+    ctx: &EvalContext,
+    stats: &mut EvalStats,
+) -> u64 {
+    let mut failed = 0;
+    for i in word_pairs(word, among) {
+        let v = ctx.compute(pred.feature, cands.pair(i));
+        stats.feature_computations += 1;
+        stats.predicate_evals += 1;
+        if !pred.eval(v) {
+            failed |= 1 << (i % 64);
+        }
+    }
+    failed
 }
 
 /// Algorithm 1 — the rudimentary baseline.
@@ -110,26 +144,19 @@ pub fn run_rudimentary(
     cands: &CandidateSet,
     exec: &Executor,
 ) -> MatchOutcome {
-    run_engine(ctx, cands, None, exec, |w, i, pair| {
-        let mut matched = false;
+    run_engine(ctx, cands, None, exec, |w, word, mask| {
+        let mut matched = 0;
         for rule in func.rules() {
-            w.stats.rule_evals += 1;
-            let mut rule_true = true;
+            w.stats.rule_evals += u64::from(mask.count_ones());
+            let mut holds = mask;
             for bp in &rule.preds {
-                let v = ctx.compute(bp.pred.feature, pair);
-                w.stats.feature_computations += 1;
-                w.stats.predicate_evals += 1;
-                if !bp.pred.eval(v) {
-                    rule_true = false;
-                    // NOTE: no break — Algorithm 1 evaluates every predicate.
-                }
+                // NOTE: every pair — Algorithm 1 evaluates every predicate.
+                holds &= !failing_computed(&bp.pred, word, mask, cands, ctx, &mut w.stats);
             }
-            // NOTE: no break — Algorithm 1 evaluates every rule.
-            matched |= rule_true;
+            // NOTE: no early exit — Algorithm 1 evaluates every rule.
+            matched |= holds;
         }
-        if matched {
-            w.events.push(DeltaEvent::Matched { i });
-        }
+        report_matched(w, word, matched);
     })
 }
 
@@ -141,8 +168,8 @@ pub fn run_rudimentary(
 /// might use) for *full precomputation*. Returns the filled memo so callers
 /// can account for memory (§7.4) or reuse it.
 ///
-/// Precomputation is fused per pair (fill the pair's universe row, then
-/// match the pair) so panic isolation sees a single pass; the work
+/// Precomputation is fused per word (fill the word's universe rows, then
+/// match its pairs) so panic isolation sees a single pass; the work
 /// performed is identical to the two-phase formulation.
 pub fn run_precompute(
     func: &MatchingFunction,
@@ -152,20 +179,22 @@ pub fn run_precompute(
     exec: &Executor,
 ) -> (MatchOutcome, DenseMemo) {
     let mut memo = DenseMemo::new(cands.len(), ctx.registry().len());
-    let outcome = run_engine(ctx, cands, Some(&mut memo), exec, |w, i, pair| {
+    let outcome = run_engine(ctx, cands, Some(&mut memo), exec, |w, word, mask| {
         // Fill the memo for the whole universe (Algorithm 2 phase 1,
-        // restricted to this pair).
-        for &f in universe {
-            let v = ctx.compute(f, pair);
-            w.stats.feature_computations += 1;
-            w.memo.put(i, f, v);
+        // restricted to this word).
+        for i in word_pairs(word, mask) {
+            for &f in universe {
+                let v = ctx.compute(f, cands.pair(i));
+                w.stats.feature_computations += 1;
+                w.memo.put(i, f, v);
+            }
         }
-        // Match using lookups (phase 2 for this pair); a feature missing
+        // Match using lookups (phase 2 for this word); a feature missing
         // from a smaller universe than the function needs is computed and
         // memoized.
-        if first_firing(func, i, pair, ctx, &mut w.memo, false, &mut w.stats, |_| {}).is_some() {
-            w.events.push(DeltaEvent::Matched { i });
-        }
+        let (memo, stats) = (&mut w.memo, &mut w.stats);
+        let fired = first_firing(func, word, mask, cands, ctx, memo, false, stats, |_| {});
+        report_matched(w, word, fired);
     });
     (outcome, memo)
 }
@@ -181,30 +210,33 @@ pub fn run_early_exit(
     cands: &CandidateSet,
     exec: &Executor,
 ) -> MatchOutcome {
-    run_engine(ctx, cands, None, exec, |w, i, pair| {
-        let stats = &mut w.stats;
-        let fired = func.rules().iter().any(|rule| {
-            stats.rule_evals += 1;
-            rule.preds.iter().all(|bp| {
-                let v = ctx.compute(bp.pred.feature, pair);
-                stats.feature_computations += 1;
-                stats.predicate_evals += 1;
-                bp.pred.eval(v)
-            })
-        });
-        if fired {
-            w.events.push(DeltaEvent::Matched { i });
+    run_engine(ctx, cands, None, exec, |w, word, mask| {
+        let mut live = mask;
+        for rule in func.rules() {
+            if live == 0 {
+                break;
+            }
+            w.stats.rule_evals += u64::from(live.count_ones());
+            let mut holds = live;
+            for bp in &rule.preds {
+                if holds == 0 {
+                    break;
+                }
+                holds &= !failing_computed(&bp.pred, word, holds, cands, ctx, &mut w.stats);
+            }
+            live &= !holds;
         }
+        report_matched(w, word, mask & !live);
     })
 }
 
 /// The value of feature `f` for pair `i`: a memo lookup when present,
 /// otherwise computed and memoized.
 #[inline]
-pub(crate) fn memo_or_compute<M: Memo>(
+fn memo_or_compute<M: Memo>(
     f: FeatureId,
     i: usize,
-    pair: PairIdx,
+    cands: &CandidateSet,
     ctx: &EvalContext,
     memo: &mut M,
     stats: &mut EvalStats,
@@ -213,103 +245,155 @@ pub(crate) fn memo_or_compute<M: Memo>(
         stats.memo_lookups += 1;
         return v;
     }
-    let v = ctx.compute(f, pair);
+    let v = ctx.compute(f, cands.pair(i));
     stats.feature_computations += 1;
     memo.put(i, f, v);
     v
 }
 
-/// Evaluates one rule for one pair with early exit + memoing, in the rule's
-/// stored predicate order (optionally visiting already-memoized predicates
-/// first — the "check cache first" optimization of §5.4.3), reporting each
-/// failed predicate to `on_false`.
+/// The pairs of `among` in word `word` for which `pred` is false, each
+/// value read through [`memo_or_compute`] and counted as one predicate
+/// evaluation.
+pub(crate) fn failing<M: Memo>(
+    pred: &Predicate,
+    word: usize,
+    among: u64,
+    cands: &CandidateSet,
+    ctx: &EvalContext,
+    memo: &mut M,
+    stats: &mut EvalStats,
+) -> u64 {
+    let mut failed = 0;
+    for i in word_pairs(word, among) {
+        let v = memo_or_compute(pred.feature, i, cands, ctx, memo, stats);
+        if !pred.eval(v) {
+            failed |= 1 << (i % 64);
+        }
+    }
+    stats.predicate_evals += u64::from(among.count_ones());
+    failed
+}
+
+/// Tests one rule on the pairs of `mask` in word `word` with early exit +
+/// memoing, and returns the pairs it holds for. Predicates run in the
+/// rule's stored order over the pairs still live (optionally, per pair,
+/// the already-memoized predicates first — the "check cache first"
+/// optimization of §5.4.3), so each pair stops at its first false
+/// predicate, exactly as if it were tested alone; each predicate's false
+/// pairs are reported to `on_false` as a mask.
 ///
-/// Shared by the Algorithm 4 engines, full runs and the incremental
-/// algorithms. Allocates nothing for rules of up to 64 predicates.
+/// Shared by the Algorithm 4 engines, full runs, the incremental
+/// algorithms and the sample-driven ordering. Allocates nothing for rules
+/// of up to 16 predicates.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
 pub(crate) fn eval_rule_memoized<M: Memo>(
     rule: &BoundRule,
-    pair_idx: usize,
-    pair: PairIdx,
+    word: usize,
+    mask: u64,
+    cands: &CandidateSet,
     ctx: &EvalContext,
     memo: &mut M,
     check_cache_first: bool,
     stats: &mut EvalStats,
-    mut on_false: impl FnMut(PredId),
-) -> bool {
-    stats.rule_evals += 1;
+    mut on_false: impl FnMut(PredId, u64),
+) -> u64 {
+    stats.rule_evals += u64::from(mask.count_ones());
     let preds = &rule.preds;
 
-    // Which predicates were memoized is fixed before any is evaluated (a
-    // value computed here must not promote a later predicate), so record
-    // it: one bit per position, on the stack for up to 64 predicates.
-    let mut inline = [0u64; 1];
+    // Which predicates were memoized, per pair, is fixed before any is
+    // evaluated (a value computed here must not promote a later
+    // predicate), so record it: one mask per position, on the stack for up
+    // to 16 predicates.
+    let mut inline = [0u64; 16];
     let mut spilled = Vec::new();
-    let cached: &mut [u64] = if !check_cache_first || preds.len() <= 64 {
-        &mut inline
+    let cached: &mut [u64] = if !check_cache_first {
+        &mut []
+    } else if preds.len() <= inline.len() {
+        &mut inline[..preds.len()]
     } else {
-        spilled.resize(preds.len().div_ceil(64), 0);
+        spilled.resize(preds.len(), 0);
         &mut spilled
     };
-    if check_cache_first {
-        for (p, bp) in preds.iter().enumerate() {
-            if memo.contains(pair_idx, bp.pred.feature) {
-                cached[p / 64] |= 1 << (p % 64);
+    for (bp, cached) in preds.iter().zip(cached.iter_mut()) {
+        for i in word_pairs(word, mask) {
+            if memo.contains(i, bp.pred.feature) {
+                *cached |= 1 << (i % 64);
             }
         }
     }
 
-    let mut holds = |bp: &crate::rule::BoundPredicate| {
-        let v = memo_or_compute(bp.pred.feature, pair_idx, pair, ctx, memo, stats);
-        stats.predicate_evals += 1;
-        if !bp.pred.eval(v) {
-            on_false(bp.id);
-            return false;
-        }
-        true
+    // Without check cache first, one pass in stored order over every live
+    // pair (`cached` is empty); with it, each pair's memoized predicates
+    // first, then the rest, each pass in stored order.
+    let passes: &[bool] = if check_cache_first {
+        &[true, false]
+    } else {
+        &[false]
     };
-    if !check_cache_first {
-        return preds.iter().all(holds);
-    }
-    // Memoized predicates first, then the rest, each pass in stored order.
-    for memoized in [true, false] {
+    let mut live = mask;
+    for &memoized in passes {
         for (p, bp) in preds.iter().enumerate() {
-            let was_cached = cached[p / 64] >> (p % 64) & 1 == 1;
-            if was_cached == memoized && !holds(bp) {
-                return false;
+            let among = match cached.get(p) {
+                Some(&was_cached) if memoized => live & was_cached,
+                Some(&was_cached) => live & !was_cached,
+                None => live,
+            };
+            if among == 0 {
+                continue;
+            }
+            let failed = failing(&bp.pred, word, among, cands, ctx, memo, stats);
+            if failed != 0 {
+                live &= !failed;
+                on_false(bp.id, failed);
             }
         }
     }
-    true
+    live
 }
 
-/// Algorithm 4's pair step: enters the rules in evaluation order until one
-/// fires, reporting each failed predicate to `on_false`. Returns the rule
-/// that fired.
+/// Algorithm 4's word step: enters the rules in evaluation order over the
+/// pairs of `mask` in word `word` that no earlier rule fired for, logging
+/// each predicate's false pairs (`PredFalse`) and each rule's fired pairs
+/// (`Fire`) to `log`. Returns the pairs some rule fired for.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
 pub(crate) fn first_firing<M: Memo>(
     func: &MatchingFunction,
-    pair_idx: usize,
-    pair: PairIdx,
+    word: usize,
+    mask: u64,
+    cands: &CandidateSet,
     ctx: &EvalContext,
     memo: &mut M,
     check_cache_first: bool,
     stats: &mut EvalStats,
-    mut on_false: impl FnMut(PredId),
-) -> Option<RuleId> {
-    let fired = func.rules().iter().find(|rule| {
-        eval_rule_memoized(
+    mut log: impl FnMut(DeltaEvent),
+) -> u64 {
+    let mut live = mask;
+    for rule in func.rules() {
+        if live == 0 {
+            break;
+        }
+        let on_false = |p, mask| log(DeltaEvent::PredFalse { p, word, mask });
+        let holds = eval_rule_memoized(
             rule,
-            pair_idx,
-            pair,
+            word,
+            live,
+            cands,
             ctx,
             memo,
             check_cache_first,
             stats,
-            &mut on_false,
-        )
-    });
-    fired.map(|rule| rule.id)
+            on_false,
+        );
+        if holds != 0 {
+            log(DeltaEvent::Fire {
+                word,
+                mask: holds,
+                r: rule.id,
+            });
+            live &= !holds;
+        }
+    }
+    mask & !live
 }
 
 /// Algorithm 4 — early exit with dynamic memoing, writing into a
@@ -327,19 +411,13 @@ pub fn run_memo_with<M: Memo>(
     let mut stats = EvalStats::default();
     let mut verdicts = vec![false; cands.len()];
     let mut checker = EvalBudget::unlimited().checker();
-    let drive = drive_pairs(&PairList::Range(0..cands.len()), &mut checker, &mut |i| {
-        let pair = cands.pair(i);
-        let fired = first_firing(
-            func,
-            i,
-            pair,
-            ctx,
-            memo,
-            check_cache_first,
-            &mut stats,
-            |_| {},
-        );
-        verdicts[i] = fired.is_some();
+    let all = all_words(cands.len());
+    let drive = drive_words(&all, &mut checker, &mut |word, mask| {
+        let ccf = check_cache_first;
+        let fired = first_firing(func, word, mask, cands, ctx, memo, ccf, &mut stats, |_| {});
+        for i in word_pairs(word, fired) {
+            verdicts[i] = true;
+        }
     });
     MatchOutcome {
         verdicts,
@@ -365,20 +443,11 @@ pub fn run_memo_into(
     check_cache_first: bool,
     exec: &Executor,
 ) -> MatchOutcome {
-    run_engine(ctx, cands, Some(memo), exec, |w, i, pair| {
-        let fired = first_firing(
-            func,
-            i,
-            pair,
-            ctx,
-            &mut w.memo,
-            check_cache_first,
-            &mut w.stats,
-            |_| {},
-        );
-        if fired.is_some() {
-            w.events.push(DeltaEvent::Matched { i });
-        }
+    run_engine(ctx, cands, Some(memo), exec, |w, word, mask| {
+        let (memo, stats) = (&mut w.memo, &mut w.stats);
+        let ccf = check_cache_first;
+        let fired = first_firing(func, word, mask, cands, ctx, memo, ccf, stats, |_| {});
+        report_matched(w, word, fired);
     })
 }
 
@@ -626,7 +695,7 @@ mod tests {
 
     #[test]
     fn check_cache_first_order_holds_past_64_predicates() {
-        let (ctx, _, _) = fixture();
+        let (ctx, cands, _) = fixture();
         let (f_model, f_title) = (FeatureId(0), FeatureId(1));
         // 70 predicates alternating title (even) / model (odd), all true
         // except model at position 1 and title at position 66.
@@ -639,23 +708,25 @@ mod tests {
         let mut func = MatchingFunction::new();
         func.add_rule(rule).unwrap();
         let rule = &func.rules()[0];
-        let pair = PairIdx::new(0, 0);
         let first_false = |check_cache_first: bool| {
             let mut memo = crate::memo::SparseMemo::new();
-            memo.put(0, f_title, ctx.compute(f_title, pair));
+            memo.put(0, f_title, ctx.compute(f_title, cands.pair(0)));
             let mut stats = EvalStats::default();
             let mut failed = Vec::new();
-            let fired = eval_rule_memoized(
+            let holds = eval_rule_memoized(
                 rule,
                 0,
-                pair,
+                1,
+                &cands,
                 &ctx,
                 &mut memo,
                 check_cache_first,
                 &mut stats,
-                |id| failed.push(id),
+                |id, mask| failed.push((id, mask)),
             );
-            assert!(!fired);
+            assert_eq!(holds, 0);
+            assert_eq!(failed.len(), 1);
+            let failed: Vec<PredId> = failed.iter().map(|&(id, _)| id).collect();
             let pos = rule.preds.iter().position(|bp| bp.id == failed[0]);
             (pos.unwrap(), stats)
         };

@@ -28,12 +28,13 @@
 //! pair's evaluation writes. Rules before `r` are witnessed by the exactness
 //! invariant, so the paper's printed form ("re-test only the rules after
 //! `r`") is the special case where no later rule has a witness either.
-//! The scan costs one pass over the rules' `U(p)` words per 64-pair word
-//! that holds a cascading pair, not one per pair: the first cascading pair
-//! of a word resolves, for all 64 pairs, which rules lack a witness
-//! ([`OpenRules`], cached in the shard), and each pair of the word then
-//! tests only those. A word is resolved only when one of its pairs
-//! cascades, so a pass in which no pair leaves `M(r)` scans nothing.
+//! The cascade runs a word's leaving pairs together, rule by rule: for each
+//! rule it ORs the rule's `U(p)` words until they cover the pairs still
+//! unmatched ([`PreEdit::witnessed`]), tests the rule on the pairs left
+//! open, and drops those it fires for. Witnesses are resolved only for the
+//! word's own mask, so a word with one leaving pair stops at each rule's
+//! first witnessing predicate, and a pass in which no pair leaves `M(r)`
+//! scans nothing.
 //!
 //! **Per-edit work bound.** A pair leaving `M(r)` evaluates only the rules
 //! without a witness. Undoing a loosening of `r` — the re-tightening that
@@ -43,26 +44,31 @@
 //! however many rules the function has. A pair the loosening re-pointed
 //! from a later rule also re-evaluates that rule, which fires again.
 //!
-//! **Parallel deltas:** every algorithm's affected-pair loop touches only
-//! that pair's memo row, verdict, and bitmap bits, so given the *pre-edit*
-//! state the pairs are independent. The loops below therefore run through
-//! the sharded driver in `robust.rs`: workers evaluate disjoint shards of
-//! the affected list, write memo cells in place through disjoint windows
-//! of the dense memo, and emit event logs, which are folded into the
-//! [`MatchState`] serially in ascending pair order. Serial execution is the
+//! **Parallel deltas, one word at a time:** every algorithm's per-pair work
+//! touches only that pair's memo row, verdict, and bitmap bits, so given
+//! the *pre-edit* state the pairs are independent. An edit reads its
+//! affected pairs as `(word, mask)` units straight off `M(r)`, `U(p)` and
+//! the fired pointers, and its step runs through the sharded driver in
+//! `robust.rs`, one 64-pair word at a time: each rule is tested over the
+//! word's live pairs, predicate by predicate, so every pair goes through
+//! exactly the evaluations it would alone. Workers write memo cells in
+//! place through disjoint windows of the dense memo and log one event per
+//! word and outcome, which is OR-ed into (or cleared from) the
+//! [`MatchState`]'s words serially in word order. Serial execution is the
 //! one-shard case of the same path, so reports and state are identical for
 //! every thread count.
 
+use crate::bitmap::{all_words, filter_word, word_pairs, words_of};
 use crate::budget::{Completion, EvalBudget};
 use crate::context::EvalContext;
-use crate::engine::{eval_rule_memoized, first_firing, memo_or_compute, EvalStats};
+use crate::engine::{eval_rule_memoized, failing, first_firing, EvalStats};
 use crate::executor::Executor;
 use crate::function::{EditError, MatchingFunction};
 use crate::predicate::{PredId, Predicate};
-use crate::robust::{drive_sharded, PairList, Pass, Shard};
+use crate::robust::{drive_sharded, Pass, Shard, Word};
 use crate::rule::{BoundRule, Rule, RuleId};
 use crate::state::{MatchState, PreEdit};
-use em_types::{CandidateSet, PairIdx};
+use em_types::CandidateSet;
 use std::time::{Duration, Instant};
 
 /// Work done by one worker during a parallel (or serial) delta evaluation.
@@ -107,40 +113,26 @@ impl ChangeReport {
 }
 
 /// One state mutation or report observed while evaluating a pass against
-/// the pre-edit snapshot; replayed onto the [`MatchState`] after all workers
-/// finish. The §4 engines report their matches with it too.
+/// the pre-edit snapshot, for the pairs of `mask` in word `word`; replayed
+/// onto the [`MatchState`] after all workers finish. The §4 engines report
+/// their matches with it too.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum DeltaEvent {
-    /// Pair `i` now matches via rule `r`.
-    Fire { i: usize, r: RuleId },
-    /// Pair `i` lost its fired rule.
-    Unfire { i: usize },
-    /// Predicate `p` evaluated false for pair `i` (joins `U(p)`).
-    PredFalse { p: PredId, i: usize },
-    /// Predicate `p` no longer fails pair `i` (leaves `U(p)`).
-    PredClear { p: PredId, i: usize },
-    /// Report pair `i` as newly matched.
-    Matched { i: usize },
-    /// Report pair `i` as newly unmatched.
-    Unmatched { i: usize },
+    /// The pairs now match via rule `r` (they join `M(r)`).
+    Fire { word: usize, mask: u64, r: RuleId },
+    /// The pairs lost their fired rule.
+    Unfire { word: usize, mask: u64 },
+    /// Predicate `p` evaluated false for the pairs (they join `U(p)`).
+    PredFalse { p: PredId, word: usize, mask: u64 },
+    /// Predicate `p` no longer fails the pairs (they leave `U(p)`).
+    PredClear { p: PredId, word: usize, mask: u64 },
+    /// Report the pairs as newly matched.
+    Matched { word: usize, mask: u64 },
+    /// Report the pairs as newly unmatched.
+    Unmatched { word: usize, mask: u64 },
 }
 
-/// One 64-pair word of the cascade's witness scan, cached per shard: the
-/// rules, by evaluation position, that some pair of word `word` has no
-/// pre-edit failure witness for, each with the mask of those pairs (see
-/// [`PreEdit::resolve_word`]). A shard is built fresh for every pass and
-/// the pre-edit `U(p)` is read-only during one, so a resolved word stays
-/// valid until the shard's next cascading pair falls in another word.
-#[derive(Default)]
-pub(crate) struct OpenRules {
-    /// The resolved word; `None` before the first.
-    pub word: Option<usize>,
-    /// `(evaluation position, pairs of the word without a witness)`, in
-    /// evaluation order; rules witnessed for all 64 pairs are left out.
-    pub rules: Vec<(u32, u64)>,
-}
-
-/// Replays a pass's event log onto the state, in pair order, and reports
+/// Replays a pass's event log onto the state, in word order, and reports
 /// the pass.
 pub(crate) fn apply_delta(state: &mut MatchState, pass: Pass) -> ChangeReport {
     let mut report = ChangeReport {
@@ -153,126 +145,148 @@ pub(crate) fn apply_delta(state: &mut MatchState, pass: Pass) -> ChangeReport {
     };
     for event in pass.events {
         match event {
-            DeltaEvent::Fire { i, r } => state.fire(i, r),
-            DeltaEvent::Unfire { i } => {
-                state.unfire(i);
+            DeltaEvent::Fire { word, mask, r } => state.fire(word, mask, r),
+            DeltaEvent::Unfire { word, mask } => state.unfire(word, mask),
+            DeltaEvent::PredFalse { p, word, mask } => state.record_pred_false(p, word, mask),
+            DeltaEvent::PredClear { p, word, mask } => state.clear_pred_false(p, word, mask),
+            DeltaEvent::Matched { word, mask } => {
+                report.newly_matched.extend(word_pairs(word, mask));
             }
-            DeltaEvent::PredFalse { p, i } => state.record_pred_false(p, i),
-            DeltaEvent::PredClear { p, i } => state.clear_pred_false(p, i),
-            DeltaEvent::Matched { i } => report.newly_matched.push(i),
-            DeltaEvent::Unmatched { i } => report.newly_unmatched.push(i),
+            DeltaEvent::Unmatched { word, mask } => {
+                report.newly_unmatched.extend(word_pairs(word, mask));
+            }
         }
     }
     report
 }
 
-/// Algorithm 4's pair step with the materialization's bookkeeping: logs
-/// each failed predicate (`U(p)`) and the rule that fires (`M(r)`).
-/// Returns whether a rule fired.
+/// Algorithm 4's word step with the materialization's bookkeeping: logs
+/// each predicate's failures (`U(p)`) and the pairs each rule fires for
+/// (`M(r)`).
 pub(crate) fn fire_first(
     func: &MatchingFunction,
+    cands: &CandidateSet,
     ctx: &EvalContext,
     check_cache_first: bool,
     w: &mut Shard<'_>,
-    i: usize,
-    pair: PairIdx,
-) -> bool {
+    word: usize,
+    mask: u64,
+) {
     let events = &mut w.events;
-    let on_false = |p| events.push(DeltaEvent::PredFalse { p, i });
-    let fired = first_firing(
+    first_firing(
         func,
-        i,
-        pair,
+        word,
+        mask,
+        cands,
         ctx,
         &mut w.memo,
         check_cache_first,
         &mut w.stats,
-        on_false,
+        |event| events.push(event),
     );
-    if let Some(r) = fired {
-        w.events.push(DeltaEvent::Fire { i, r });
-    }
-    fired.is_some()
 }
 
-/// Tests `rule` on pair `i`, logging each failed predicate (the rule's new
-/// witness). When it holds, an unmatched pair fires it and is reported
-/// newly matched; a matched pair is re-pointed to it, its verdict
-/// unchanged. Callers only test a matched pair on a rule that sits before
-/// the pair's fired rule.
+/// Tests `rule` on the pairs of `mask` in word `word`, logging each
+/// predicate's failures (the rule's new witnesses). An unmatched pair it
+/// holds for fires it and is reported newly matched; a matched pair is
+/// re-pointed to it, its verdict unchanged. Callers only test a matched
+/// pair on a rule that sits before the pair's fired rule.
+#[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
 fn fire_if_holds(
     rule: &BoundRule,
     pre: PreEdit<'_>,
+    cands: &CandidateSet,
     ctx: &EvalContext,
     check_cache_first: bool,
     w: &mut Shard<'_>,
-    i: usize,
-    pair: PairIdx,
+    word: usize,
+    mask: u64,
 ) {
     let events = &mut w.events;
-    let on_false = |p| events.push(DeltaEvent::PredFalse { p, i });
-    if !eval_rule_memoized(
+    let holds = eval_rule_memoized(
         rule,
-        i,
-        pair,
+        word,
+        mask,
+        cands,
         ctx,
         &mut w.memo,
         check_cache_first,
         &mut w.stats,
-        on_false,
-    ) {
+        |p, mask| events.push(DeltaEvent::PredFalse { p, word, mask }),
+    );
+    if holds == 0 {
         return;
     }
-    if pre.fired(i).is_some() {
-        w.events.push(DeltaEvent::Unfire { i });
-        w.events.push(DeltaEvent::Fire { i, r: rule.id });
-    } else {
-        w.events.push(DeltaEvent::Fire { i, r: rule.id });
-        w.events.push(DeltaEvent::Matched { i });
+    let matched = filter_word(word, holds, |i| pre.fired(i).is_some());
+    if matched != 0 {
+        events.push(DeltaEvent::Unfire {
+            word,
+            mask: matched,
+        });
+    }
+    events.push(DeltaEvent::Fire {
+        word,
+        mask: holds,
+        r: rule.id,
+    });
+    if holds != matched {
+        events.push(DeltaEvent::Matched {
+            word,
+            mask: holds & !matched,
+        });
     }
 }
 
-/// The witness-pruned cascade for a pair that lost its fired rule: walks
-/// the rules in evaluation order, skips each one a pre-edit `U(p)` bit
-/// proves false, and fires the first of the rest that holds (logging the
-/// failed predicates of those that do not). Reports the pair newly
-/// unmatched when none holds. The witnesses are resolved for the pair's
-/// whole 64-pair word at once and cached in the shard, so the pair walks
-/// only the rules whose mask has its bit.
+/// The witness-pruned cascade for the pairs of `mask` in word `word`, which
+/// lost their fired rule: walks the rules in evaluation order and tests
+/// each one on the pairs still unmatched that no pre-edit `U(p)` bit proves
+/// it false for, logging their failed predicates; the pairs it holds for
+/// fire it. Reports the pairs no rule holds for newly unmatched.
+#[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
 fn cascade(
     func: &MatchingFunction,
     pre: PreEdit<'_>,
+    cands: &CandidateSet,
     ctx: &EvalContext,
     check_cache_first: bool,
     w: &mut Shard<'_>,
-    i: usize,
-    pair: PairIdx,
+    word: usize,
+    mask: u64,
 ) {
-    w.events.push(DeltaEvent::Unfire { i });
-    if w.open.word != Some(i / 64) {
-        pre.resolve_word(func, i / 64, &mut w.open);
-    }
-    let bit = 1u64 << (i % 64);
-    let rules = func.rules();
     let events = &mut w.events;
-    let mut on_false = |p| events.push(DeltaEvent::PredFalse { p, i });
-    let open = w.open.rules.iter().filter(|&&(_, mask)| mask & bit != 0);
-    let fired = open.map(|&(pos, _)| &rules[pos as usize]).find(|rule| {
-        eval_rule_memoized(
+    events.push(DeltaEvent::Unfire { word, mask });
+    let mut live = mask;
+    for rule in func.rules() {
+        if live == 0 {
+            return;
+        }
+        let open = live & !pre.witnessed(rule, word, live);
+        if open == 0 {
+            continue;
+        }
+        let holds = eval_rule_memoized(
             rule,
-            i,
-            pair,
+            word,
+            open,
+            cands,
             ctx,
             &mut w.memo,
             check_cache_first,
             &mut w.stats,
-            &mut on_false,
-        )
-    });
-    w.events.push(match fired {
-        Some(rule) => DeltaEvent::Fire { i, r: rule.id },
-        None => DeltaEvent::Unmatched { i },
-    });
+            |p, mask| events.push(DeltaEvent::PredFalse { p, word, mask }),
+        );
+        if holds != 0 {
+            events.push(DeltaEvent::Fire {
+                word,
+                mask: holds,
+                r: rule.id,
+            });
+            live &= !holds;
+        }
+    }
+    if live != 0 {
+        events.push(DeltaEvent::Unmatched { word, mask: live });
+    }
 }
 
 /// Marks, by rule id, the rules evaluated after rule `rid`.
@@ -286,15 +300,38 @@ fn rules_after(func: &MatchingFunction, rid: RuleId) -> Vec<bool> {
     later
 }
 
-/// Whether a pair whose fired rule is `fired` reaches the rule `later` was
-/// built for (see [`rules_after`]): it is unmatched, or fired after it.
-fn reaches(later: &[bool], fired: Option<RuleId>) -> bool {
-    fired.is_none_or(|f| later.get(f.0 as usize) == Some(&true))
+/// The pairs of `mask` in word `word` that reach the rule `later` was built
+/// for (see [`rules_after`]), by their fired rule `fired`: those unmatched,
+/// or fired after it.
+fn reaching(
+    later: &[bool],
+    fired: impl Fn(usize) -> Option<RuleId>,
+    word: usize,
+    mask: u64,
+) -> u64 {
+    filter_word(word, mask, |i| {
+        fired(i).is_none_or(|f| later.get(f.0 as usize) == Some(&true))
+    })
+}
+
+/// The units of `words` narrowed to their pairs that reach the rule
+/// `later` was built for, by `state`'s fired pointers.
+fn reaching_words(
+    later: &[bool],
+    state: &MatchState,
+    words: impl IntoIterator<Item = Word>,
+) -> Vec<Word> {
+    let fired = |i| state.fired_rule(i);
+    words
+        .into_iter()
+        .map(|(word, mask)| (word, reaching(later, fired, word, mask)))
+        .filter(|&(_, mask)| mask != 0)
+        .collect()
 }
 
 /// The kind of delta an edit started — everything needed to re-run the same
-/// per-pair evaluation over a stored remaining list via [`resume_delta`]
-/// after a budget tripped mid-edit.
+/// evaluation over a stored remaining list via [`resume_delta`] after a
+/// budget tripped mid-edit.
 #[derive(Debug, Clone)]
 pub enum PendingDelta {
     /// Algorithm 10: evaluate a newly inserted rule over the unmatched
@@ -303,8 +340,8 @@ pub enum PendingDelta {
         /// The added rule.
         rid: RuleId,
     },
-    /// Algorithm 9's per-pair body: unfire, then the witness-pruned cascade
-    /// (used by rule removal — the rule is already gone from the function).
+    /// Algorithm 9's body: unfire, then the witness-pruned cascade (used by
+    /// rule removal — the rule is already gone from the function).
     Cascade,
     /// Algorithm 7: re-test a tightened/added predicate over `M(r)`,
     /// cascading pairs that now fail.
@@ -327,13 +364,14 @@ pub enum PendingDelta {
     },
 }
 
-/// Runs one delta kind over an explicit affected-pair list and applies the
-/// result. Shared by the edit entry points (full affected list) and
-/// [`resume_delta`] (the remaining list of a partial edit).
+/// Runs one delta kind over the affected pairs, as `(word, mask)` units,
+/// and applies the result. Shared by the edit entry points (the full
+/// affected set) and [`resume_delta`] (the remaining list of a partial
+/// edit).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's algorithm signature
 fn run_kind(
     kind: &PendingDelta,
-    affected: &[usize],
+    affected: &[Word],
     func: &MatchingFunction,
     state: &mut MatchState,
     ctx: &EvalContext,
@@ -345,47 +383,49 @@ fn run_kind(
     let start = Instant::now();
     let ccf = check_cache_first;
     let (memo, pre) = state.memo_and_pre_edit();
-    let mut delta = |step: &(dyn Fn(&mut Shard<'_>, usize, PairIdx) + Sync)| {
-        let pairs = PairList::Slice(affected);
-        drive_sharded(exec, ctx, cands, pairs, Some(memo), budget, step)
+    let mut delta = |step: &(dyn Fn(&mut Shard<'_>, usize, u64) + Sync)| {
+        drive_sharded(exec, ctx, cands, affected, Some(memo), budget, step)
     };
     let pass = match kind {
         PendingDelta::AddRule { rid } => {
             let rule = func.rule(*rid).ok_or(EditError::UnknownRule(*rid))?;
-            delta(&|w, i, pair| fire_if_holds(rule, pre, ctx, ccf, w, i, pair))
+            delta(&|w, word, mask| fire_if_holds(rule, pre, cands, ctx, ccf, w, word, mask))
         }
-        PendingDelta::Cascade => delta(&|w, i, pair| cascade(func, pre, ctx, ccf, w, i, pair)),
+        PendingDelta::Cascade => {
+            delta(&|w, word, mask| cascade(func, pre, cands, ctx, ccf, w, word, mask))
+        }
         PendingDelta::Restrict { pid, .. } => {
             let (_, bp) = func
                 .find_predicate(*pid)
                 .ok_or(EditError::UnknownPredicate(*pid))?;
-            let (pid, pred) = (*pid, bp.pred);
-            delta(&|w, i, pair| {
-                let v = memo_or_compute(pred.feature, i, pair, ctx, &mut w.memo, &mut w.stats);
-                w.stats.predicate_evals += 1;
-                if pred.eval(v) {
-                    return; // still matched by this rule
+            let (p, pred) = (*pid, bp.pred);
+            delta(&|w, word, mask| {
+                // The pairs the rule no longer fires for.
+                let mask = failing(&pred, word, mask, cands, ctx, &mut w.memo, &mut w.stats);
+                if mask != 0 {
+                    w.events.push(DeltaEvent::PredFalse { p, word, mask });
+                    cascade(func, pre, cands, ctx, ccf, w, word, mask);
                 }
-                w.events.push(DeltaEvent::PredFalse { p: pid, i });
-                cascade(func, pre, ctx, ccf, w, i, pair);
             })
         }
         PendingDelta::Loosen { rid, pid, re_eval } => {
             let rule = func.rule(*rid).ok_or(EditError::UnknownRule(*rid))?;
-            let later = rules_after(func, *rid);
-            delta(&|w, i, pair| {
+            let (later, p) = (rules_after(func, *rid), *pid);
+            delta(&|w, word, mut mask| {
                 if let Some(pred) = re_eval {
-                    // Memoized: the U(p) bit was set by an evaluation.
-                    let v = memo_or_compute(pred.feature, i, pair, ctx, &mut w.memo, &mut w.stats);
-                    w.stats.predicate_evals += 1;
-                    if !pred.eval(v) {
-                        return; // still false under the relaxed threshold
+                    // Memoized: the U(p) bits were set by evaluations. The
+                    // pairs still false under the relaxed threshold drop out.
+                    mask &= !failing(pred, word, mask, cands, ctx, &mut w.memo, &mut w.stats);
+                    if mask == 0 {
+                        return;
                     }
-                    w.events.push(DeltaEvent::PredClear { p: *pid, i });
+                    w.events.push(DeltaEvent::PredClear { p, word, mask });
                 }
-                if reaches(&later, pre.fired(i)) {
-                    // No rule before the loosened one holds; test it whole.
-                    fire_if_holds(rule, pre, ctx, ccf, w, i, pair);
+                // No rule before the loosened one holds for these; test it
+                // whole.
+                let reach = reaching(&later, |i| pre.fired(i), word, mask);
+                if reach != 0 {
+                    fire_if_holds(rule, pre, cands, ctx, ccf, w, word, reach);
                 }
             })
         }
@@ -413,7 +453,7 @@ pub fn resume_delta(
 ) -> Result<ChangeReport, EditError> {
     run_kind(
         kind,
-        remaining,
+        &words_of(remaining.iter().copied()),
         func,
         state,
         ctx,
@@ -424,36 +464,32 @@ pub fn resume_delta(
     )
 }
 
-/// `M(r)` as an ascending affected-pair list.
-fn rule_affected(state: &MatchState, rid: RuleId) -> Vec<usize> {
+/// `M(r)`'s words: the pairs rule `rid` fired for.
+fn rule_affected(state: &MatchState, rid: RuleId) -> Vec<Word> {
     state
         .rule_bitmap(rid)
-        .map(|bm| bm.iter_ones().collect())
+        .map(|bm| bm.nonzero_words().collect())
         .unwrap_or_default()
 }
 
-/// The pairs of `U(p)` a loosen edit of `p` (in rule `rid`) re-examines,
-/// ascending. A relax re-tests every bit, so the ones it passes are
-/// cleared; a removal drops `U(p)` whole, so it re-tests rule `rid` only
-/// where `p` may have been the rule's witness: unmatched pairs and pairs
-/// fired after `rid`.
+/// The words of `U(p)` a loosen edit of `p` (in rule `rid`) re-examines. A
+/// relax re-tests every bit, so the ones it passes are cleared; a removal
+/// drops `U(p)` whole, so it re-tests rule `rid` only where `p` may have
+/// been the rule's witness: unmatched pairs and pairs fired after `rid`.
 fn loosen_affected(
     func: &MatchingFunction,
     state: &MatchState,
     rid: RuleId,
     pid: PredId,
     relax: bool,
-) -> Vec<usize> {
+) -> Vec<Word> {
     let Some(bm) = state.pred_bitmap(pid) else {
         return Vec::new();
     };
     if relax {
-        return bm.iter_ones().collect();
+        return bm.nonzero_words().collect();
     }
-    let later = rules_after(func, rid);
-    bm.iter_ones()
-        .filter(|&i| reaches(&later, state.fired_rule(i)))
-        .collect()
+    reaching_words(&rules_after(func, rid), state, bm.nonzero_words())
 }
 
 /// Algorithm 10, generalised — insert a rule at evaluation position
@@ -478,9 +514,7 @@ pub fn insert_rule(
 ) -> Result<(RuleId, ChangeReport), EditError> {
     let rid = func.insert_rule(rule, position)?;
     let later = rules_after(func, rid);
-    let affected: Vec<usize> = (0..state.n_pairs())
-        .filter(|&i| reaches(&later, state.fired_rule(i)))
-        .collect();
+    let affected = reaching_words(&later, state, all_words(state.n_pairs()));
     let report = run_kind(
         &PendingDelta::AddRule { rid },
         &affected,
@@ -1077,6 +1111,12 @@ mod tests {
         evals
     }
 
+    /// `M(r)` as ascending pairs.
+    fn rule_pairs(state: &MatchState, rid: RuleId) -> Vec<usize> {
+        let words = rule_affected(state, rid);
+        words.iter().flat_map(|&(w, m)| word_pairs(w, m)).collect()
+    }
+
     #[test]
     fn cascade_work_across_words_is_one_eval_per_unwitnessed_rule() {
         let (ctx, cands, [title, code, lev]) = wide_fixture();
@@ -1117,7 +1157,7 @@ mod tests {
             );
 
             let before = state.clone();
-            let affected = rule_affected(&before, all);
+            let affected = rule_pairs(&before, all);
             assert!(
                 affected.contains(&63) && affected.contains(&64),
                 "{affected:?}"
@@ -1164,21 +1204,21 @@ mod tests {
                 .unwrap();
             let mut state = MatchState::new(cands.len(), ctx.registry().len());
             run_full(&func, &ctx, &cands, &mut state, false, &exec);
-            let matched = rule_affected(&state, r);
+            let matched = rule_pairs(&state, r);
 
             let code_p = func.rule(r).unwrap().preds[1].id;
             remove_predicate(
                 &mut func, &mut state, &ctx, &cands, code_p, false, &exec, &budget,
             )
             .unwrap();
-            let grown = rule_affected(&state, r);
+            let grown = rule_pairs(&state, r);
             assert_eq!(grown.len(), cands.len(), "M(r) ballooned");
 
             let (_, report) = add_predicate(
                 &mut func, &mut state, &ctx, &cands, r, equal, false, &exec, &budget,
             )
             .unwrap();
-            assert_eq!(rule_affected(&state, r), matched);
+            assert_eq!(rule_pairs(&state, r), matched);
             let left: Vec<usize> = grown
                 .into_iter()
                 .filter(|i| matched.binary_search(i).is_err())

@@ -222,32 +222,35 @@ pub fn order_rules_sample_greedy(
     }
     indices.truncate(sample_size.min(n));
 
-    // Evaluate every rule on every sample pair once (memoized per pair so
-    // shared features are not recomputed).
-    let mut matched_by: Vec<Vec<bool>> = vec![Vec::with_capacity(indices.len()); func.n_rules()];
+    // Evaluate every rule on every sample pair once, a 64-pair word of the
+    // sample at a time (memoized per pair so shared features are not
+    // recomputed); `matched_by[r]` holds rule `r`'s mask per word.
+    let sample: em_types::CandidateSet = indices.iter().map(|&ci| cands.pair(ci)).collect();
+    let words = crate::bitmap::all_words(sample.len());
+    let mut matched_by: Vec<Vec<u64>> = vec![Vec::with_capacity(words.len()); func.n_rules()];
     let mut memo = crate::memo::SparseMemo::new();
     let mut scratch = crate::engine::EvalStats::default();
-    for (si, &ci) in indices.iter().enumerate() {
-        let pair = cands.pair(ci);
+    for &(word, mask) in &words {
         for (ri, rule) in func.rules().iter().enumerate() {
-            let ok = crate::engine::eval_rule_memoized(
+            let holds = crate::engine::eval_rule_memoized(
                 rule,
-                si,
-                pair,
+                word,
+                mask,
+                &sample,
                 ctx,
                 &mut memo,
                 false,
                 &mut scratch,
-                |_| {},
+                |_, _| {},
             );
-            matched_by[ri].push(ok);
+            matched_by[ri].push(holds);
         }
     }
 
     // Greedy pipelined set cover: maximize newly-resolved pairs per unit
     // cost; resolve ties (and the zero-benefit tail) by cheaper-first.
     let mut remaining: Vec<usize> = (0..func.n_rules()).collect();
-    let mut unresolved: Vec<bool> = vec![true; indices.len()];
+    let mut unresolved: Vec<u64> = words.iter().map(|&(_, mask)| mask).collect();
     let mut order = Vec::with_capacity(func.n_rules());
     let mut state = MemoState::new();
 
@@ -257,11 +260,12 @@ pub fn order_rules_sample_greedy(
             .enumerate()
             .max_by(|(_, &a), (_, &b)| {
                 let score = |ri: usize| {
-                    let gain = matched_by[ri]
+                    let gain: u32 = matched_by[ri]
                         .iter()
                         .zip(&unresolved)
-                        .filter(|(&m, &u)| m && u)
-                        .count() as f64;
+                        .map(|(&m, &u)| (m & u).count_ones())
+                        .sum();
+                    let gain = f64::from(gain);
                     let cost =
                         rule_cost_memo(&func.rules()[ri], stats, &state).max(f64::MIN_POSITIVE);
                     (gain / cost, -cost)
@@ -271,9 +275,7 @@ pub fn order_rules_sample_greedy(
             .expect("remaining is non-empty");
         remaining.swap_remove(pos);
         for (u, &m) in unresolved.iter_mut().zip(&matched_by[best]) {
-            if m {
-                *u = false;
-            }
+            *u &= !m;
         }
         state.advance(&func.rules()[best], stats);
         order.push(func.rules()[best].id);

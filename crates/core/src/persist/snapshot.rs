@@ -438,8 +438,8 @@ mod tests {
         // title predicate "fails" a1b1 although its memoized value passes,
         // and the model predicate "fails" it with no value memoized (r0
         // fired first), although the model numbers are equal.
-        state.record_pred_false(title_p, 0);
-        state.record_pred_false(model_p, 0);
+        state.record_pred_false(title_p, 0, 1);
+        state.record_pred_false(model_p, 0, 1);
         let mut state = decode_state(&encode_state(&state), n, &func).unwrap();
         assert!(!state.pred_bitmap(title_p).unwrap().get(0), "memo passes p");
         assert!(!state.pred_bitmap(model_p).unwrap().get(0), "no memo cell");

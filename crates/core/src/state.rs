@@ -15,11 +15,11 @@
 //! Both bitmap families are indexed by dense id: rule and predicate ids are
 //! minted monotonically, so slot `id` of a `Vec<Option<Bitmap>>` holds the
 //! set of that id (`None` when it was never created or has been dropped).
-//! A lookup is one index, with no hashing. An edit's cascade reads the
-//! `U(p)` witnesses one 64-pair word at a time: for the word of a
-//! cascading pair it ORs each rule's predicate words once
-//! ([`PreEdit::resolve_word`]), so every pair of the word walks only the
-//! rules it has no witness for.
+//! A lookup is one index, with no hashing. Both families are read and
+//! written a 64-pair word at a time: a delta's events set or clear whole
+//! words, and an edit's cascade reads a rule's `U(p)` witnesses for a
+//! word's cascading pairs by OR-ing its predicates' words until they cover
+//! those pairs ([`PreEdit::witnessed`]).
 //!
 //! After every edit the state is *exact*:
 //!
@@ -31,16 +31,17 @@
 //!   has one.
 
 use crate::bitmap::Bitmap;
+use crate::bitmap::{all_words, word_pairs};
 use crate::budget::EvalBudget;
 use crate::context::EvalContext;
 use crate::engine::EvalStats;
 use crate::executor::Executor;
 use crate::function::MatchingFunction;
-use crate::incremental::{apply_delta, fire_first, OpenRules};
+use crate::incremental::{apply_delta, fire_first};
 use crate::memo::{DenseMemo, Memo};
 use crate::predicate::PredId;
-use crate::robust::{drive_sharded, PairList};
-use crate::rule::RuleId;
+use crate::robust::drive_sharded;
+use crate::rule::{BoundRule, RuleId};
 use em_types::CandidateSet;
 
 /// Memory accounting for the §7.4 experiment.
@@ -116,29 +117,21 @@ impl PreEdit<'_> {
         self.fired[i]
     }
 
-    /// Resolves the failure witnesses of the 64 pairs of word `w` into
-    /// `open`: every rule of `func`, by evaluation position, that some pair
-    /// of the word has no witness for — no `U(p)` bit of one of its
-    /// predicates — with the mask of those pairs. A rule's mask is the
-    /// complement of word `w` OR-ed over its predicates that have a set,
-    /// and the OR stops once it covers all 64 pairs.
-    pub(crate) fn resolve_word(&self, func: &MatchingFunction, w: usize, open: &mut OpenRules) {
-        open.word = Some(w);
-        open.rules.clear();
-        for (pos, rule) in func.rules().iter().enumerate() {
-            let mut witnessed = 0u64;
-            for bp in &rule.preds {
-                if let Some(bm) = slot(self.pred_false, pred_slot(bp.id)) {
-                    witnessed |= bm.words()[w];
-                    if witnessed == u64::MAX {
-                        break;
-                    }
+    /// The pairs of `among` in word `w` that `rule` has a failure witness
+    /// for: a `U(p)` bit of one of its predicates. Word `w` is OR-ed over
+    /// the predicates that have a set, stopping once it covers `among`, so
+    /// a single pair costs one probe up to its first witness.
+    pub(crate) fn witnessed(&self, rule: &BoundRule, w: usize, among: u64) -> u64 {
+        let mut witnessed = 0u64;
+        for bp in &rule.preds {
+            if let Some(bm) = slot(self.pred_false, pred_slot(bp.id)) {
+                witnessed |= bm.word(w) & among;
+                if witnessed == among {
+                    break;
                 }
             }
-            if witnessed != u64::MAX {
-                open.rules.push((pos as u32, !witnessed));
-            }
         }
+        witnessed
     }
 }
 
@@ -210,31 +203,35 @@ impl MatchState {
         slot(&self.pred_false, pred_slot(p))
     }
 
-    /// Marks pair `i` as matched via rule `r`.
-    pub(crate) fn fire(&mut self, i: usize, r: RuleId) {
-        self.verdicts[i] = true;
-        self.fired[i] = Some(r);
-        self.rule_bitmap_mut(r).set(i);
-    }
-
-    /// Clears pair `i`'s match (if any), returning the rule that had fired.
-    pub(crate) fn unfire(&mut self, i: usize) -> Option<RuleId> {
-        let r = self.fired[i].take();
-        self.verdicts[i] = false;
-        if let Some(r) = r {
-            self.rule_bitmap_mut(r).clear(i);
+    /// Marks the pairs of `mask` in word `w` as matched via rule `r`.
+    pub(crate) fn fire(&mut self, w: usize, mask: u64, r: RuleId) {
+        for i in word_pairs(w, mask) {
+            self.verdicts[i] = true;
+            self.fired[i] = Some(r);
         }
-        r
+        self.rule_bitmap_mut(r).set_word(w, mask);
     }
 
-    /// Records that predicate `p` evaluated false for pair `i`.
-    pub(crate) fn record_pred_false(&mut self, p: PredId, i: usize) {
-        self.pred_bitmap_mut(p).set(i);
+    /// Clears the match (if any) of the pairs of `mask` in word `w`.
+    pub(crate) fn unfire(&mut self, w: usize, mask: u64) {
+        for i in word_pairs(w, mask) {
+            self.verdicts[i] = false;
+            if let Some(r) = self.fired[i].take() {
+                self.rule_bitmap_mut(r).clear_word(w, 1 << (i % 64));
+            }
+        }
     }
 
-    /// Clears predicate `p`'s false bit for pair `i`.
-    pub(crate) fn clear_pred_false(&mut self, p: PredId, i: usize) {
-        self.pred_bitmap_mut(p).clear(i);
+    /// Records that predicate `p` evaluated false for the pairs of `mask`
+    /// in word `w`.
+    pub(crate) fn record_pred_false(&mut self, p: PredId, w: usize, mask: u64) {
+        self.pred_bitmap_mut(p).set_word(w, mask);
+    }
+
+    /// Clears predicate `p`'s false bits for the pairs of `mask` in word
+    /// `w`.
+    pub(crate) fn clear_pred_false(&mut self, p: PredId, w: usize, mask: u64) {
+        self.pred_bitmap_mut(p).clear_word(w, mask);
     }
 
     fn rule_bitmap_mut(&mut self, r: RuleId) -> &mut Bitmap {
@@ -392,11 +389,12 @@ pub struct FullRunOutcome {
 /// "materialize between iterations" behaviour.
 ///
 /// Pair-parallel under `exec` through the same sharded driver and event
-/// replay as the incremental deltas: workers write feature values straight
-/// into their windows of `state.memo` and log fired-rule / false-predicate
-/// events, which are applied serially in pair order. Serial execution is
-/// the one-shard case of the same path, so verdicts, `M(r)`, and `U(p)`
-/// are identical for every thread count.
+/// replay as the incremental deltas: workers take the pairs a 64-pair word
+/// at a time, write feature values straight into their windows of
+/// `state.memo`, and log each rule's fired and each predicate's false
+/// pairs as word masks, which are applied serially in word order. Serial
+/// execution is the one-shard case of the same path, so verdicts, `M(r)`,
+/// and `U(p)` are identical for every thread count.
 ///
 /// # Panics
 ///
@@ -414,12 +412,10 @@ pub fn run_full(
         exec,
         ctx,
         cands,
-        PairList::Range(0..cands.len()),
+        &all_words(cands.len()),
         Some(&mut state.memo),
         &EvalBudget::unlimited(),
-        |w, i, pair| {
-            fire_first(func, ctx, check_cache_first, w, i, pair);
-        },
+        |w, word, mask| fire_first(func, cands, ctx, check_cache_first, w, word, mask),
     );
     let report = apply_delta(state, pass);
     FullRunOutcome {
@@ -492,15 +488,22 @@ mod tests {
 
     #[test]
     fn fire_unfire_roundtrip() {
-        let mut state = MatchState::new(4, 1);
-        state.fire(2, RuleId(7));
-        assert!(state.verdict(2));
+        let mut state = MatchState::new(70, 1);
+        state.fire(0, 1 << 2 | 1 << 5, RuleId(7));
+        state.fire(1, 1 << 3, RuleId(8));
+        assert!(state.verdict(2) && state.verdict(5) && state.verdict(67));
         assert_eq!(state.fired_rule(2), Some(RuleId(7)));
-        let r = state.unfire(2);
-        assert_eq!(r, Some(RuleId(7)));
+        assert_eq!(state.fired_rule(67), Some(RuleId(8)));
+        state.unfire(0, 1 << 2 | 1 << 9);
         assert!(!state.verdict(2));
         assert!(!state.rule_bitmap(RuleId(7)).unwrap().get(2));
-        assert_eq!(state.unfire(2), None, "double unfire is a no-op");
+        assert!(
+            state.rule_bitmap(RuleId(7)).unwrap().get(5),
+            "only the mask"
+        );
+        state.unfire(0, 1 << 2);
+        assert_eq!(state.fired_rule(2), None, "double unfire is a no-op");
+        assert_eq!(state.n_matches(), 2);
     }
 
     #[test]

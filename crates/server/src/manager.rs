@@ -33,7 +33,7 @@ use em_core::{
 use em_types::{CandidateSet, LabeledPair, Table};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The dataset every session is built over: two tables, their blocked
@@ -210,6 +210,8 @@ pub struct SessionManager {
     registry: Mutex<HashMap<String, Arc<Slot>>>,
     clock: AtomicU64,
     ops: Mutex<Ops>,
+    /// Sessions saved by every [`SessionManager::drain`] so far.
+    drained: AtomicUsize,
 }
 
 /// What [`SessionManager::attach`] found.
@@ -251,6 +253,7 @@ impl SessionManager {
                 degraded: HashMap::new(),
                 vfs: RealVfs::arc(),
             }),
+            drained: AtomicUsize::new(0),
         }
     }
 
@@ -1011,7 +1014,14 @@ impl SessionManager {
                 ("notes", em_metrics::events::Field::U64(notes.len() as u64)),
             ],
         );
+        self.drained.fetch_add(saved, Ordering::Relaxed);
         (sessions, saved, notes)
+    }
+
+    /// Sessions saved by every [`SessionManager::drain`] of this manager
+    /// so far.
+    pub fn saved_by_drains(&self) -> usize {
+        self.drained.load(Ordering::Relaxed)
     }
 
     /// Resolves a session's durable directory or explains why replication

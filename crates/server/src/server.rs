@@ -125,15 +125,18 @@ impl ServerHandle {
     /// Stops accepting, stops replicating, drains the admission queue,
     /// then drains sessions: parked edits are settled, every resident
     /// durable session is folded into a fresh snapshot, and the store
-    /// locks are released. Returns how many sessions saved cleanly.
+    /// locks are released. Returns how many sessions saved cleanly over
+    /// every drain of the handle's life, the wire `shutdown` verb's
+    /// included, so the count agrees with what that verb's client was
+    /// told.
     pub fn shutdown(mut self) -> usize {
         self.stop_accepting();
         if let Some(r) = self.replicator.take() {
             r.stop();
         }
         self.admission.shutdown();
-        let (_, saved, _) = self.manager.drain();
-        saved
+        self.manager.drain();
+        self.manager.saved_by_drains()
     }
 
     /// True once a client's `shutdown` verb has requested a drain; the

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{random_workload, reference_verdicts};
+use common::{random_workload, reference_verdicts, wide_workload, RandomWorkload};
 use proptest::prelude::*;
 use rulem::core::{
     run_early_exit, run_full, run_memo, run_memo_with, run_precompute, run_rudimentary,
@@ -283,8 +283,7 @@ fn work_line(seed: u64, engine: &str, out: &MatchOutcome, memo: &str) -> String 
 }
 
 /// Every engine's work on one seeded workload, one line per engine.
-fn render_work(seed: u64) -> Vec<String> {
-    let w = random_workload(seed);
+fn render_work(seed: u64, w: RandomWorkload) -> Vec<String> {
     let (n, nf) = (w.cands.len(), w.ctx.registry().len());
     let serial = Executor::serial();
     let mut lines = Vec::new();
@@ -334,11 +333,23 @@ fn render_work(seed: u64) -> Vec<String> {
 
 #[test]
 fn engine_work_is_pinned() {
-    let got: Vec<String> = PINNED_SEEDS.into_iter().flat_map(render_work).collect();
-    let want: Vec<&str> = PINNED_WORK.lines().collect();
-    assert_eq!(got.len(), want.len(), "one line per engine and seed");
-    for (g, w) in got.iter().zip(&want) {
-        assert_eq!(g, w);
+    for (seeds, workload, pinned) in [
+        (
+            &PINNED_SEEDS[..],
+            random_workload as fn(u64) -> RandomWorkload,
+            PINNED_WORK,
+        ),
+        (&WIDE_SEEDS[..], wide_workload, PINNED_WIDE_WORK),
+    ] {
+        let got: Vec<String> = seeds
+            .iter()
+            .flat_map(|&seed| render_work(seed, workload(seed)))
+            .collect();
+        let want: Vec<&str> = pinned.lines().collect();
+        assert_eq!(got.len(), want.len(), "one line per engine and seed");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w);
+        }
     }
 }
 
@@ -444,8 +455,7 @@ const PINNED_DELTA_WORK: &str = "\
 /// add predicate, tighten, relax, remove predicate and remove rule, each
 /// followed by `undo`, and one add-rule edit parked by a zero deadline and
 /// resumed with the deadline lifted.
-fn render_delta_work(seed: u64, threads: usize) -> Vec<String> {
-    let w = random_workload(seed);
+fn render_delta_work(seed: u64, w: RandomWorkload, threads: usize) -> Vec<String> {
     let (n, nf, f) = (w.cands.len(), w.ctx.registry().len(), w.features);
     let config = SessionConfig {
         n_threads: threads,
@@ -520,17 +530,143 @@ fn render_delta_work(seed: u64, threads: usize) -> Vec<String> {
     lines
 }
 
+/// Seeds of `wide_workload` (81–576 pairs, so 2–9 bitmap words) whose work
+/// is pinned in [`PINNED_WIDE_WORK`] and [`PINNED_WIDE_DELTA_WORK`]: their
+/// passes cross 64-pair words and, on a pool, shard cuts, which the 4–64
+/// pairs of [`PINNED_SEEDS`] never do.
+const WIDE_SEEDS: [u64; 3] = [4, 26, 35];
+
+/// [`PINNED_WORK`]'s lines for [`WIDE_SEEDS`].
+const PINNED_WIDE_WORK: &str = "\
+4 rudimentary: fc=2052 ml=0 pe=2052 re=684 matches=20 -\n\
+4 early_exit: fc=797 ml=0 pe=797 re=641 matches=20 -\n\
+4 ppr: fc=855 ml=797 pe=797 re=641 matches=20 stored=855 cells=9818e88057c0349c\n\
+4 fpr: fc=855 ml=797 pe=797 re=641 matches=20 stored=855 cells=9818e88057c0349c\n\
+4 memo(ccf=false,t=1): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996\n\
+4 memo(ccf=false,t=2): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996\n\
+4 memo(ccf=false,t=4): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996\n\
+4 memo(ccf=true,t=1): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996\n\
+4 memo(ccf=true,t=2): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996\n\
+4 memo(ccf=true,t=4): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996\n\
+4 sparse(ccf=false): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996\n\
+4 sparse(ccf=true): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996\n\
+4 full(ccf=false,t=1): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996 bitmaps=387dabc38fc6fe22\n\
+4 full(ccf=false,t=2): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996 bitmaps=387dabc38fc6fe22\n\
+4 full(ccf=false,t=4): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996 bitmaps=387dabc38fc6fe22\n\
+4 full(ccf=true,t=1): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996 bitmaps=387dabc38fc6fe22\n\
+4 full(ccf=true,t=2): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996 bitmaps=387dabc38fc6fe22\n\
+4 full(ccf=true,t=4): fc=398 ml=399 pe=797 re=641 matches=20 stored=398 cells=d694a74d0790b996 bitmaps=387dabc38fc6fe22\n\
+26 rudimentary: fc=4560 ml=0 pe=4560 re=1520 matches=53 -\n\
+26 early_exit: fc=2379 ml=0 pe=2379 re=1414 matches=53 -\n\
+26 ppr: fc=1900 ml=2379 pe=2379 re=1414 matches=53 stored=1900 cells=01e65a0f8057a972\n\
+26 fpr: fc=1900 ml=2379 pe=2379 re=1414 matches=53 stored=1900 cells=01e65a0f8057a972\n\
+26 memo(ccf=false,t=1): fc=1510 ml=869 pe=2379 re=1414 matches=53 stored=1510 cells=573238deb087d296\n\
+26 memo(ccf=false,t=2): fc=1510 ml=869 pe=2379 re=1414 matches=53 stored=1510 cells=573238deb087d296\n\
+26 memo(ccf=false,t=4): fc=1510 ml=869 pe=2379 re=1414 matches=53 stored=1510 cells=573238deb087d296\n\
+26 memo(ccf=true,t=1): fc=1223 ml=737 pe=1960 re=1414 matches=53 stored=1223 cells=e2b6423270c1f559\n\
+26 memo(ccf=true,t=2): fc=1223 ml=737 pe=1960 re=1414 matches=53 stored=1223 cells=e2b6423270c1f559\n\
+26 memo(ccf=true,t=4): fc=1223 ml=737 pe=1960 re=1414 matches=53 stored=1223 cells=e2b6423270c1f559\n\
+26 sparse(ccf=false): fc=1510 ml=869 pe=2379 re=1414 matches=53 stored=1510 cells=573238deb087d296\n\
+26 sparse(ccf=true): fc=1223 ml=737 pe=1960 re=1414 matches=53 stored=1223 cells=e2b6423270c1f559\n\
+26 full(ccf=false,t=1): fc=1510 ml=869 pe=2379 re=1414 matches=53 stored=1510 cells=573238deb087d296 bitmaps=342c5d5870209ebd\n\
+26 full(ccf=false,t=2): fc=1510 ml=869 pe=2379 re=1414 matches=53 stored=1510 cells=573238deb087d296 bitmaps=342c5d5870209ebd\n\
+26 full(ccf=false,t=4): fc=1510 ml=869 pe=2379 re=1414 matches=53 stored=1510 cells=573238deb087d296 bitmaps=342c5d5870209ebd\n\
+26 full(ccf=true,t=1): fc=1223 ml=737 pe=1960 re=1414 matches=53 stored=1223 cells=e2b6423270c1f559 bitmaps=36ae3a80b9d362e5\n\
+26 full(ccf=true,t=2): fc=1223 ml=737 pe=1960 re=1414 matches=53 stored=1223 cells=e2b6423270c1f559 bitmaps=36ae3a80b9d362e5\n\
+26 full(ccf=true,t=4): fc=1223 ml=737 pe=1960 re=1414 matches=53 stored=1223 cells=e2b6423270c1f559 bitmaps=36ae3a80b9d362e5\n\
+35 rudimentary: fc=3080 ml=0 pe=3080 re=1100 matches=45 -\n\
+35 early_exit: fc=1353 ml=0 pe=1353 re=952 matches=45 -\n\
+35 ppr: fc=880 ml=1353 pe=1353 re=952 matches=45 stored=880 cells=66ed2fd25a648d64\n\
+35 fpr: fc=1100 ml=1353 pe=1353 re=952 matches=45 stored=1100 cells=7ec1e7e96820edb8\n\
+35 memo(ccf=false,t=1): fc=660 ml=693 pe=1353 re=952 matches=45 stored=660 cells=44139bf245322a60\n\
+35 memo(ccf=false,t=2): fc=660 ml=693 pe=1353 re=952 matches=45 stored=660 cells=44139bf245322a60\n\
+35 memo(ccf=false,t=4): fc=660 ml=693 pe=1353 re=952 matches=45 stored=660 cells=44139bf245322a60\n\
+35 memo(ccf=true,t=1): fc=525 ml=820 pe=1345 re=952 matches=45 stored=525 cells=aacb75d05a4383a8\n\
+35 memo(ccf=true,t=2): fc=525 ml=820 pe=1345 re=952 matches=45 stored=525 cells=aacb75d05a4383a8\n\
+35 memo(ccf=true,t=4): fc=525 ml=820 pe=1345 re=952 matches=45 stored=525 cells=aacb75d05a4383a8\n\
+35 sparse(ccf=false): fc=660 ml=693 pe=1353 re=952 matches=45 stored=660 cells=44139bf245322a60\n\
+35 sparse(ccf=true): fc=525 ml=820 pe=1345 re=952 matches=45 stored=525 cells=aacb75d05a4383a8\n\
+35 full(ccf=false,t=1): fc=660 ml=693 pe=1353 re=952 matches=45 stored=660 cells=44139bf245322a60 bitmaps=a581b8eba2fe523d\n\
+35 full(ccf=false,t=2): fc=660 ml=693 pe=1353 re=952 matches=45 stored=660 cells=44139bf245322a60 bitmaps=a581b8eba2fe523d\n\
+35 full(ccf=false,t=4): fc=660 ml=693 pe=1353 re=952 matches=45 stored=660 cells=44139bf245322a60 bitmaps=a581b8eba2fe523d\n\
+35 full(ccf=true,t=1): fc=525 ml=820 pe=1345 re=952 matches=45 stored=525 cells=aacb75d05a4383a8 bitmaps=97e225fb0dd326fd\n\
+35 full(ccf=true,t=2): fc=525 ml=820 pe=1345 re=952 matches=45 stored=525 cells=aacb75d05a4383a8 bitmaps=97e225fb0dd326fd\n\
+35 full(ccf=true,t=4): fc=525 ml=820 pe=1345 re=952 matches=45 stored=525 cells=aacb75d05a4383a8 bitmaps=97e225fb0dd326fd";
+
+/// [`PINNED_DELTA_WORK`]'s script on [`WIDE_SEEDS`], at every thread count.
+const PINNED_WIDE_DELTA_WORK: &str = "\
+4 load: changed=34 examined=171 left=0 fc=207 ml=0 pe=207 re=171\n\
+4 load: changed=14 examined=137 left=0 fc=137 ml=0 pe=137 re=137\n\
+4 add rule: changed=0 examined=123 left=0 fc=123 ml=0 pe=123 re=123\n\
+4 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+4 add predicate: changed=27 examined=34 left=0 fc=61 ml=81 pe=142 re=54\n\
+4 undo: changed=27 examined=27 left=0 fc=0 ml=54 pe=54 re=27\n\
+4 tighten: changed=0 examined=34 left=0 fc=0 ml=34 pe=34 re=0\n\
+4 undo: changed=0 examined=135 left=0 fc=0 ml=135 pe=135 re=0\n\
+4 relax: changed=0 examined=135 left=0 fc=82 ml=217 pe=299 re=82\n\
+4 undo: changed=0 examined=34 left=0 fc=0 ml=34 pe=34 re=0\n\
+4 remove predicate: changed=2 examined=84 left=0 fc=0 ml=84 pe=84 re=84\n\
+4 undo: changed=2 examined=36 left=0 fc=0 ml=40 pe=40 re=2\n\
+4 remove rule: changed=29 examined=34 left=0 fc=7 ml=0 pe=7 re=7\n\
+4 undo: changed=29 examined=171 left=0 fc=0 ml=207 pe=207 re=171\n\
+4 parked add rule: changed=0 examined=0 left=123 fc=0 ml=0 pe=0 re=0\n\
+4 resume: changed=18 examined=123 left=0 fc=123 ml=0 pe=123 re=123\n\
+4 end: stored=740 cells=279f46e3878c352a mr=5abe65dfe03ed215 up=498bd983b0e1585e\n\
+26 load: changed=79 examined=380 left=0 fc=471 ml=0 pe=471 re=380\n\
+26 load: changed=54 examined=301 left=0 fc=301 ml=0 pe=301 re=301\n\
+26 add rule: changed=0 examined=247 left=0 fc=247 ml=0 pe=247 re=247\n\
+26 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+26 add predicate: changed=66 examined=79 left=0 fc=145 ml=198 pe=343 re=132\n\
+26 undo: changed=66 examined=66 left=0 fc=0 ml=132 pe=132 re=66\n\
+26 tighten: changed=0 examined=79 left=0 fc=0 ml=79 pe=79 re=0\n\
+26 undo: changed=0 examined=289 left=0 fc=0 ml=289 pe=289 re=0\n\
+26 relax: changed=0 examined=289 left=0 fc=244 ml=533 pe=777 re=244\n\
+26 undo: changed=0 examined=79 left=0 fc=0 ml=79 pe=79 re=0\n\
+26 remove predicate: changed=12 examined=256 left=0 fc=0 ml=256 pe=256 re=256\n\
+26 undo: changed=12 examined=91 left=0 fc=0 ml=115 pe=115 re=12\n\
+26 remove rule: changed=70 examined=79 left=0 fc=13 ml=0 pe=13 re=13\n\
+26 undo: changed=70 examined=380 left=0 fc=0 ml=471 pe=471 re=380\n\
+26 parked add rule: changed=0 examined=0 left=247 fc=0 ml=0 pe=0 re=0\n\
+26 resume: changed=58 examined=247 left=0 fc=247 ml=0 pe=247 re=247\n\
+26 end: stored=1668 cells=5e3abd7576f85f7e mr=d0258e61bb0212f7 up=dc2558b3e75cd712\n\
+35 load: changed=26 examined=220 left=0 fc=255 ml=0 pe=255 re=220\n\
+35 load: changed=25 examined=194 left=0 fc=194 ml=0 pe=194 re=194\n\
+35 add rule: changed=0 examined=169 left=0 fc=169 ml=0 pe=169 re=169\n\
+35 undo: changed=0 examined=0 left=0 fc=0 ml=0 pe=0 re=0\n\
+35 add predicate: changed=18 examined=26 left=0 fc=44 ml=54 pe=98 re=36\n\
+35 undo: changed=18 examined=18 left=0 fc=0 ml=36 pe=36 re=18\n\
+35 tighten: changed=0 examined=26 left=0 fc=0 ml=26 pe=26 re=0\n\
+35 undo: changed=0 examined=185 left=0 fc=0 ml=185 pe=185 re=0\n\
+35 relax: changed=0 examined=185 left=0 fc=113 ml=298 pe=411 re=113\n\
+35 undo: changed=0 examined=26 left=0 fc=0 ml=26 pe=26 re=0\n\
+35 remove predicate: changed=5 examined=122 left=0 fc=0 ml=122 pe=122 re=122\n\
+35 undo: changed=5 examined=35 left=0 fc=0 ml=57 pe=57 re=13\n\
+35 remove rule: changed=21 examined=26 left=0 fc=8 ml=0 pe=8 re=8\n\
+35 undo: changed=21 examined=220 left=0 fc=0 ml=255 pe=255 re=220\n\
+35 parked add rule: changed=0 examined=0 left=169 fc=0 ml=0 pe=0 re=0\n\
+35 resume: changed=26 examined=169 left=0 fc=169 ml=0 pe=169 re=169\n\
+35 end: stored=952 cells=87d47d8877bef54b mr=ad6a5a8484b96436 up=c4821a253a500d18";
+
 #[test]
 fn delta_work_is_pinned() {
-    let want: Vec<&str> = PINNED_DELTA_WORK.lines().collect();
-    for threads in [1usize, 2, 4] {
-        let got: Vec<String> = PINNED_SEEDS
-            .into_iter()
-            .flat_map(|seed| render_delta_work(seed, threads))
-            .collect();
-        assert_eq!(got.len(), want.len(), "one line per step and seed");
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g, w, "at {threads} thread(s)");
+    for (seeds, workload, pinned) in [
+        (
+            &PINNED_SEEDS[..],
+            random_workload as fn(u64) -> RandomWorkload,
+            PINNED_DELTA_WORK,
+        ),
+        (&WIDE_SEEDS[..], wide_workload, PINNED_WIDE_DELTA_WORK),
+    ] {
+        let want: Vec<&str> = pinned.lines().collect();
+        for threads in [1usize, 2, 4] {
+            let got: Vec<String> = seeds
+                .iter()
+                .flat_map(|&seed| render_delta_work(seed, workload(seed), threads))
+                .collect();
+            assert_eq!(got.len(), want.len(), "one line per step and seed");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g, w, "at {threads} thread(s)");
+            }
         }
     }
 }
