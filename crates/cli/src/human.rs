@@ -132,7 +132,7 @@ pub fn render(outcome: &Outcome) -> String {
             disk_free,
         } => format!(
             "store: {} (epoch {}, {journal_records} journal records since save)\n\
-             snapshots: {:.2} MB | journals: {:.2} MB | disk free: {}",
+             snapshots + history: {:.2} MB | journals: {:.2} MB | disk free: {}",
             dir.display(),
             epoch.unwrap_or(0),
             mb(*store_bytes),

@@ -398,7 +398,7 @@ pub enum Outcome {
         epoch: Option<u64>,
         /// Journal records since the last snapshot.
         journal_records: usize,
-        /// Bytes across snapshot generations.
+        /// Bytes across snapshot generations and the history log.
         store_bytes: u64,
         /// Bytes across journal generations.
         journal_bytes: u64,

@@ -114,8 +114,8 @@ pub use persist::vfs::FaultVfs;
 pub use persist::{
     decode_record, disk_free, install_snapshot_bytes, replay_record, scrub, session_store_dir,
     store_exists, DiskErrorKind, DiskOp, JournalTailer, PersistError, RealVfs, RecoveryReport,
-    ScrubClass, ScrubFinding, ScrubReport, SessionStore, StoreLock, TailBatch, TailResult, Vfs,
-    Watermark,
+    ScrubClass, ScrubFinding, ScrubReport, SessionStore, SnapshotShipment, StoreLock, TailBatch,
+    TailResult, Vfs, Watermark,
 };
 pub use porcelain::{ChangeLine, HistoryLine, LintLine};
 pub use predicate::{CmpOp, PredId, Predicate};

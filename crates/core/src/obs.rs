@@ -33,6 +33,9 @@ pub struct CoreMetrics {
     /// Snapshot save (journal rotation + atomic snapshot write) latency.
     pub snapshot_save_ns: Arc<Histogram>,
     pub snapshot_saves: Arc<Counter>,
+    /// Autosaves that failed after their edit applied (the edit stands;
+    /// the next record retries the save).
+    pub autosave_failures: Arc<Counter>,
     /// Kernel cost estimate, ns per pair, from `stats` calibration runs.
     pub kernel_ns_per_pair: Arc<Histogram>,
     /// Scrub passes and individual findings.
@@ -92,6 +95,10 @@ pub fn core_metrics() -> &'static CoreMetrics {
                 "Snapshot save (fold + atomic write) latency",
             ),
             snapshot_saves: r.counter("em_snapshot_saves_total", "Snapshots saved"),
+            autosave_failures: r.counter(
+                "em_autosave_failures_total",
+                "Autosaves that failed after their edit applied; the next record retries",
+            ),
             kernel_ns_per_pair: r.histogram(
                 "em_kernel_ns_per_pair",
                 "Calibrated kernel cost estimates, ns per pair",

@@ -1,4 +1,5 @@
-//! The write-ahead edit journal.
+//! The write-ahead edit journal, and the append-only file format it
+//! shares with the history log.
 //!
 //! ```text
 //! [magic "RMJL"] [version: u32] [epoch: u64]
@@ -18,11 +19,17 @@
 //! journal therefore tracks its durable length and truncates back to it
 //! before surfacing any append error.
 //!
+//! The history log ([`super::history`]) is the same file shape under its
+//! own magic (`HISTORY_LOG`): one per store, never pruned, appended once
+//! per save. Its appends are not journal appends: they are tagged
+//! [`DiskOp::HistoryAppend`] and do not count in
+//! `em_journal_appends_total`.
+//!
 //! The journal layer deals in opaque payload bytes; the record schema
 //! (JSON [`crate::Edit`]s) lives in [`super::store`].
 
 use super::frame::{encode_frame, read_frame, sync_dir, FrameRead};
-use super::snapshot::{decode_header, encode_header, JOURNAL_MAGIC};
+use super::snapshot::{decode_header, encode_header, HISTORY_MAGIC, JOURNAL_MAGIC, LOG_VERSION};
 use super::vfs::{DiskOp, Vfs};
 use super::PersistError;
 use std::fs::{File, OpenOptions};
@@ -30,10 +37,39 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
+/// One kind of append-only file: its header magic, and the disk op its
+/// writes are tagged with.
+#[derive(Debug)]
+pub(crate) struct LogKind {
+    magic: &'static [u8; 4],
+    what: &'static str,
+    /// The op of the header write at creation.
+    create: DiskOp,
+    /// The op of every frame append.
+    append: DiskOp,
+}
+
+/// The write-ahead edit journal: one per generation.
+pub(crate) const EDIT_JOURNAL: LogKind = LogKind {
+    magic: JOURNAL_MAGIC,
+    what: "journal",
+    create: DiskOp::JournalCreate,
+    append: DiskOp::JournalAppend,
+};
+
+/// The history log: one per store, appended once per save.
+pub(crate) const HISTORY_LOG: LogKind = LogKind {
+    magic: HISTORY_MAGIC,
+    what: "history log",
+    create: DiskOp::HistoryAppend,
+    append: DiskOp::HistoryAppend,
+};
+
 /// An open, append-ready journal file.
 #[derive(Debug)]
 pub(crate) struct Journal {
     file: File,
+    kind: &'static LogKind,
     epoch: u64,
     /// Bytes of well-formed content (header + whole frames) known to be
     /// on disk: the position a failed append truncates back to.
@@ -46,53 +82,60 @@ pub(crate) struct JournalScan {
     pub(crate) journal: Journal,
     /// Payloads of every valid frame, in append order.
     pub(crate) payloads: Vec<Vec<u8>>,
+    /// The byte offset just past each payload's frame.
+    pub(crate) ends: Vec<u64>,
     /// Set when a torn/corrupt tail was found and truncated away; the
     /// message describes what was dropped.
     pub(crate) truncated: Option<String>,
 }
 
 impl Journal {
-    /// Creates an empty journal (header only) at `path`, fsyncing the file
-    /// and its directory.
+    /// Creates an empty file of `kind` (header only) at `path`, replacing
+    /// any file there, and fsyncs it and its directory.
     pub(crate) fn create(
         vfs: &Arc<dyn Vfs>,
         path: &Path,
         epoch: u64,
+        kind: &'static LogKind,
     ) -> Result<Self, PersistError> {
-        let header = encode_header(JOURNAL_MAGIC, epoch);
-        let mut file = vfs.create(path, DiskOp::JournalCreate)?;
-        vfs.write_all(&mut file, &header, DiskOp::JournalCreate)?;
-        vfs.sync_all(&file, DiskOp::JournalCreate)?;
+        let header = encode_header(kind.magic, LOG_VERSION, epoch);
+        let mut file = vfs.create(path, kind.create)?;
+        vfs.write_all(&mut file, &header, kind.create)?;
+        vfs.sync_all(&file, kind.create)?;
         if let Some(dir) = path.parent() {
             sync_dir(vfs.as_ref(), dir)?;
         }
         Ok(Journal {
             file,
+            kind,
             epoch,
             len: header.len() as u64,
             vfs: Arc::clone(vfs),
         })
     }
 
-    /// Opens an existing journal, returning every durable record and
-    /// truncating the file at the first torn or corrupt frame.
+    /// Opens an existing file of `kind`, returning every durable record
+    /// and truncating the file at the first torn or corrupt frame.
     pub(crate) fn open_existing(
         vfs: &Arc<dyn Vfs>,
         path: &Path,
+        kind: &'static LogKind,
     ) -> Result<JournalScan, PersistError> {
         let mut bytes = Vec::new();
         File::open(path)
             .map_err(PersistError::Io)?
             .read_to_end(&mut bytes)
             .map_err(PersistError::Io)?;
-        let (epoch, mut offset) = decode_header(&bytes, JOURNAL_MAGIC, "journal")?;
+        let (_, epoch, mut offset) = decode_header(&bytes, kind.magic, LOG_VERSION, kind.what)?;
 
         let mut payloads = Vec::new();
+        let mut ends = Vec::new();
         let mut truncated = None;
         loop {
             match read_frame(&bytes, offset) {
                 FrameRead::Ok { payload, next } => {
                     payloads.push(payload.to_vec());
+                    ends.push(next as u64);
                     offset = next;
                 }
                 FrameRead::Eof => break,
@@ -110,24 +153,33 @@ impl Journal {
             .write(true)
             .open(path)
             .map_err(PersistError::Io)?;
-        if truncated.is_some() {
-            // Cut the torn tail so future appends start at a frame
-            // boundary, and make the cut durable.
-            vfs.set_len(&file, offset as u64, DiskOp::Truncate)?;
-            vfs.sync_all(&file, DiskOp::Truncate)?;
-        }
         let mut journal = Journal {
             file,
+            kind,
             epoch,
-            len: offset as u64,
+            len: bytes.len() as u64,
             vfs: Arc::clone(vfs),
         };
-        journal.seek_end(offset)?;
+        // Cut a torn tail so future appends start at a frame boundary.
+        journal.cut(offset as u64)?;
         Ok(JournalScan {
             journal,
             payloads,
+            ends,
             truncated,
         })
+    }
+
+    /// Durably truncates the file to `len` bytes, which must end a frame
+    /// (or the header), and positions the next append there. A no-op when
+    /// the file is no longer than `len`.
+    pub(crate) fn cut(&mut self, len: u64) -> Result<(), PersistError> {
+        if len < self.len {
+            self.vfs.set_len(&self.file, len, DiskOp::Truncate)?;
+            self.vfs.sync_all(&self.file, DiskOp::Truncate)?;
+            self.len = len;
+        }
+        self.seek_end(self.len as usize)
     }
 
     fn seek_end(&mut self, offset: usize) -> Result<(), PersistError> {
@@ -147,13 +199,15 @@ impl Journal {
     pub(crate) fn append(&mut self, payload: &[u8]) -> Result<(), PersistError> {
         let frame = encode_frame(payload);
         let t0 = em_metrics::enabled().then(std::time::Instant::now);
+        let op = self.kind.append;
         let write = self
             .vfs
-            .write_all(&mut self.file, &frame, DiskOp::JournalAppend)
-            .and_then(|()| self.vfs.sync_data(&self.file, DiskOp::JournalAppend));
+            .write_all(&mut self.file, &frame, op)
+            .and_then(|()| self.vfs.sync_data(&self.file, op));
         match write {
             Ok(()) => {
-                if let Some(t0) = t0 {
+                // Only edit records are journal appends.
+                if let Some(t0) = t0.filter(|_| op == DiskOp::JournalAppend) {
                     let m = crate::obs::core_metrics();
                     m.journal_appends.inc();
                     m.journal_append_ns.record_duration(t0.elapsed());
@@ -181,8 +235,8 @@ impl Journal {
     #[cfg_attr(not(any(test, feature = "fault-inject")), allow(dead_code))]
     pub(crate) fn write_raw(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         self.vfs
-            .write_all(&mut self.file, bytes, DiskOp::JournalAppend)?;
-        self.vfs.sync_data(&self.file, DiskOp::JournalAppend)?;
+            .write_all(&mut self.file, bytes, self.kind.append)?;
+        self.vfs.sync_data(&self.file, self.kind.append)?;
         self.len += bytes.len() as u64;
         Ok(())
     }
@@ -208,12 +262,12 @@ mod tests {
     fn roundtrip_and_reopen() {
         let vfs = RealVfs::arc();
         let path = tmp("roundtrip.bin");
-        let mut j = Journal::create(&vfs, &path, 3).unwrap();
+        let mut j = Journal::create(&vfs, &path, 3, &EDIT_JOURNAL).unwrap();
         j.append(b"one").unwrap();
         j.append(b"two").unwrap();
         drop(j);
 
-        let scan = Journal::open_existing(&vfs, &path).unwrap();
+        let scan = Journal::open_existing(&vfs, &path, &EDIT_JOURNAL).unwrap();
         assert_eq!(scan.journal.epoch(), 3);
         assert_eq!(scan.payloads, vec![b"one".to_vec(), b"two".to_vec()]);
         assert!(scan.truncated.is_none());
@@ -222,7 +276,7 @@ mod tests {
         let mut j = scan.journal;
         j.append(b"three").unwrap();
         drop(j);
-        let scan = Journal::open_existing(&vfs, &path).unwrap();
+        let scan = Journal::open_existing(&vfs, &path, &EDIT_JOURNAL).unwrap();
         assert_eq!(scan.payloads.len(), 3);
     }
 
@@ -230,7 +284,7 @@ mod tests {
     fn torn_tail_is_truncated_once() {
         let vfs = RealVfs::arc();
         let path = tmp("torn.bin");
-        let mut j = Journal::create(&vfs, &path, 0).unwrap();
+        let mut j = Journal::create(&vfs, &path, 0, &EDIT_JOURNAL).unwrap();
         j.append(b"keep").unwrap();
         // Simulate a crash mid-append: half a frame lands on disk.
         let torn = encode_frame(b"lost-to-the-crash");
@@ -238,7 +292,7 @@ mod tests {
         drop(j);
 
         let before = std::fs::metadata(&path).unwrap().len();
-        let scan = Journal::open_existing(&vfs, &path).unwrap();
+        let scan = Journal::open_existing(&vfs, &path, &EDIT_JOURNAL).unwrap();
         assert_eq!(scan.payloads, vec![b"keep".to_vec()]);
         assert!(scan.truncated.is_some());
         let after = std::fs::metadata(&path).unwrap().len();
@@ -246,7 +300,7 @@ mod tests {
         drop(scan.journal);
 
         // A second open sees a clean journal.
-        let scan = Journal::open_existing(&vfs, &path).unwrap();
+        let scan = Journal::open_existing(&vfs, &path, &EDIT_JOURNAL).unwrap();
         assert_eq!(scan.payloads, vec![b"keep".to_vec()]);
         assert!(scan.truncated.is_none());
     }
@@ -257,7 +311,7 @@ mod tests {
         let path = tmp("magic.bin");
         std::fs::write(&path, b"NOPE0000000000000000").unwrap();
         assert!(matches!(
-            Journal::open_existing(&vfs, &path),
+            Journal::open_existing(&vfs, &path, &EDIT_JOURNAL),
             Err(PersistError::Corrupt(_))
         ));
     }

@@ -9,18 +9,23 @@
 //!
 //! * [`snapshot`] — a versioned, CRC32-checksummed binary image of the
 //!   full [`crate::MatchState`] plus the matching function, feature
-//!   interning table, history, undo stack, and quarantine set, written
-//!   atomically (temp file → `fsync` → rename → directory `fsync`);
+//!   interning table, history length, undo stack, and quarantine set,
+//!   written atomically (temp file → `fsync` → rename → directory
+//!   `fsync`);
 //! * [`journal`] — an append-only write-ahead log of edits, each a
 //!   length-prefixed checksummed frame appended (and fsynced) *before*
 //!   the in-memory delta is applied, truncated cleanly at the first torn
 //!   or corrupt frame on open;
-//! * [`store`] — the [`SessionStore`] tying both together: one
+//! * [`history`] — the append-only history log holding the session's
+//!   edit history, one frame per save, so a snapshot's size depends on
+//!   the state alone and a save's cost does not grow with the session's
+//!   age;
+//! * [`store`] — the [`SessionStore`] tying them together: one
 //!   write-ahead `apply(Edit)`, an autosave/compaction policy, and
-//!   recovery that loads the latest valid snapshot and replays the journal
-//!   suffix through [`crate::DebugSession::apply`] — the incremental
-//!   Algorithms 7–10, not a full re-run — settling any edit a budget
-//!   parked;
+//!   recovery that loads the latest valid snapshot with the history it
+//!   counts and replays the journal suffix through
+//!   [`crate::DebugSession::apply`] — the incremental Algorithms 7–10,
+//!   not a full re-run — settling any edit a budget parked;
 //! * [`lock`] — a pid-stamped lock file guarding each store directory
 //!   against concurrent writers (stale locks from killed owners are
 //!   detected and stolen), plus name→directory resolution for stores
@@ -29,18 +34,22 @@
 //!   funnels through, classifying failures (ENOSPC, EIO, short write,
 //!   failed rename) into typed [`PersistError::Disk`] errors and — under
 //!   `fault-inject` — failing any chosen write site on demand;
-//! * [`scrub`] — the fsck for store directories: walk both generations,
-//!   verify every CRC frame, classify damage (torn tail, bit flip,
-//!   missing generation, orphan tmp, stale lock), and optionally repair
-//!   back to the newest provably-consistent state.
+//! * [`scrub`] — the fsck for store directories: walk both generations
+//!   and the history log, verify every CRC frame, classify damage (torn
+//!   tail, bit flip, missing generation, orphan tmp, stale lock), and
+//!   optionally repair back to the newest provably-consistent state.
 //!
 //! A store directory holds up to two *generations* of files,
-//! `snapshot-<epoch>.bin` / `journal-<epoch>.bin`: saving folds the
-//! journal into a fresh snapshot at the next epoch and prunes everything
-//! older than the previous generation, so a corrupt latest snapshot can
-//! still fall back one generation and replay forward.
+//! `snapshot-<epoch>.bin` / `journal-<epoch>.bin`, and one history log,
+//! `history.bin`: saving appends the history entries logged since the
+//! previous save to the log, folds the journal into a fresh snapshot at
+//! the next epoch and prunes everything older than the previous
+//! generation, so a corrupt latest snapshot can still fall back one
+//! generation and replay forward. The log is never pruned; a fallback
+//! cuts it back to what the older snapshot counts.
 
 pub mod frame;
+pub mod history;
 pub mod journal;
 pub mod lock;
 pub mod scrub;
@@ -56,7 +65,7 @@ pub use store::{
     decode_record, install_snapshot_bytes, replay_record, store_exists, RecoveryReport,
     SessionStore,
 };
-pub use tail::{JournalTailer, TailBatch, TailResult, Watermark};
+pub use tail::{JournalTailer, SnapshotShipment, TailBatch, TailResult, Watermark};
 pub use vfs::{disk_free, DiskErrorKind, DiskOp, RealVfs, Vfs};
 
 use std::fmt;

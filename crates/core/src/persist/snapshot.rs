@@ -1,12 +1,13 @@
 //! The snapshot format: one file holding everything a debugging session
 //! needs to resume — the matching function (with its id counters), the
 //! feature interning table, the full [`MatchState`] (memo `H`, verdicts,
-//! `M(r)`, `U(p)`), the edit history, the undo stack, and the quarantine
-//! set.
+//! `M(r)`, `U(p)`), the length of the edit history, the undo stack, and
+//! the quarantine set.
 //!
 //! ```text
-//! [magic "RMSN"] [version: u32] [epoch: u64]
-//! [frame: META  — JSON SnapshotMeta]
+//! [magic "RMSN"] [version: u32 = 2] [epoch: u64]
+//! [frame: META  — JSON SnapshotMeta: function, features, history_len,
+//!                 undo, quarantined]
 //! [frame: STATE — binary MatchState]
 //! ```
 //!
@@ -17,6 +18,15 @@
 //! independently checksummed by the [`super::frame`] layer. `f64`s are
 //! stored as raw bits, so the memo's NaN "absent" sentinel and every
 //! threshold survive bit-exactly.
+//!
+//! The history itself is not in the snapshot: it grows with every edit,
+//! and re-encoding it at every save made a save's cost grow with the
+//! session's age. META counts its entries (`history_len`); the entries
+//! are in the store's append-only history log ([`super::history`]), which
+//! each save extends by the entries logged since the previous one before
+//! it writes the snapshot that counts them. A version-1 snapshot carried
+//! the history inline in META (`history` in place of `history_len`); it
+//! still decodes, and the store's next save writes version 2 and the log.
 //!
 //! Bitmaps are serialized sorted by id, so a snapshot's bytes are a pure
 //! function of the session's logical state — the property the
@@ -30,38 +40,46 @@
 //! wrote, that clears nothing.
 
 use super::frame::{encode_frame, read_frame, ByteReader, ByteWriter, FrameRead};
+use super::history::HistoryEntry;
 use super::PersistError;
 use crate::bitmap::Bitmap;
 use crate::feature::FeatureDef;
 use crate::function::MatchingFunction;
-use crate::incremental::WorkerStats;
 use crate::memo::{DenseMemo, Memo};
 use crate::predicate::PredId;
 use crate::rule::RuleId;
 use crate::session::{DebugSession, EditRecord, UndoOp};
 use crate::state::MatchState;
-use std::time::Duration;
 
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 4] = b"RMSN";
 pub(crate) const JOURNAL_MAGIC: &[u8; 4] = b"RMJL";
-pub(crate) const FORMAT_VERSION: u32 = 1;
+pub(crate) const HISTORY_MAGIC: &[u8; 4] = b"RMHL";
+/// The snapshot version this build writes; version 1 is still read.
+pub(crate) const SNAPSHOT_VERSION: u32 = 2;
+/// The version of the journal and history-log headers (unchanged since
+/// version 1).
+pub(crate) const LOG_VERSION: u32 = 1;
+/// Bytes of the file header; the first frame starts here.
+pub(crate) const HEADER_LEN: u64 = 16;
 
-/// Fixed-size file header shared by snapshots and journals.
-pub(crate) fn encode_header(magic: &[u8; 4], epoch: u64) -> Vec<u8> {
+/// Fixed-size file header shared by snapshots, journals and the history
+/// log.
+pub(crate) fn encode_header(magic: &[u8; 4], version: u32, epoch: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     out.extend_from_slice(magic);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
     out
 }
 
-/// Validates a file header; returns the epoch and the offset of the first
-/// frame.
+/// Validates a file header whose version may be 1 through `max_version`;
+/// returns the version, the epoch and the offset of the first frame.
 pub(crate) fn decode_header(
     bytes: &[u8],
     magic: &[u8; 4],
+    max_version: u32,
     what: &str,
-) -> Result<(u64, usize), PersistError> {
+) -> Result<(u32, u64, usize), PersistError> {
     if bytes.len() < 16 {
         return Err(PersistError::Corrupt(format!(
             "{what}: truncated header ({} of 16 bytes)",
@@ -72,46 +90,13 @@ pub(crate) fn decode_header(
         return Err(PersistError::Corrupt(format!("{what}: bad magic")));
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
+    if !(1..=max_version).contains(&version) {
         return Err(PersistError::Corrupt(format!(
-            "{what}: unsupported format version {version} (expected {FORMAT_VERSION})"
+            "{what}: unsupported format version {version} (expected 1 to {max_version})"
         )));
     }
     let epoch = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    Ok((epoch, 16))
-}
-
-/// One [`EditRecord`] in serializable form. The vendored serde has no
-/// `Duration` support, so latency travels as nanoseconds.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub(crate) struct HistoryEntry {
-    description: String,
-    n_changed: usize,
-    pairs_examined: usize,
-    worker_stats: Vec<WorkerStats>,
-    elapsed_nanos: u64,
-}
-
-impl HistoryEntry {
-    fn of(rec: &EditRecord) -> Self {
-        HistoryEntry {
-            description: rec.description.clone(),
-            n_changed: rec.n_changed,
-            pairs_examined: rec.pairs_examined,
-            worker_stats: rec.worker_stats.clone(),
-            elapsed_nanos: u64::try_from(rec.elapsed.as_nanos()).unwrap_or(u64::MAX),
-        }
-    }
-
-    fn into_record(self) -> EditRecord {
-        EditRecord {
-            description: self.description,
-            n_changed: self.n_changed,
-            pairs_examined: self.pairs_examined,
-            worker_stats: self.worker_stats,
-            elapsed: Duration::from_nanos(self.elapsed_nanos),
-        }
-    }
+    Ok((version, epoch, HEADER_LEN as usize))
 }
 
 /// The JSON (META) half of a snapshot.
@@ -123,9 +108,30 @@ pub(crate) struct SnapshotMeta {
     /// Feature definitions in interning order; re-interning them in order
     /// reproduces the same dense [`crate::FeatureId`]s.
     pub(crate) features: Vec<FeatureDef>,
-    pub(crate) history: Vec<HistoryEntry>,
+    /// Entries of the session's history at this snapshot; they are the
+    /// history log's first `history_len` entries.
+    pub(crate) history_len: usize,
     pub(crate) undo: Vec<UndoOp>,
     pub(crate) quarantined: Vec<usize>,
+}
+
+/// META as version 1 wrote it: the history inline.
+#[derive(serde::Deserialize)]
+struct SnapshotMetaV1 {
+    function: MatchingFunction,
+    features: Vec<FeatureDef>,
+    history: Vec<HistoryEntry>,
+    undo: Vec<UndoOp>,
+    quarantined: Vec<usize>,
+}
+
+/// Where a decoded snapshot's history is.
+pub(crate) enum SnapshotHistory {
+    /// A version-1 snapshot's inline history.
+    Inline(Vec<EditRecord>),
+    /// A version-2 snapshot's entry count: the entries are the history
+    /// log's first this many.
+    Logged(usize),
 }
 
 /// A fully decoded snapshot, ready to install into a fresh session.
@@ -133,7 +139,7 @@ pub(crate) struct DecodedSnapshot {
     pub(crate) epoch: u64,
     pub(crate) function: MatchingFunction,
     pub(crate) features: Vec<FeatureDef>,
-    pub(crate) history: Vec<EditRecord>,
+    pub(crate) history: SnapshotHistory,
     pub(crate) undo: Vec<UndoOp>,
     pub(crate) quarantined: Vec<usize>,
     pub(crate) state: MatchState,
@@ -149,7 +155,7 @@ pub(crate) fn encode_snapshot(session: &DebugSession, epoch: u64) -> Result<Vec<
             .iter()
             .map(|(_, d)| *d)
             .collect(),
-        history: session.history().iter().map(HistoryEntry::of).collect(),
+        history_len: session.history().len(),
         undo: session.undo_ops().to_vec(),
         quarantined: session.quarantined().to_vec(),
     };
@@ -157,28 +163,61 @@ pub(crate) fn encode_snapshot(session: &DebugSession, epoch: u64) -> Result<Vec<
         serde_json::to_string(&meta).map_err(|e| PersistError::Codec(format!("meta: {e}")))?;
     let state_bin = encode_state(session.state());
 
-    let mut out = encode_header(SNAPSHOT_MAGIC, epoch);
+    let mut out = encode_header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, epoch);
     out.extend_from_slice(&encode_frame(meta_json.as_bytes()));
     out.extend_from_slice(&encode_frame(&state_bin));
     Ok(out)
 }
 
-/// Parses and validates snapshot-file bytes.
-pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, PersistError> {
-    let (epoch, mut offset) = decode_header(bytes, SNAPSHOT_MAGIC, "snapshot")?;
-
-    let meta_payload = match read_frame(bytes, offset) {
-        FrameRead::Ok { payload, next } => {
-            offset = next;
-            payload
-        }
+/// The META frame's JSON text, the header's version and epoch, and the
+/// offset of the frame after META.
+fn read_meta(bytes: &[u8]) -> Result<(u32, u64, &str, usize), PersistError> {
+    let (version, epoch, offset) =
+        decode_header(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "snapshot")?;
+    let (meta, next) = match read_frame(bytes, offset) {
+        FrameRead::Ok { payload, next } => (payload, next),
         FrameRead::Eof => return Err(PersistError::Corrupt("snapshot: missing META frame".into())),
         FrameRead::Corrupt(m) => return Err(PersistError::Corrupt(format!("snapshot META: {m}"))),
     };
-    let meta_str = std::str::from_utf8(meta_payload)
+    let meta = std::str::from_utf8(meta)
         .map_err(|_| PersistError::Corrupt("snapshot META: not UTF-8".into()))?;
-    let meta: SnapshotMeta =
-        serde_json::from_str(meta_str).map_err(|e| PersistError::Codec(format!("meta: {e}")))?;
+    Ok((version, epoch, meta, next))
+}
+
+fn meta_codec(e: serde_json::Error) -> PersistError {
+    PersistError::Codec(format!("meta: {e}"))
+}
+
+/// The entry count of a version-2 snapshot's history, read off its META
+/// frame alone; `None` for a version-1 snapshot, whose history is inline.
+pub(crate) fn snapshot_history_len(bytes: &[u8]) -> Result<Option<usize>, PersistError> {
+    let (version, _, meta, _) = read_meta(bytes)?;
+    if version == 1 {
+        return Ok(None);
+    }
+    let meta: SnapshotMeta = serde_json::from_str(meta).map_err(meta_codec)?;
+    Ok(Some(meta.history_len))
+}
+
+/// Parses and validates snapshot-file bytes.
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, PersistError> {
+    let (version, epoch, meta, mut offset) = read_meta(bytes)?;
+    let (meta, history) = if version == 1 {
+        let v1: SnapshotMetaV1 = serde_json::from_str(meta).map_err(meta_codec)?;
+        let history = v1.history.into_iter().map(HistoryEntry::into_record);
+        let meta = SnapshotMeta {
+            function: v1.function,
+            features: v1.features,
+            history_len: history.len(),
+            undo: v1.undo,
+            quarantined: v1.quarantined,
+        };
+        (meta, SnapshotHistory::Inline(history.collect()))
+    } else {
+        let meta: SnapshotMeta = serde_json::from_str(meta).map_err(meta_codec)?;
+        let history = SnapshotHistory::Logged(meta.history_len);
+        (meta, history)
+    };
 
     let state_payload = match read_frame(bytes, offset) {
         FrameRead::Ok { payload, next } => {
@@ -202,11 +241,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, PersistEr
         epoch,
         function: meta.function,
         features: meta.features,
-        history: meta
-            .history
-            .into_iter()
-            .map(HistoryEntry::into_record)
-            .collect(),
+        history,
         undo: meta.undo,
         quarantined: meta.quarantined,
         state,

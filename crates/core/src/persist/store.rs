@@ -7,22 +7,28 @@
 //! 3. only then does the in-memory delta apply.
 //!
 //! A crash therefore loses at most an edit the caller was never told
-//! succeeded. [`SessionStore::save`] compacts: it writes a fresh snapshot
-//! at the next epoch, starts an empty journal there, and prunes everything
+//! succeeded. [`SessionStore::save`] compacts: it appends the history
+//! entries logged since the previous save to the history log
+//! ([`super::history`]), writes a fresh snapshot at the next epoch
+//! counting them, starts an empty journal there, and prunes everything
 //! older than the previous generation — so recovery can fall back one full
-//! generation if the newest snapshot is corrupt.
+//! generation if the newest snapshot is corrupt. Autosave runs the same
+//! save every 64 records; its failure does not fail the edit that
+//! triggered it (see [`SessionStore::apply`]).
 //!
 //! [`SessionStore::open`] recovers: it installs the newest valid snapshot
 //! *without re-running matching* — memo `H`, `M(r)`, `U(p)` come back as
-//! bytes — then replays the journal suffix through [`DebugSession::apply`],
-//! i.e. through the incremental Algorithms 7–10. Replaying an
-//! edit re-mints the same rule/predicate ids the live session minted,
-//! because the snapshot carries the function's id counters and features
-//! re-intern in their original order.
+//! bytes, the history from the log's frames the snapshot counts — cuts the
+//! log after those frames, then replays the journal suffix through
+//! [`DebugSession::apply`], i.e. through the incremental Algorithms 7–10.
+//! Replaying an edit re-mints the same rule/predicate ids the live session
+//! minted, because the snapshot carries the function's id counters and
+//! features re-intern in their original order.
 
-use super::frame::{atomic_write, read_file_opt};
-use super::journal::Journal;
-use super::snapshot::{decode_snapshot, encode_snapshot, DecodedSnapshot};
+use super::frame::{atomic_write, read_file_opt, read_frame, FrameRead};
+use super::history::{history_path, HistoryLog, LogScan};
+use super::journal::{Journal, EDIT_JOURNAL};
+use super::snapshot::{decode_snapshot, encode_snapshot, DecodedSnapshot, SnapshotHistory};
 use super::vfs::{DiskOp, RealVfs, Vfs};
 use super::PersistError;
 use crate::edit::{Applied, Edit};
@@ -63,6 +69,9 @@ pub struct RecoveryReport {
     /// Present when a torn/corrupt journal tail was found and truncated;
     /// describes what was dropped.
     pub journal_truncated: Option<String>,
+    /// History entries the installed snapshot counts that a damaged
+    /// history log could not supply; the session's history lacks them.
+    pub history_lost: usize,
     /// Wall-clock recovery time.
     pub elapsed: Duration,
 }
@@ -88,6 +97,14 @@ impl fmt::Display for RecoveryReport {
         if let Some(t) = &self.journal_truncated {
             write!(f, "; truncated journal tail ({t})")?;
         }
+        if self.history_lost > 0 {
+            write!(
+                f,
+                "; lost {} history entr{} to a damaged history log",
+                self.history_lost,
+                if self.history_lost == 1 { "y" } else { "ies" }
+            )?;
+        }
         Ok(())
     }
 }
@@ -100,6 +117,8 @@ struct Backend {
     /// fault-injecting wrapper under test).
     vfs: Arc<dyn Vfs>,
     journal: Journal,
+    /// The store's one history log, extended by every save.
+    history: HistoryLog,
     /// Current generation: the epoch of the newest snapshot.
     epoch: u64,
     records_since_save: usize,
@@ -193,8 +212,10 @@ impl SessionStore {
             )));
         }
         let bytes = encode_snapshot(&session, 0)?;
+        let mut history = HistoryLog::default();
+        history.append(&vfs, dir, session.history(), 0)?;
         atomic_write(vfs.as_ref(), &snapshot_path(dir, 0), &bytes)?;
-        let journal = Journal::create(&vfs, &journal_path(dir, 0), 0)?;
+        let journal = Journal::create(&vfs, &journal_path(dir, 0), 0, &EDIT_JOURNAL)?;
         let journaled_features = session.context().registry().len();
         Ok(SessionStore {
             session,
@@ -202,6 +223,7 @@ impl SessionStore {
                 dir: dir.to_path_buf(),
                 vfs,
                 journal,
+                history,
                 epoch: 0,
                 records_since_save: 0,
                 autosave_every: Some(DEFAULT_AUTOSAVE_EVERY),
@@ -217,7 +239,8 @@ impl SessionStore {
     /// set the store was created with.
     ///
     /// Recovery installs the newest valid snapshot wholesale — falling
-    /// back a generation when the newest is corrupt — and replays the
+    /// back a generation when the newest is corrupt — with the history
+    /// log's entries it counts, cuts the log after them, and replays the
     /// journal suffix through the incremental engine. The journal is
     /// truncated at the first torn or corrupt frame.
     pub fn open(dir: &Path, session: DebugSession) -> Result<(Self, RecoveryReport), PersistError> {
@@ -252,13 +275,15 @@ impl SessionStore {
         let mut session = session;
         let mut snapshot_epoch = None;
         let mut snapshots_skipped = 0usize;
+        let log = LogScan::open(&vfs, dir);
+        let mut taken = LogTaken::default();
         for &epoch in snapshots.iter().rev() {
             let Some(bytes) = read_file_opt(&snapshot_path(dir, epoch))? else {
                 continue;
             };
             match decode_snapshot(&bytes) {
                 Ok(dec) if dec.epoch == epoch => {
-                    install_snapshot(&mut session, dec)?;
+                    taken = install_snapshot(&mut session, dec, log.payloads())?;
                     snapshot_epoch = Some(epoch);
                     break;
                 }
@@ -298,7 +323,8 @@ impl SessionStore {
             .filter(|&e| snapshot_epoch.is_none_or(|s| e >= s))
             .collect();
         for (i, &epoch) in relevant.iter().enumerate() {
-            let scan = match Journal::open_existing(&vfs, &journal_path(dir, epoch)) {
+            let scan = match Journal::open_existing(&vfs, &journal_path(dir, epoch), &EDIT_JOURNAL)
+            {
                 Ok(scan) => scan,
                 Err(PersistError::Io(e)) => return Err(PersistError::Io(e)),
                 Err(e) => {
@@ -348,7 +374,10 @@ impl SessionStore {
                 let e = j.epoch().max(base);
                 (j, e)
             }
-            None => (Journal::create(&vfs, &journal_path(dir, base), base)?, base),
+            None => (
+                Journal::create(&vfs, &journal_path(dir, base), base, &EDIT_JOURNAL)?,
+                base,
+            ),
         };
         let journaled_features = session.context().registry().len();
         let store = SessionStore {
@@ -357,6 +386,7 @@ impl SessionStore {
                 dir: dir.to_path_buf(),
                 vfs,
                 journal,
+                history: log.keep(taken.frames, taken.entries),
                 epoch,
                 records_since_save: 0,
                 autosave_every: Some(DEFAULT_AUTOSAVE_EVERY),
@@ -371,6 +401,7 @@ impl SessionStore {
             records_replayed,
             records_failed,
             journal_truncated,
+            history_lost: taken.lost,
             elapsed: t0.elapsed(),
         };
         Ok((store, report))
@@ -467,10 +498,11 @@ impl SessionStore {
         result
     }
 
-    /// On-disk footprint of this store: `(snapshot_bytes, journal_bytes)`
-    /// summed over every generation present. `(0, 0)` for ephemeral
-    /// stores and on any listing error (the numbers are advisory — they
-    /// feed `status`, not correctness).
+    /// On-disk footprint of this store: `(store_bytes, journal_bytes)`,
+    /// the snapshots and the history log against the journals, summed
+    /// over every generation present. `(0, 0)` for ephemeral stores and
+    /// on any listing error (the numbers are advisory — they feed
+    /// `status`, not correctness).
     pub fn usage(&self) -> (u64, u64) {
         let Some(dir) = self.store_dir() else {
             return (0, 0);
@@ -484,7 +516,7 @@ impl SessionStore {
                 .sum()
         };
         (
-            sum("snapshot-", snapshot_path),
+            sum("snapshot-", snapshot_path) + size_of(history_path(dir)),
             sum("journal-", journal_path),
         )
     }
@@ -494,6 +526,10 @@ impl SessionStore {
     /// Folds the journal into a fresh snapshot at the next epoch and
     /// prunes everything older than the previous generation. Returns the
     /// new epoch.
+    ///
+    /// The history entries logged since the previous save go to the
+    /// history log first, as one fsynced frame; the snapshot counts them
+    /// and holds none.
     pub fn save(&mut self) -> Result<u64, PersistError> {
         let save_t0 = em_metrics::enabled().then(std::time::Instant::now);
         let Some(b) = self.backend.as_mut() else {
@@ -524,14 +560,23 @@ impl SessionStore {
                 }
             }
         }
-        // Order matters on a failing disk: the new generation's journal
-        // must exist *before* its snapshot becomes visible. If the
-        // snapshot landed first and the journal create then failed, the
-        // live store would keep appending acked edits to the OLD journal
-        // — which recovery ignores once a newer snapshot exists, silently
-        // losing them. The reverse failure is harmless: an empty
-        // journal-(e+1) beside snapshot-e replays nothing.
-        let journal = Journal::create(&b.vfs, &journal_path(&b.dir, new_epoch), new_epoch)?;
+        // Order matters on a failing disk: the history the snapshot counts
+        // and the new generation's journal must both exist *before* the
+        // snapshot becomes visible. If the snapshot landed first and the
+        // journal create then failed, the live store would keep appending
+        // acked edits to the OLD journal — which recovery ignores once a
+        // newer snapshot exists, silently losing them. The reverse
+        // failures are harmless: log entries past the newest snapshot's
+        // count are cut on open and replayed from the journal, and an
+        // empty journal-(e+1) beside snapshot-e replays nothing.
+        b.history
+            .append(&b.vfs, &b.dir, self.session.history(), new_epoch)?;
+        let journal = Journal::create(
+            &b.vfs,
+            &journal_path(&b.dir, new_epoch),
+            new_epoch,
+            &EDIT_JOURNAL,
+        )?;
         if let Err(e) = atomic_write(b.vfs.as_ref(), &snapshot_path(&b.dir, new_epoch), &bytes) {
             // Roll back so the on-disk best generation stays `epoch`.
             // Cleanup is raw `std::fs` — the vfs fault plan must not fail
@@ -589,6 +634,12 @@ impl SessionStore {
     /// 3. only then does [`DebugSession::apply`] run the in-memory delta;
     /// 4. autosave folds the journal into a snapshot when due. A successful
     ///    `Restore` replaces the whole rule set, so it compacts at once.
+    ///
+    /// Once its record is journaled and its delta applied, the edit has
+    /// happened: a failed autosave does not turn it into an error. The
+    /// failure is counted (`em_autosave_failures_total`) and logged as an
+    /// `autosave_failed` event, and the journal keeps the edit durable;
+    /// the records stay due, so the next record retries the save.
     pub fn apply(&mut self, edit: Edit) -> Result<Applied, SessionError> {
         if let Some(b) = self.backend.as_mut() {
             b.sync_features(self.session.context().registry())?;
@@ -600,7 +651,13 @@ impl SessionStore {
                 || b.autosave_every.is_some_and(|n| b.records_since_save >= n)
         });
         if due {
-            self.save()?;
+            if let Err(e) = self.save() {
+                crate::obs::core_metrics().autosave_failures.inc();
+                em_metrics::events::emit(
+                    "autosave_failed",
+                    &[("error", em_metrics::events::Field::Str(&e.to_string()))],
+                );
+            }
         }
         Ok(out)
     }
@@ -793,14 +850,17 @@ pub fn replay_record(session: &mut DebugSession, record: &Edit) -> Result<bool, 
     Ok(applied)
 }
 
-/// Installs raw snapshot bytes (as shipped off another store's directory
-/// by [`crate::persist::tail::JournalTailer::newest_snapshot`]) into a
-/// fresh session, returning the snapshot's epoch. This is how a
-/// replication follower bootstraps a session whose early journal
-/// generations have been compacted away.
+/// Installs raw snapshot bytes with the history-log frames shipped beside
+/// them (as read off another store's directory by
+/// [`crate::persist::tail::JournalTailer::newest_snapshot`]) into a fresh
+/// session, returning the snapshot's epoch. This is how a replication
+/// follower bootstraps a session whose early journal generations have
+/// been compacted away. As on `open`, a damaged run of frames installs
+/// its longest valid prefix.
 pub fn install_snapshot_bytes(
     session: &mut DebugSession,
     bytes: &[u8],
+    history: &[u8],
 ) -> Result<u64, PersistError> {
     if !session.function().is_empty()
         || !session.history().is_empty()
@@ -813,15 +873,38 @@ pub fn install_snapshot_bytes(
     }
     let dec = decode_snapshot(bytes)?;
     let epoch = dec.epoch;
-    install_snapshot(session, dec)?;
+    let mut frames = Vec::new();
+    let mut offset = 0;
+    while let FrameRead::Ok { payload, next } = read_frame(history, offset) {
+        frames.push(payload);
+        offset = next;
+    }
+    install_snapshot(session, dec, frames)?;
     Ok(epoch)
+}
+
+/// How much of the history log an installed snapshot took.
+#[derive(Debug, Default)]
+struct LogTaken {
+    /// Leading frames of the log the installed history covers.
+    frames: usize,
+    /// Entries those frames hold.
+    entries: usize,
+    /// Entries the snapshot counts that the log could not supply.
+    lost: usize,
 }
 
 /// Installs a decoded snapshot into a fresh session: features re-intern in
 /// their original order (reproducing the same dense ids), then function,
 /// state, history, undo stack, and quarantine land wholesale — no
-/// matching re-run.
-fn install_snapshot(session: &mut DebugSession, dec: DecodedSnapshot) -> Result<(), PersistError> {
+/// matching re-run. A version-2 snapshot's history comes from `log`, the
+/// history log's valid frame payloads in order; a version-1 snapshot's is
+/// inline, and takes no frame of the log.
+fn install_snapshot<'a>(
+    session: &mut DebugSession,
+    dec: DecodedSnapshot,
+    log: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<LogTaken, PersistError> {
     if dec.state.n_pairs() != session.candidates().len() {
         return Err(PersistError::InvalidState(format!(
             "store covers {} candidate pairs; this session has {}",
@@ -832,14 +915,20 @@ fn install_snapshot(session: &mut DebugSession, dec: DecodedSnapshot) -> Result<
     for def in &dec.features {
         session.intern_checked(*def)?;
     }
-    session.set_restored(
-        dec.function,
-        dec.state,
-        dec.history,
-        dec.undo,
-        dec.quarantined,
-    );
-    Ok(())
+    let (history, taken) = match dec.history {
+        SnapshotHistory::Inline(history) => (history, LogTaken::default()),
+        SnapshotHistory::Logged(len) => {
+            let (frames, history) = super::history::load(log, dec.epoch, len);
+            let taken = LogTaken {
+                frames,
+                entries: history.len(),
+                lost: len - history.len(),
+            };
+            (history, taken)
+        }
+    };
+    session.set_restored(dec.function, dec.state, history, dec.undo, dec.quarantined);
+    Ok(taken)
 }
 
 /// Drives any budget-parked remainder to completion so the next record

@@ -28,9 +28,17 @@
 //! snapshot ([`JournalTailer::newest_snapshot`] +
 //! [`super::store::install_snapshot_bytes`]) and tail forward from
 //! there.
+//!
+//! A snapshot holds no history entries, only their count: the shipment
+//! carries the history log's frames that the snapshot counts beside it
+//! ([`SnapshotShipment`]).
 
 use super::frame::{read_frame, FrameRead};
-use super::snapshot::{decode_header, JOURNAL_MAGIC, SNAPSHOT_MAGIC};
+use super::history::{covered, history_path};
+use super::snapshot::{
+    decode_header, snapshot_history_len, HEADER_LEN, HISTORY_MAGIC, JOURNAL_MAGIC, LOG_VERSION,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+};
 use super::store::{journal_path, list_epochs, snapshot_path};
 use super::PersistError;
 use std::path::{Path, PathBuf};
@@ -84,6 +92,21 @@ pub enum TailResult {
         /// Oldest journal epoch still on disk.
         oldest: u64,
     },
+}
+
+/// What a leader ships to bootstrap (or resync) a follower: the newest
+/// snapshot's bytes, and the leading frames of the history log that the
+/// snapshot counts, for [`super::store::install_snapshot_bytes`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotShipment {
+    /// The snapshot's epoch; tail from `(epoch, 0)` after installing it.
+    pub epoch: u64,
+    /// The snapshot file.
+    pub snapshot: Vec<u8>,
+    /// Whole history-log frames (`[len][crc][payload]` each), without the
+    /// log's header; empty for a version-1 snapshot, whose history is
+    /// inline.
+    pub history: Vec<u8>,
 }
 
 /// Read-only tailer over one store directory.
@@ -205,7 +228,8 @@ impl JournalTailer {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(PersistError::Io(e)),
         };
-        let (file_epoch, mut offset) = decode_header(&bytes, JOURNAL_MAGIC, "journal")?;
+        let (_, file_epoch, mut offset) =
+            decode_header(&bytes, JOURNAL_MAGIC, LOG_VERSION, "journal")?;
         if file_epoch != epoch {
             return Err(PersistError::Corrupt(format!(
                 "journal file for epoch {epoch} carries embedded epoch {file_epoch}"
@@ -226,11 +250,16 @@ impl JournalTailer {
         Ok(list_epochs(&self.dir, "journal-")?.first().copied())
     }
 
-    /// Raw bytes of the newest snapshot whose header parses, with its
-    /// epoch — what a leader ships to bootstrap (or resync) a follower.
-    /// Only the header is validated here; the follower's full decode is
-    /// the real integrity check, and it can re-request on failure.
-    pub fn newest_snapshot(&self) -> Result<Option<(u64, Vec<u8>)>, PersistError> {
+    /// The newest snapshot whose header and META parse, with the history
+    /// log's frames it counts — what a leader ships to bootstrap (or
+    /// resync) a follower. Only the header and META are validated here;
+    /// the follower's full decode is the real integrity check, and it can
+    /// re-request on failure.
+    ///
+    /// The log is read after the snapshot: a save appends its frame before
+    /// it writes the snapshot counting it, so the frames are there. A
+    /// damaged log ships its longest valid prefix.
+    pub fn newest_snapshot(&self) -> Result<Option<SnapshotShipment>, PersistError> {
         let epochs = list_epochs(&self.dir, "snapshot-")?;
         for &epoch in epochs.iter().rev() {
             let bytes = match std::fs::read(snapshot_path(&self.dir, epoch)) {
@@ -238,19 +267,55 @@ impl JournalTailer {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(PersistError::Io(e)),
             };
-            match decode_header(&bytes, SNAPSHOT_MAGIC, "snapshot") {
-                Ok((file_epoch, _)) if file_epoch == epoch => return Ok(Some((epoch, bytes))),
+            match decode_header(&bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "snapshot") {
+                Ok((_, file_epoch, _)) if file_epoch == epoch => {}
                 _ => continue, // corrupt or spliced: fall back a generation
             }
+            let Ok(history_len) = snapshot_history_len(&bytes) else {
+                continue;
+            };
+            let history = match history_len {
+                Some(len) if len > 0 => self.history_frames(epoch, len)?,
+                _ => Vec::new(),
+            };
+            return Ok(Some(SnapshotShipment {
+                epoch,
+                snapshot: bytes,
+                history,
+            }));
         }
         Ok(None)
+    }
+
+    /// The leading whole frames of the history log that a snapshot at
+    /// `epoch` counting `history_len` entries covers, as raw bytes.
+    fn history_frames(&self, epoch: u64, history_len: usize) -> Result<Vec<u8>, PersistError> {
+        let bytes = match std::fs::read(history_path(&self.dir)) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(PersistError::Io(e)),
+        };
+        if decode_header(&bytes, HISTORY_MAGIC, LOG_VERSION, "history log").is_err() {
+            return Ok(Vec::new());
+        }
+        let start = HEADER_LEN as usize;
+        let (mut payloads, mut ends) = (Vec::new(), Vec::new());
+        let mut offset = start;
+        while let FrameRead::Ok { payload, next } = read_frame(&bytes, offset) {
+            payloads.push(payload);
+            ends.push(next);
+            offset = next;
+        }
+        let (frames, _) = covered(payloads, epoch, history_len);
+        let end = frames.checked_sub(1).map_or(start, |i| ends[i]);
+        Ok(bytes[start..end].to_vec())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::frame::encode_frame;
-    use super::super::journal::Journal;
+    use super::super::journal::{Journal, EDIT_JOURNAL};
     use super::super::vfs::RealVfs;
     use super::*;
 
@@ -285,7 +350,8 @@ mod tests {
     #[test]
     fn tails_frames_and_advances_watermark() {
         let dir = tmp_dir("basic");
-        let mut j = Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0).unwrap();
+        let mut j =
+            Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0, &EDIT_JOURNAL).unwrap();
         j.append(b"one").unwrap();
         j.append(b"two").unwrap();
 
@@ -311,7 +377,8 @@ mod tests {
     #[test]
     fn max_limits_batch_and_reports_lag() {
         let dir = tmp_dir("max");
-        let mut j = Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0).unwrap();
+        let mut j =
+            Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0, &EDIT_JOURNAL).unwrap();
         for i in 0..5 {
             j.append(format!("r{i}").as_bytes()).unwrap();
         }
@@ -330,7 +397,8 @@ mod tests {
     #[test]
     fn torn_tail_is_end_of_durable_data_not_truncated() {
         let dir = tmp_dir("torn");
-        let mut j = Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0).unwrap();
+        let mut j =
+            Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0, &EDIT_JOURNAL).unwrap();
         j.append(b"keep").unwrap();
         let torn = encode_frame(b"in-flight");
         j.write_raw(&torn[..torn.len() / 2]).unwrap();
@@ -353,12 +421,14 @@ mod tests {
     #[test]
     fn crosses_compaction_boundary() {
         let dir = tmp_dir("compaction");
-        let mut j0 = Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0).unwrap();
+        let mut j0 =
+            Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0, &EDIT_JOURNAL).unwrap();
         j0.append(b"e0-a").unwrap();
         j0.append(b"e0-b").unwrap();
         drop(j0);
         // "save()" happened: a fresh journal opens at epoch 1.
-        let mut j1 = Journal::create(&RealVfs::arc(), &journal_path(&dir, 1), 1).unwrap();
+        let mut j1 =
+            Journal::create(&RealVfs::arc(), &journal_path(&dir, 1), 1, &EDIT_JOURNAL).unwrap();
 
         let tailer = JournalTailer::new(&dir);
         // A watermark mid-epoch-0 picks up the epoch-0 remainder and lands
@@ -387,7 +457,8 @@ mod tests {
     #[test]
     fn diverged_watermark_is_too_old() {
         let dir = tmp_dir("diverged");
-        let mut j = Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0).unwrap();
+        let mut j =
+            Journal::create(&RealVfs::arc(), &journal_path(&dir, 0), 0, &EDIT_JOURNAL).unwrap();
         j.append(b"only").unwrap();
         let tailer = JournalTailer::new(&dir);
         // Claims a generation that does not exist.

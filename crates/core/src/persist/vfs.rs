@@ -32,6 +32,8 @@ pub enum DiskOp {
     JournalCreate,
     /// Appending a frame to the journal (write + fdatasync).
     JournalAppend,
+    /// Creating the history log or appending a save's frame to it.
+    HistoryAppend,
     /// Truncating a journal's torn tail on open.
     Truncate,
     /// Fsyncing a directory after a rename/create within it.
@@ -50,6 +52,7 @@ impl DiskOp {
             DiskOp::SnapshotRename => "snapshot-rename",
             DiskOp::JournalCreate => "journal-create",
             DiskOp::JournalAppend => "journal-append",
+            DiskOp::HistoryAppend => "history-append",
             DiskOp::Truncate => "truncate",
             DiskOp::DirSync => "dir-sync",
             DiskOp::Lock => "lock",
@@ -58,11 +61,12 @@ impl DiskOp {
     }
 
     /// Every op, for fault-sweep harnesses.
-    pub const ALL: [DiskOp; 8] = [
+    pub const ALL: [DiskOp; 9] = [
         DiskOp::SnapshotWrite,
         DiskOp::SnapshotRename,
         DiskOp::JournalCreate,
         DiskOp::JournalAppend,
+        DiskOp::HistoryAppend,
         DiskOp::Truncate,
         DiskOp::DirSync,
         DiskOp::Lock,

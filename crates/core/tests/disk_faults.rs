@@ -1,12 +1,13 @@
 //! Disk-fault sweep for the durable session store (runs only with
 //! `--features fault-inject`): every persist write site — snapshot
-//! writes and renames, journal creates and appends, directory syncs,
-//! probe writes — is failed at its n-th occurrence with ENOSPC, EIO, and
-//! genuine short writes, under 1/2/4 worker threads. The invariant is
-//! absolute: no combination may panic, and reopening the store must
-//! recover *exactly* the acked edits — an edit whose call returned `Ok`
-//! is never lost, an edit whose call returned a typed disk error never
-//! reappears.
+//! writes and renames, journal creates and appends, history-log appends,
+//! directory syncs, probe writes — is failed at its n-th occurrence with
+//! ENOSPC, EIO, and genuine short writes, under 1/2/4 worker threads, once
+//! with the workload's one explicit save and once more autosaving every
+//! two records. The invariant is absolute: no combination may panic, and
+//! reopening the store must recover *exactly* the acked edits — an edit
+//! whose call returned `Ok` is never lost, an edit whose call returned a
+//! typed disk error never reappears.
 
 #![cfg(feature = "fault-inject")]
 
@@ -77,9 +78,17 @@ fn assert_session_disk(e: &SessionError, ctx: &str) {
 }
 
 /// Runs the standard workload against `dir` through `vfs`, returning the
-/// rules that were *acked* (their call returned `Ok`). Any failure must
-/// be a typed disk error; panics bubble out and fail the sweep.
-fn run_workload(dir: &Path, vfs: Arc<dyn Vfs>, threads: usize, ctx: &str) -> Vec<&'static str> {
+/// rules that were *acked* (their call returned `Ok`). With `autosave`,
+/// the store also autosaves every that many records, so saves — and
+/// their failures — ride on edits. Any failure must be a typed disk
+/// error; panics bubble out and fail the sweep.
+fn run_workload(
+    dir: &Path,
+    vfs: Arc<dyn Vfs>,
+    threads: usize,
+    autosave: Option<usize>,
+    ctx: &str,
+) -> Vec<&'static str> {
     let mut acked = Vec::new();
     let mut store = match SessionStore::create_on(vfs, dir, session(4, threads)) {
         Ok(s) => s,
@@ -88,6 +97,9 @@ fn run_workload(dir: &Path, vfs: Arc<dyn Vfs>, threads: usize, ctx: &str) -> Vec
             return acked;
         }
     };
+    if autosave.is_some() {
+        store.set_autosave_every(autosave);
+    }
     for (i, rule) in RULES.iter().enumerate() {
         if i == SAVE_AFTER {
             if let Err(e) = store.save() {
@@ -141,12 +153,22 @@ fn assert_recovers_exactly(dir: &Path, acked: &[&str], threads: usize, ctx: &str
 /// run the workload, reopen for real, compare against the acked set.
 /// Returns how many faults actually fired (0 = `nth` is past the op's
 /// occurrence count and the scan for this op can stop).
-fn sweep_cell(op: DiskOp, nth: u64, fault: DiskFault, threads: usize) -> u64 {
-    let ctx = format!("op={op} nth={nth} fault={fault:?} threads={threads}");
-    let dir = tmp_dir(&format!("sweep-{op}-{nth}-{:?}-{threads}", disc(&fault)));
+fn sweep_cell(
+    op: DiskOp,
+    nth: u64,
+    fault: DiskFault,
+    threads: usize,
+    autosave: Option<usize>,
+) -> u64 {
+    let ctx = format!("op={op} nth={nth} fault={fault:?} threads={threads} autosave={autosave:?}");
+    let dir = tmp_dir(&format!(
+        "sweep-{op}-{nth}-{:?}-{threads}-{}",
+        disc(&fault),
+        autosave.unwrap_or(0)
+    ));
     let plan = Arc::new(DiskFaultPlan::new().fail_op(op, nth, fault));
     let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(plan.clone()));
-    let acked = run_workload(&dir, vfs, threads, &ctx);
+    let acked = run_workload(&dir, vfs, threads, autosave, &ctx);
     assert_recovers_exactly(&dir, &acked, threads, &ctx);
     let _ = std::fs::remove_dir_all(&dir);
     plan.faults_fired()
@@ -162,10 +184,18 @@ fn disc(fault: &DiskFault) -> &'static str {
     }
 }
 
-/// Sweeps every (op × nth × fault) cell at the given thread count. The
-/// nth scan advances until a run completes with the fault never firing —
-/// the op occurred fewer than nth+1 times, so higher nths are no-ops.
+/// Sweeps every (op × nth × fault) cell at the given thread count, with
+/// the workload's default autosave and again autosaving every two
+/// records. The nth scan advances until a run completes with the fault
+/// never firing — the op occurred fewer than nth+1 times, so higher nths
+/// are no-ops.
 fn sweep(threads: usize) {
+    for autosave in [None, Some(2)] {
+        sweep_with(threads, autosave);
+    }
+}
+
+fn sweep_with(threads: usize, autosave: Option<usize>) {
     for op in DiskOp::ALL {
         for fault in [
             DiskFault::NoSpace,
@@ -175,7 +205,7 @@ fn sweep(threads: usize) {
             let mut nth = 0;
             loop {
                 assert!(nth < MAX_NTH, "op={op} occurs more than {MAX_NTH} times?");
-                if sweep_cell(op, nth, fault, threads) == 0 {
+                if sweep_cell(op, nth, fault, threads, autosave) == 0 {
                     break;
                 }
                 nth += 1;
@@ -187,7 +217,7 @@ fn sweep(threads: usize) {
         let mut nth = 0;
         loop {
             assert!(nth < MAX_NTH, "op={op} occurs more than {MAX_NTH} times?");
-            if sweep_cell(op, nth, DiskFault::RenameFail, threads) == 0 {
+            if sweep_cell(op, nth, DiskFault::RenameFail, threads, autosave) == 0 {
                 break;
             }
             nth += 1;

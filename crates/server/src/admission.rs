@@ -248,10 +248,17 @@ impl Drop for AdmissionQueue {
 }
 
 impl ConnQueue {
-    /// Submits one command and blocks until it executed or was shed.
-    /// Fair-share scheduling means the wait is bounded by the queue
-    /// budget plus one command's execution time on a worker.
-    pub fn run(&self, job: Job) -> Result<String, ServerError> {
+    /// Submits one command and blocks until it executed or was shed,
+    /// calling `on_tick` each time `tick` passes without an answer — the
+    /// connection thread's chance to check on its client while a worker
+    /// runs the command. Fair-share scheduling means the wait is bounded
+    /// by the queue budget plus one command's execution time on a worker.
+    pub fn run(
+        &self,
+        job: Job,
+        tick: Duration,
+        mut on_tick: impl FnMut(),
+    ) -> Result<String, ServerError> {
         let budget = self.inner.config.queue_budget;
         let (tx, rx) = mpsc::channel();
         {
@@ -297,11 +304,17 @@ impl ConnQueue {
             self.inner.counters.depth.set(state.total_queued as i64);
         }
         self.inner.work.notify_one();
-        rx.recv().unwrap_or_else(|_| {
-            Err(ServerError::Busy(
-                "command dropped during server shutdown".into(),
-            ))
-        })
+        loop {
+            match rx.recv_timeout(tick) {
+                Ok(result) => return result,
+                Err(mpsc::RecvTimeoutError::Timeout) => on_tick(),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(ServerError::Busy(
+                        "command dropped during server shutdown".into(),
+                    ))
+                }
+            }
+        }
     }
 }
 
@@ -416,6 +429,31 @@ mod tests {
         AdmissionQueue::new(config)
     }
 
+    /// Runs `job` on `conn` with nothing to do between ticks.
+    fn run(conn: &ConnQueue, job: Job) -> Result<String, ServerError> {
+        conn.run(job, Duration::from_millis(10), || {})
+    }
+
+    #[test]
+    fn ticks_while_a_worker_runs_the_job() {
+        let q = queue(AdmissionConfig::default());
+        let conn = q.register();
+        let mut ticks = 0;
+        let job: Job = Box::new(|| {
+            thread::sleep(Duration::from_millis(100));
+            Ok("slow".into())
+        });
+        let out = conn.run(job, Duration::from_millis(10), || ticks += 1);
+        assert_eq!(out.unwrap(), "slow");
+        assert!(ticks >= 2, "{ticks} ticks in a 100 ms job at 10 ms");
+        let out = conn.run(
+            Box::new(|| Ok("fast".into())),
+            Duration::from_secs(60),
+            || panic!("a job answered at once must not tick"),
+        );
+        assert_eq!(out.unwrap(), "fast");
+    }
+
     #[test]
     fn runs_jobs_and_counts() {
         let q = queue(AdmissionConfig {
@@ -423,7 +461,7 @@ mod tests {
             ..AdmissionConfig::default()
         });
         let conn = q.register();
-        let out = conn.run(Box::new(|| Ok("done".to_string()))).unwrap();
+        let out = run(&conn, Box::new(|| Ok("done".to_string()))).unwrap();
         assert_eq!(out, "done");
         let snap = q.snapshot();
         assert_eq!(snap.admitted, 1);
@@ -449,8 +487,7 @@ mod tests {
             handles.push(thread::spawn(move || {
                 let conn = q.register();
                 for _ in 0..3 {
-                    let out = conn
-                        .run(Box::new(|| Ok("ok".to_string())))
+                    let out = run(&conn, Box::new(|| Ok("ok".to_string())))
                         .expect("no refusals under fair admission");
                     assert_eq!(out, "ok");
                     done.fetch_add(1, Ordering::Relaxed);
@@ -485,16 +522,18 @@ mod tests {
             let gate = Arc::clone(&gate);
             let conn_a = Arc::clone(&conn_a);
             thread::spawn(move || {
-                conn_a
-                    .run(Box::new(move || {
+                run(
+                    &conn_a,
+                    Box::new(move || {
                         let (m, cv) = &*gate;
                         let mut open = lock(m);
                         while !*open {
                             open = cv.wait(open).unwrap_or_else(|p| p.into_inner());
                         }
                         Ok("stall".into())
-                    }))
-                    .unwrap();
+                    }),
+                )
+                .unwrap();
             });
         }
         thread::sleep(Duration::from_millis(50));
@@ -504,23 +543,27 @@ mod tests {
             let conn_a = Arc::clone(&conn_a);
             let order = Arc::clone(&order);
             floods.push(thread::spawn(move || {
-                conn_a
-                    .run(Box::new(move || {
+                run(
+                    &conn_a,
+                    Box::new(move || {
                         lock(&order).push(format!("a{i}"));
                         Ok("a".into())
-                    }))
-                    .unwrap();
+                    }),
+                )
+                .unwrap();
             }));
         }
         thread::sleep(Duration::from_millis(50));
         let order_b = Arc::clone(&order);
         let b = thread::spawn(move || {
-            conn_b
-                .run(Box::new(move || {
+            run(
+                &conn_b,
+                Box::new(move || {
                     lock(&order_b).push("b".to_string());
                     Ok("b".into())
-                }))
-                .unwrap();
+                }),
+            )
+            .unwrap();
         });
         thread::sleep(Duration::from_millis(50));
         {
@@ -552,16 +595,18 @@ mod tests {
         let blocker = {
             let conn = Arc::clone(&conn);
             thread::spawn(move || {
-                conn.run(Box::new(|| {
-                    thread::sleep(Duration::from_millis(300));
-                    Ok("slow".into())
-                }))
+                run(
+                    &conn,
+                    Box::new(|| {
+                        thread::sleep(Duration::from_millis(300));
+                        Ok("slow".into())
+                    }),
+                )
             })
         };
         thread::sleep(Duration::from_millis(30));
-        let err = conn
-            .run(Box::new(|| Ok("too late".into())))
-            .expect_err("must shed after the budget");
+        let err =
+            run(&conn, Box::new(|| Ok("too late".into()))).expect_err("must shed after the budget");
         match err {
             ServerError::Overloaded {
                 queued_ms,
@@ -590,7 +635,7 @@ mod tests {
         let conn = q.register();
         let t0 = Instant::now();
         for _ in 0..4 {
-            conn.run(Box::new(|| Ok("ok".into()))).unwrap();
+            run(&conn, Box::new(|| Ok("ok".into()))).unwrap();
         }
         // Burst 1 + 3 throttled at 50/s ⇒ at least ~60 ms of shaping.
         assert!(
@@ -616,20 +661,22 @@ mod tests {
         let blocker = {
             let conn = Arc::clone(&conn);
             thread::spawn(move || {
-                conn.run(Box::new(|| {
-                    thread::sleep(Duration::from_millis(200));
-                    Ok("slow".into())
-                }))
+                run(
+                    &conn,
+                    Box::new(|| {
+                        thread::sleep(Duration::from_millis(200));
+                        Ok("slow".into())
+                    }),
+                )
             })
         };
         thread::sleep(Duration::from_millis(50));
         // Worker holds ticket 1; ticket 2 fills the capacity-1 queue.
         let conn2 = Arc::clone(&conn);
-        let queued = thread::spawn(move || conn2.run(Box::new(|| Ok("q".into()))));
+        let queued = thread::spawn(move || run(&conn2, Box::new(|| Ok("q".into()))));
         thread::sleep(Duration::from_millis(50));
-        let err = conn
-            .run(Box::new(|| Ok("no room".into())))
-            .expect_err("capacity overflow must shed");
+        let err =
+            run(&conn, Box::new(|| Ok("no room".into()))).expect_err("capacity overflow must shed");
         assert!(matches!(err, ServerError::Overloaded { .. }), "got {err}");
         blocker.join().unwrap().unwrap();
         queued.join().unwrap().unwrap();

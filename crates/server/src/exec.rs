@@ -64,7 +64,8 @@ pub struct StatusLine {
     pub lag: Option<u64>,
     /// Commands shed by admission control since startup (whole server).
     pub shed: u64,
-    /// Bytes across all snapshot generations on disk (0 when ephemeral).
+    /// Bytes across all snapshot generations and the history log on disk
+    /// (0 when ephemeral).
     pub store_bytes: u64,
     /// Bytes across all journal generations on disk (0 when ephemeral).
     pub journal_bytes: u64,

@@ -28,7 +28,8 @@ use em_blocking::Blocker;
 use em_core::persist::{session_store_dir, store_exists, StoreLock};
 use em_core::{
     install_snapshot_bytes, replay_record, CancelToken, Command, DebugSession, Edit, JournalTailer,
-    PersistError, RealVfs, SessionConfig, SessionError, SessionStore, Vfs, Watermark,
+    PersistError, RealVfs, SessionConfig, SessionError, SessionStore, SnapshotShipment, Vfs,
+    Watermark,
 };
 use em_types::{CandidateSet, LabeledPair, Table};
 use std::collections::HashMap;
@@ -743,15 +744,21 @@ impl SessionManager {
         self.ops().replicas.get(name).and_then(|p| p.behind)
     }
 
-    /// Installs a leader-shipped snapshot as a fresh *ephemeral* replica
-    /// session (replacing any previous incarnation). Replicas stay
-    /// ephemeral until `promote` binds them to durable stores — their
-    /// durability *is* the leader's journal.
-    pub fn install_replica(&self, name: &str, snapshot: &[u8]) -> Result<(), ServerError> {
+    /// Installs a leader-shipped snapshot, with the history-log frames it
+    /// counts, as a fresh *ephemeral* replica session (replacing any
+    /// previous incarnation). Replicas stay ephemeral until `promote`
+    /// binds them to durable stores — their durability *is* the leader's
+    /// journal.
+    pub fn install_replica(
+        &self,
+        name: &str,
+        shipment: &SnapshotShipment,
+    ) -> Result<(), ServerError> {
         // Validate the name through the same path durable sessions use.
         self.dir_for(name)?;
         let mut session = self.template.fresh();
-        install_snapshot_bytes(&mut session, snapshot).map_err(ServerError::Persist)?;
+        install_snapshot_bytes(&mut session, &shipment.snapshot, &shipment.history)
+            .map_err(ServerError::Persist)?;
         let slot = Arc::new(Slot {
             name: name.to_string(),
             state: Mutex::new(Resident {
@@ -890,30 +897,32 @@ impl SessionManager {
     }
 
     /// Leader side of bootstrap/resync: the named session's newest
-    /// on-disk snapshot, base64-framed.
+    /// on-disk snapshot and the history-log frames it counts,
+    /// base64-framed.
     pub fn snapshot_json(&self, name: &str) -> Result<String, ServerError> {
         let dir = self.durable_dir(name)?;
         match JournalTailer::new(&dir)
             .newest_snapshot()
             .map_err(ServerError::Persist)?
         {
-            Some((epoch, bytes)) => {
-                // The whole snapshot ships base64 in ONE response frame;
-                // a snapshot that cannot fit must be refused with a typed
-                // error, not shipped as a frame the client will reject
-                // mid-read (`read_frame` hard-fails past MAX_FRAME).
-                let b64_len = bytes.len().div_ceil(3) * 4;
-                const ENVELOPE: usize = 256; // JSON field names, epoch, crc
+            Some(shipment) => {
+                // The snapshot and its history ship base64 in ONE
+                // response frame; a shipment that cannot fit must be
+                // refused with a typed error, not shipped as a frame the
+                // client will reject mid-read (`read_frame` hard-fails
+                // past MAX_FRAME).
+                let (snapshot, history) = (shipment.snapshot.len(), shipment.history.len());
+                let b64_len = snapshot.div_ceil(3) * 4 + history.div_ceil(3) * 4;
+                const ENVELOPE: usize = 256; // JSON field names, epoch, crcs
                 if b64_len + ENVELOPE > crate::proto::MAX_FRAME {
                     return Err(ServerError::TooLarge(format!(
-                        "snapshot of {name} is {} bytes ({b64_len} base64-encoded), over the \
-                         {}-byte response frame cap; copy the store directory or restore from \
-                         a filesystem backup instead",
-                        bytes.len(),
+                        "snapshot of {name} is {snapshot} bytes and its history {history} \
+                         ({b64_len} base64-encoded), over the {}-byte response frame cap; copy \
+                         the store directory or restore from a filesystem backup instead",
                         crate::proto::MAX_FRAME
                     )));
                 }
-                Ok(crate::replica::encode_snapshot_response(epoch, &bytes))
+                Ok(crate::replica::encode_snapshot_response(&shipment))
             }
             None => Err(ServerError::Unsupported(format!(
                 "no usable snapshot on disk for {name} yet"

@@ -8,7 +8,8 @@
 //! code beyond serving two read-only verbs off its store directories:
 //! `replicate <session> <epoch> <idx> [max]` ships journal frames past a
 //! watermark (via [`em_core::JournalTailer`]), and `snapshot <session>`
-//! ships the newest on-disk snapshot for bootstrap/resync. A *follower*
+//! ships the newest on-disk snapshot, with the history-log frames it
+//! counts, for bootstrap/resync. A *follower*
 //! (`--follow <leader-addr>`) runs a [`Replicator`] thread that
 //! discovers the leader's sessions, bootstraps each from a shipped
 //! snapshot, then tails frames and replays them through the session's
@@ -36,7 +37,7 @@
 use crate::client::{Client, ClientError, RetryPolicy, Timeouts};
 use crate::manager::SessionManager;
 use em_core::persist::crc32;
-use em_core::{TailBatch, TailResult, Watermark};
+use em_core::{SnapshotShipment, TailBatch, TailResult, Watermark};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -85,6 +86,10 @@ pub struct SnapshotResponse {
     pub crc: u32,
     /// The snapshot file, base64-encoded.
     pub bytes: String,
+    /// CRC32 of the raw history-log frames.
+    pub history_crc: u32,
+    /// The history-log frames the snapshot counts, base64-encoded.
+    pub history: String,
 }
 
 /// Encodes a leader-side [`TailResult`] as a `replicate` response.
@@ -124,12 +129,14 @@ pub fn encode_replicate(from: Watermark, result: TailResult) -> String {
 }
 
 /// Encodes a snapshot shipment.
-pub fn encode_snapshot_response(epoch: u64, bytes: &[u8]) -> String {
+pub fn encode_snapshot_response(shipment: &SnapshotShipment) -> String {
     serde_json::to_string(&SnapshotResponse {
         event: "snapshot".to_string(),
-        epoch,
-        crc: crc32(bytes),
-        bytes: b64_encode(bytes),
+        epoch: shipment.epoch,
+        crc: crc32(&shipment.snapshot),
+        bytes: b64_encode(&shipment.snapshot),
+        history_crc: crc32(&shipment.history),
+        history: b64_encode(&shipment.history),
     })
     .expect("SnapshotResponse serializes")
 }
@@ -151,14 +158,19 @@ pub fn decode_replicate(payload: &str) -> Result<ReplicateResponse, String> {
 }
 
 /// Decodes and integrity-checks a `snapshot` response into raw bytes.
-pub fn decode_snapshot_response(payload: &str) -> Result<(u64, Vec<u8>), String> {
+pub fn decode_snapshot_response(payload: &str) -> Result<SnapshotShipment, String> {
     let resp: SnapshotResponse =
         serde_json::from_str(payload).map_err(|e| format!("snapshot response: {e}"))?;
-    let bytes = b64_decode(&resp.bytes)?;
-    if crc32(&bytes) != resp.crc {
+    let snapshot = b64_decode(&resp.bytes)?;
+    let history = b64_decode(&resp.history)?;
+    if crc32(&snapshot) != resp.crc || crc32(&history) != resp.history_crc {
         return Err("snapshot shipment: crc mismatch".to_string());
     }
-    Ok((resp.epoch, bytes))
+    Ok(SnapshotShipment {
+        epoch: resp.epoch,
+        snapshot,
+        history,
+    })
 }
 
 // ---- base64 (dependency-free; snapshots ride inside JSON frames) ------------
@@ -594,10 +606,11 @@ fn bootstrap_replica(
     name: &str,
 ) -> Result<(), CycleError> {
     let payload = c.expect_ok(&format!("snapshot {name}"))?;
-    let (epoch, bytes) = decode_snapshot_response(&payload).map_err(CycleError::Protocol)?;
+    let shipment = decode_snapshot_response(&payload).map_err(CycleError::Protocol)?;
     manager
-        .install_replica(name, &bytes)
+        .install_replica(name, &shipment)
         .map_err(|e| CycleError::Protocol(e.to_string()))?;
+    let epoch = shipment.epoch;
     // Lag is deliberately *unknown* here, not zero: the snapshot may be
     // generations behind the leader's journal, and the caller's next
     // `replicate` round is what measures the real distance. Claiming
@@ -681,10 +694,16 @@ mod tests {
 
     #[test]
     fn snapshot_codec_roundtrips() {
-        let bytes: Vec<u8> = (0..=255u8).collect();
-        let payload = encode_snapshot_response(5, &bytes);
-        let (epoch, decoded) = decode_snapshot_response(&payload).unwrap();
-        assert_eq!(epoch, 5);
-        assert_eq!(decoded, bytes);
+        let shipment = SnapshotShipment {
+            epoch: 5,
+            snapshot: (0..=255u8).collect(),
+            history: b"frames".to_vec(),
+        };
+        let payload = encode_snapshot_response(&shipment);
+        assert_eq!(decode_snapshot_response(&payload).unwrap(), shipment);
+
+        // Damage to either part fails the shipment.
+        let tampered = payload.replace(&b64_encode(b"frames"), &b64_encode(b"framez"));
+        assert!(decode_snapshot_response(&tampered).is_err());
     }
 }

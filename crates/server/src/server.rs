@@ -407,10 +407,9 @@ fn handle_connection(
 ) {
     let _conn = crate::obs::ConnGuard::open();
     let _ = stream.set_nodelay(true);
-    // One timeout serves three purposes: the main loop polls `shutdown`,
-    // the watchdog polls its stop flag, and neither can block forever on
-    // a silent peer. (SO_RCVTIMEO lives on the file description, so the
-    // clone used for reading shares it.)
+    // One timeout serves two purposes: the main loop polls `shutdown`,
+    // and it cannot block forever on a silent peer. (SO_RCVTIMEO lives on
+    // the file description, so the clone used for reading shares it.)
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -604,69 +603,43 @@ fn dispatch(
         Request::Cmd(cmd) => {
             let name = attached_name(attached)?.to_string();
             let token = manager.cancel_token(&name)?;
-            // Commands go through the fair-share admission queue: the
-            // connection thread blocks (closed loop) while a worker runs
-            // the command round-robin across connections. The disconnect
-            // watchdog still rides along via a cloned stream handle.
-            match client.try_clone() {
-                Ok(peek) => {
-                    let manager = Arc::clone(manager);
-                    queue.run(Box::new(move || {
-                        with_disconnect_watchdog(&peek, token, || manager.execute(&name, &cmd))
-                    }))
+            // Commands go through the fair-share admission queue: a worker
+            // runs the command round-robin across connections while this
+            // thread waits on its ticket (closed loop). Every interval of
+            // that wait, it peeks its own socket: a client gone mid-command
+            // cancels the session's in-flight evaluation, which parks for
+            // `resume`.
+            let manager = Arc::clone(manager);
+            let mut cancelled = false;
+            let job = Box::new(move || manager.execute(&name, &cmd));
+            queue.run(job, POLL_INTERVAL, || {
+                if !cancelled && client_gone(client) {
+                    token.cancel();
+                    cancelled = true;
                 }
-                // No watchdog if the clone failed; the command still runs.
-                Err(_) => {
-                    let manager = Arc::clone(manager);
-                    queue.run(Box::new(move || manager.execute(&name, &cmd)))
-                }
-            }
+            })
         }
     }
 }
 
-/// Runs `f` while a sibling thread peeks the client socket; EOF (client
-/// gone) cancels the session's in-flight evaluation.
-///
-/// The watchdog is *not* joined: it blocks in `peek` for up to one
-/// [`POLL_INTERVAL`] at a time, and joining would tax every command with
-/// that full interval (56 ms p50 instead of ~6 ms in the load bench).
-/// Instead it notices the `done` flag within one interval and exits on
-/// its own. A cancel fired in that window — the client vanished just as
-/// the command finished — is harmless: each edit's budget setup clears
-/// the token before evaluating.
-fn with_disconnect_watchdog<R>(
-    client: &TcpStream,
-    token: em_core::CancelToken,
-    f: impl FnOnce() -> R,
-) -> R {
-    let done = Arc::new(AtomicBool::new(false));
-    if let Ok(peek) = client.try_clone() {
-        let done = Arc::clone(&done);
-        thread::spawn(move || {
-            let mut byte = [0u8; 1];
-            while !done.load(Ordering::Acquire) {
-                match peek.peek(&mut byte) {
-                    // EOF or a hard socket error: the client is gone.
-                    Ok(0) => {
-                        token.cancel();
-                        return;
-                    }
-                    // Pipelined bytes are already waiting — the client is
-                    // alive; just idle until the command finishes.
-                    Ok(_) => thread::sleep(POLL_INTERVAL),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => {
-                        token.cancel();
-                        return;
-                    }
-                }
-            }
-        });
+/// True when the client has hung up (EOF) or its socket failed. Peeks
+/// without blocking and without consuming anything: pipelined bytes of the
+/// client's next request stay for the reader. A cancel raised just as the
+/// command finished is harmless: each edit's budget setup clears the token
+/// before evaluating.
+fn client_gone(client: &TcpStream) -> bool {
+    if client.set_nonblocking(true).is_err() {
+        return false;
     }
-    let out = f();
-    done.store(true, Ordering::Release);
-    out
+    let mut byte = [0u8; 1];
+    let gone = match client.peek(&mut byte) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => !matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+        ),
+    };
+    let _ = client.set_nonblocking(false);
+    gone
 }

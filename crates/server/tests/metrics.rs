@@ -180,7 +180,9 @@ fn scrapes_stay_well_formed_under_16_client_load() {
     let wire = handle.addr();
     let expo = handle.metrics_addr().expect("metrics listener bound");
 
-    let load = std::thread::spawn(move || run_load(wire, 16, 4).expect("load run"));
+    // Enough iterations that the load outlasts several scrapes: without a
+    // watchdog thread per command, 4 iterations finish within 1–2.
+    let load = std::thread::spawn(move || run_load(wire, 16, 16).expect("load run"));
     let mut scrapes = 0usize;
     let mut last = String::new();
     while !load.is_finished() {

@@ -266,6 +266,57 @@ fn disconnect_mid_command_leaves_the_session_usable() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A client that hangs up mid-command cancels it: the connection thread
+/// notices the hang-up between waits on its ticket and cancels the
+/// session's evaluation, which parks for `resume`. Feature computations
+/// are slowed so the edit is still running when the client leaves.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn disconnect_mid_command_cancels_it() {
+    use em_core::FaultPlan;
+    use std::sync::Arc;
+
+    let root = tmp_dir("vanish-cancel");
+    let handle = serve_durable(&root);
+    {
+        let mut c = Client::connect(handle.addr()).unwrap();
+        c.expect_ok("open s").unwrap();
+        let slow = Arc::new(FaultPlan::new().with_slow(Duration::from_millis(5)));
+        let plan = Arc::clone(&slow);
+        handle
+            .manager()
+            .with_session("s", |store, _| store.session_mut().inject_faults(plan))
+            .unwrap();
+        c.send_only("add trigram(title, title) >= 0.4").unwrap();
+        // Hang up without reading the reply, once the edit is computing.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while slow.evals() == 0 {
+            assert!(Instant::now() < deadline, "the edit never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    // `attach` waits for the session's lock, so it answers once the
+    // cancelled edit has parked.
+    let mut c2 = Client::connect(handle.addr()).unwrap();
+    let attached = c2.expect_ok("attach s").unwrap();
+    assert!(attached.contains("\"pending\":true"), "{attached}");
+
+    handle
+        .manager()
+        .with_session("s", |store, _| {
+            store
+                .session_mut()
+                .inject_faults(Arc::new(FaultPlan::new()))
+        })
+        .unwrap();
+    let json = c2.expect_ok("resume").unwrap();
+    assert_eq!(ChangeLine::from_json(&json).unwrap().completion, "complete");
+    let status = c2.expect_ok("status").unwrap();
+    assert!(status.contains("\"pending\":false"), "{status}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A resident session holds its directory's [`StoreLock`]; eviction
 /// releases it. Two writers can therefore never interleave on one store.
 #[test]

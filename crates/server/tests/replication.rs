@@ -37,26 +37,42 @@ fn leader_and_follower(
     std::path::PathBuf,
     std::path::PathBuf,
 ) {
-    let leader_root = tmp_dir(&format!("{name}-leader"));
-    let follower_root = tmp_dir(&format!("{name}-follower"));
+    let (leader, leader_root) = durable_leader(name, n_threads);
+    let (follower, follower_root) = follower_of(&leader, name, n_threads);
+    (leader, follower, leader_root, follower_root)
+}
+
+/// A durable leader with no follower yet.
+fn durable_leader(name: &str, n_threads: usize) -> (ServerHandle, std::path::PathBuf) {
+    let root = tmp_dir(&format!("{name}-leader"));
     let leader = serve(
         demo_template(n_threads),
         ServerConfig {
-            store_root: Some(leader_root.clone()),
+            store_root: Some(root.clone()),
             ..ServerConfig::default()
         },
     )
     .unwrap();
+    (leader, root)
+}
+
+/// A follower replicating `leader` over TCP.
+fn follower_of(
+    leader: &ServerHandle,
+    name: &str,
+    n_threads: usize,
+) -> (ServerHandle, std::path::PathBuf) {
+    let root = tmp_dir(&format!("{name}-follower"));
     let follower = serve(
         demo_template(n_threads),
         ServerConfig {
-            store_root: Some(follower_root.clone()),
+            store_root: Some(root.clone()),
             follow: Some(leader.addr().to_string()),
             ..ServerConfig::default()
         },
     )
     .unwrap();
-    (leader, follower, leader_root, follower_root)
+    (follower, root)
 }
 
 /// Waits until the follower has replayed everything the leader journaled
@@ -97,8 +113,9 @@ fn canonical_function_text(s: &DebugSession) -> Vec<Vec<String>> {
     rules
 }
 
-/// Follower ≡ leader: canonical rule set, verdicts, history, and (when
-/// no wall-clock-dependent `optimize` ran) the `M(r)`/`U(p)` bitmaps.
+/// Follower ≡ leader: canonical rule set, verdicts, history (description,
+/// verdicts changed, pairs examined), and (when no wall-clock-dependent
+/// `optimize` ran) the `M(r)`/`U(p)` bitmaps.
 fn assert_replica_matches(
     leader: &Arc<SessionManager>,
     follower: &Arc<SessionManager>,
@@ -139,10 +156,10 @@ fn assert_replica_matches(
                             }
                         }
                     }
-                    let hist = |s: &DebugSession| -> Vec<(String, usize)> {
+                    let hist = |s: &DebugSession| -> Vec<(String, usize, usize)> {
                         s.history()
                             .iter()
-                            .map(|e| (e.description.clone(), e.n_changed))
+                            .map(|e| (e.description.clone(), e.n_changed, e.pairs_examined))
                             .collect()
                     };
                     assert_eq!(hist(got), hist(want), "{what}: history");
@@ -189,6 +206,58 @@ fn follower_replays_leader_edits_and_serves_reads() {
         follower.manager(),
         "alice",
         "basic-2",
+        true,
+    );
+
+    leader.shutdown();
+    follower.shutdown();
+    let _ = std::fs::remove_dir_all(lroot);
+    let _ = std::fs::remove_dir_all(froot);
+}
+
+/// A follower that starts after the leader has saved bootstraps from a
+/// snapshot that already counts history: the entries before it arrive
+/// from the leader's history log beside the snapshot, the journal suffix
+/// replays after it, and the follower keeps tailing.
+#[test]
+fn follower_bootstrapped_mid_session_carries_the_history() {
+    let (leader, lroot) = durable_leader("mid-session", 2);
+    let mut c = Client::connect(leader.addr()).unwrap();
+    c.expect_ok("open alice").unwrap();
+    c.expect_ok("add jaccard_ws(title, title) >= 0.6").unwrap();
+    c.expect_ok("add exact(modelno, modelno) >= 1.0").unwrap();
+    c.expect_ok("undo").unwrap();
+    c.expect_ok("save").unwrap();
+    c.expect_ok("add trigram(title, title) >= 0.5").unwrap();
+    c.expect_ok("set p0 0.5").unwrap();
+    c.expect_ok("save").unwrap();
+    c.expect_ok("undo").unwrap();
+    c.expect_ok("add jaro(title, title) >= 0.9").unwrap();
+
+    let (follower, froot) = follower_of(&leader, "mid-session", 2);
+    wait_converged(leader.manager(), follower.manager(), "alice");
+    let mark = follower.manager().replica_watermark("alice").unwrap();
+    assert!(
+        mark.epoch >= 2,
+        "bootstrapped from the saved snapshot: {mark}"
+    );
+    assert_replica_matches(
+        leader.manager(),
+        follower.manager(),
+        "alice",
+        "mid-session",
+        true,
+    );
+
+    c.expect_ok("add levenshtein(modelno, modelno) >= 0.8")
+        .unwrap();
+    c.expect_ok("undo").unwrap();
+    wait_converged(leader.manager(), follower.manager(), "alice");
+    assert_replica_matches(
+        leader.manager(),
+        follower.manager(),
+        "alice",
+        "mid-session, tailing",
         true,
     );
 

@@ -1,14 +1,18 @@
 //! Crash-recovery equivalence: a session recovered from its durable store
-//! (latest snapshot + write-ahead journal replay) must converge to the
-//! same verdicts, fired rules, `M(r)`/`U(p)` bitmaps, history, and
-//! quarantine as the uninterrupted live session — at 1, 2, and 4 worker
-//! threads — plus golden tests for torn journals, bit-flipped frames, and
-//! stores that lost their snapshots.
+//! (latest snapshot + history log + write-ahead journal replay) must
+//! converge to the same verdicts, fired rules, `M(r)`/`U(p)` bitmaps,
+//! history, and quarantine as the uninterrupted live session — at 1, 2,
+//! and 4 worker threads, with and without frequent autosaves — plus golden
+//! tests for torn journals, bit-flipped frames, stores that lost their
+//! snapshots, a damaged history log, snapshot size under a growing
+//! history, and a store written by format version 1.
 
 use proptest::prelude::*;
 use rulem::blocking::Blocker;
 use rulem::core::{store_exists, DebugSession, OrderingAlgo, SessionConfig, SessionStore};
 use rulem::datagen::Domain;
+use rulem::types::{CandidateSet, Record, Schema, Table};
+use std::path::{Path, PathBuf};
 
 /// A small demo workload: two product tables blocked on title overlap.
 fn demo_session(n_threads: usize) -> DebugSession {
@@ -190,21 +194,28 @@ fn assert_sessions_match(got: &DebugSession, want: &DebugSession, what: &str) {
     }
     assert_eq!(got.quarantined(), want.quarantined(), "{what}: quarantine");
     assert_eq!(got.undo_depth(), want.undo_depth(), "{what}: undo depth");
-    let hist = |s: &DebugSession| -> Vec<(String, usize, usize)> {
-        s.history()
-            .iter()
-            .map(|e| (e.description.clone(), e.n_changed, e.pairs_examined))
-            .collect()
-    };
     assert_eq!(hist(got), hist(want), "{what}: history");
 }
 
-/// Runs one script on a durable store and on a live ephemeral reference,
-/// then reopens the durable store and checks the recovered session against
-/// the uninterrupted one.
-fn check_recovery(name: &str, ops: &[Op], n_threads: usize) {
-    let dir = tmp_store_dir(&format!("{name}-t{n_threads}"));
+/// A session's history without wall-clock: description, verdicts changed,
+/// pairs examined.
+fn hist(s: &DebugSession) -> Vec<(String, usize, usize)> {
+    s.history()
+        .iter()
+        .map(|e| (e.description.clone(), e.n_changed, e.pairs_examined))
+        .collect()
+}
+
+/// Runs one script on a durable store (autosaving every `autosave`
+/// records, or at the default interval) and on a live ephemeral
+/// reference, then reopens the durable store and checks the recovered
+/// session against the uninterrupted one.
+fn check_recovery(name: &str, ops: &[Op], n_threads: usize, autosave: Option<usize>) {
+    let dir = tmp_store_dir(&format!("{name}-t{n_threads}-a{autosave:?}"));
     let mut durable = SessionStore::create(&dir, demo_session(n_threads)).unwrap();
+    if autosave.is_some() {
+        durable.set_autosave_every(autosave);
+    }
     let mut live = SessionStore::ephemeral(demo_session(n_threads));
     for op in ops {
         apply(&mut durable, op);
@@ -222,7 +233,7 @@ fn check_recovery(name: &str, ops: &[Op], n_threads: usize) {
     assert_sessions_match(
         recovered.session(),
         live.session(),
-        &format!("{name} t={n_threads}"),
+        &format!("{name} t={n_threads} autosave={autosave:?}"),
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -230,12 +241,16 @@ fn check_recovery(name: &str, ops: &[Op], n_threads: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The headline property: snapshot + journal replay ≡ live session,
-    /// over random edit scripts, at every thread count.
+    /// The headline property: snapshot + history log + journal replay ≡
+    /// live session, over random edit scripts, at every thread count. The
+    /// second run autosaves every 3 records, so most recoveries start from
+    /// a snapshot whose history is in the log.
     #[test]
     fn recovery_matches_live_session(ops in proptest::collection::vec(op_strategy(), 1..14)) {
         for &n_threads in &[1usize, 2, 4] {
-            check_recovery("prop", &ops, n_threads);
+            for autosave in [None, Some(3)] {
+                check_recovery("prop", &ops, n_threads, autosave);
+            }
         }
     }
 }
@@ -275,19 +290,26 @@ fn recovered_state_identical_across_thread_counts() {
     }
 }
 
-fn latest_journal(dir: &std::path::Path) -> std::path::PathBuf {
-    let mut journals: Vec<_> = std::fs::read_dir(dir)
+/// The store's files named `<prefix>…`, in epoch order.
+fn store_files(dir: &Path, prefix: &str) -> Vec<PathBuf> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| {
             let p = e.unwrap().path();
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("journal-"))
+                .is_some_and(|n| n.starts_with(prefix))
                 .then_some(p)
         })
         .collect();
-    journals.sort();
-    journals.pop().expect("store has a journal")
+    files.sort();
+    files
+}
+
+fn latest_journal(dir: &Path) -> PathBuf {
+    store_files(dir, "journal-")
+        .pop()
+        .expect("store has a journal")
 }
 
 /// Golden test: garbage appended after the last valid frame (a torn
@@ -373,14 +395,8 @@ fn missing_snapshots_recover_from_journals() {
     }
     drop(store);
 
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let p = entry.unwrap().path();
-        if p.file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("snapshot-"))
-        {
-            std::fs::remove_file(p).unwrap();
-        }
+    for p in store_files(&dir, "snapshot-") {
+        std::fs::remove_file(p).unwrap();
     }
 
     let (recovered, report) = SessionStore::open(&dir, demo_session(1)).unwrap();
@@ -429,5 +445,247 @@ fn recovery_replays_not_reruns() {
          that is incremental work, not a full {}-rule re-run",
         recovered.session().function().n_rules()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A script long enough to autosave several times at every 3 records.
+fn autosaving_script() -> Vec<Op> {
+    vec![
+        Op::AddRule(0),
+        Op::AddRule(1),
+        Op::AddPred { rule: 0, pred: 0 },
+        Op::SetThreshold {
+            pred: 1,
+            value: 0.45,
+        },
+        Op::AddRule(3),
+        Op::Undo,
+        Op::AddRule(2),
+        Op::RemovePred(2),
+        Op::SetThreshold {
+            pred: 0,
+            value: 0.7,
+        },
+        Op::AddRule(4),
+        Op::Undo,
+        Op::AddPred { rule: 1, pred: 2 },
+    ]
+}
+
+/// Autosaves several times, then flips a bit in the newest snapshot:
+/// recovery falls back one generation, takes only the history-log frames
+/// that generation counts, cuts the log after them, and replays the
+/// journals forward — the live history comes back exactly, and again
+/// after a second open.
+#[test]
+fn fallback_generation_recovers_the_live_history() {
+    let dir = tmp_store_dir("fallback-history");
+    let mut store = SessionStore::create(&dir, demo_session(1)).unwrap();
+    store.set_autosave_every(Some(3));
+    let mut live = SessionStore::ephemeral(demo_session(1));
+    for op in &autosaving_script() {
+        apply(&mut store, op);
+        apply(&mut live, op);
+    }
+    assert!(store.epoch().unwrap() >= 3, "the script autosaves");
+    drop(store);
+
+    let newest = store_files(&dir, "snapshot-").pop().unwrap();
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&newest, &bytes).unwrap();
+
+    let (recovered, report) = SessionStore::open(&dir, demo_session(1)).unwrap();
+    assert_eq!(report.snapshots_skipped, 1, "{report}");
+    assert_eq!(report.history_lost, 0, "{report}");
+    assert_sessions_match(recovered.session(), live.session(), "fallback");
+    drop(recovered);
+    let (again, report) = SessionStore::open(&dir, demo_session(1)).unwrap();
+    assert_eq!(report.history_lost, 0, "{report}");
+    assert_sessions_match(again.session(), live.session(), "fallback, reopened");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A damaged history log never fails `open`: the frames before the damage
+/// are installed, the report counts the entries the snapshot counts that
+/// the log lost, and the journal replays the rest. The state itself is
+/// exact.
+#[test]
+fn damaged_history_log_loses_only_its_entries() {
+    let dir = tmp_store_dir("damaged-log");
+    let mut store = SessionStore::create(&dir, demo_session(1)).unwrap();
+    let mut live = SessionStore::ephemeral(demo_session(1));
+    // Saves after ops 3 and 7 log two frames; later ops stay in the
+    // journal.
+    let mut saved_at = Vec::new();
+    for (i, op) in autosaving_script().iter().enumerate() {
+        apply(&mut store, op);
+        apply(&mut live, op);
+        if i == 3 || i == 7 {
+            store.save().unwrap();
+            saved_at.push(store.session().history().len());
+        }
+    }
+    let (h1, h2) = (saved_at[0], saved_at[1]);
+    assert!(0 < h1 && h1 < h2, "{saved_at:?}");
+    drop(store);
+
+    // Flip a byte in the log's last frame: its entries are lost.
+    let log = dir.join("history.bin");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let n = bytes.len();
+    bytes[n - 3] ^= 0x01;
+    std::fs::write(&log, &bytes).unwrap();
+
+    let (recovered, report) = SessionStore::open(&dir, demo_session(1)).unwrap();
+    assert_eq!(report.history_lost, h2 - h1, "{report}");
+    let want = hist(live.session());
+    let mut kept = want[..h1].to_vec();
+    kept.extend_from_slice(&want[h2..]);
+    assert_eq!(
+        hist(recovered.session()),
+        kept,
+        "the log's prefix, then replay"
+    );
+    assert_eq!(
+        recovered.session().state().verdicts(),
+        live.session().state().verdicts()
+    );
+    assert_eq!(
+        recovered.session().function_text(),
+        live.session().function_text()
+    );
+    drop(recovered);
+
+    // The damaged frame was cut: the next save logs the history the
+    // session now holds, and a reopen loses nothing more.
+    let (mut store, _) = SessionStore::open(&dir, demo_session(1)).unwrap();
+    store.save().unwrap();
+    drop(store);
+    let (back, report) = SessionStore::open(&dir, demo_session(1)).unwrap();
+    assert_eq!(report.history_lost, 0, "{report}");
+    assert_eq!(hist(back.session()), kept);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Autosave at a steady cost: a try/undo loop over a fixed feature set
+/// grows the history by two entries per cycle, yet every snapshot it saves
+/// has the same size — the entries go to the history log.
+#[test]
+fn snapshot_size_stays_flat_while_history_grows() {
+    let dir = tmp_store_dir("flat-snapshots");
+    let mut store = SessionStore::create(&dir, demo_session(1)).unwrap();
+    store
+        .add_rule_text("jaccard_ws(title, title) >= 0.6")
+        .unwrap();
+    store
+        .add_rule_text("exact(modelno, modelno) >= 1.0")
+        .unwrap();
+    // Pad the history to two digits, so the count in META keeps its width.
+    let pid = store.session().function().rules()[0].preds[0].id;
+    while store.session().history().len() < 10 {
+        store.set_threshold(pid, 0.5).unwrap();
+        store.undo().unwrap();
+    }
+    store.save().unwrap();
+    store.set_autosave_every(Some(2));
+
+    let mut sizes = Vec::new();
+    let mut lengths = Vec::new();
+    for i in 0..5 {
+        // Try a looser or a tighter threshold, then take it back.
+        store.set_threshold(pid, [0.3, 0.8][i % 2]).unwrap();
+        store.undo().unwrap();
+        assert_eq!(store.records_since_save(), 0, "the undo autosaved");
+        let newest = store_files(&dir, "snapshot-").pop().unwrap();
+        sizes.push(std::fs::metadata(newest).unwrap().len());
+        lengths.push(store.session().history().len());
+    }
+    assert!(
+        lengths.windows(2).all(|w| w[0] < w[1]),
+        "history grows: {lengths:?}"
+    );
+    assert!(
+        sizes.windows(2).all(|w| w[0] == w[1]),
+        "snapshot sizes {sizes:?} at history lengths {lengths:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fixture `tests/fixtures/v1_store` was written by format version 1,
+/// whose snapshots carried the history inline: a four-record tables pair
+/// with a save after four edits and two more edits in the journal.
+fn fixture_session() -> DebugSession {
+    let schema = Schema::new(["title", "modelno"]);
+    let rows = [
+        ("apple ipod nano 8gb", "MC037"),
+        ("sony walkman player", "NWZ-E384"),
+        ("canon powershot camera", "SX620"),
+        ("garmin gps navigator", "NUVI-2539"),
+    ];
+    let mut a = Table::new("A", schema.clone());
+    let mut b = Table::new("B", schema);
+    for (i, (title, model)) in rows.iter().enumerate() {
+        a.push(Record::new(format!("a{i}"), [*title, *model]));
+        b.push(Record::new(
+            format!("b{i}"),
+            [
+                title.replace(' ', "  ").to_uppercase(),
+                model.replace('-', ""),
+            ],
+        ));
+    }
+    let cands = CandidateSet::cartesian(&a, &b);
+    DebugSession::new(a, b, cands, SessionConfig::default())
+}
+
+/// A version-1 store opens with its exact history (inline in the snapshot
+/// plus the journal's replay), and its next save migrates it: a version-2
+/// snapshot that holds no entries, and the history log that does.
+#[test]
+fn a_v1_store_opens_with_its_history_and_migrates() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let want: Vec<(String, usize, usize)> =
+        std::fs::read_to_string(fixture.join("v1_store_history.txt"))
+            .unwrap()
+            .lines()
+            .map(|line| {
+                let cols: Vec<&str> = line.split('\t').collect();
+                (
+                    cols[0].to_string(),
+                    cols[1].parse().unwrap(),
+                    cols[2].parse().unwrap(),
+                )
+            })
+            .collect();
+    assert_eq!(want.len(), 6, "the fixture's expected history");
+
+    let dir = tmp_store_dir("v1-fixture");
+    std::fs::create_dir_all(&dir).unwrap();
+    for file in store_files(&fixture.join("v1_store"), "") {
+        std::fs::copy(&file, dir.join(file.file_name().unwrap())).unwrap();
+    }
+    let version =
+        |path: &Path| u32::from_le_bytes(std::fs::read(path).unwrap()[4..8].try_into().unwrap());
+    assert_eq!(version(&store_files(&dir, "snapshot-")[0]), 1);
+
+    let (mut store, report) = SessionStore::open(&dir, fixture_session()).unwrap();
+    assert_eq!(report.snapshot_epoch, Some(1), "{report}");
+    assert_eq!(report.records_replayed, 3, "{report}");
+    assert_eq!(hist(store.session()), want, "history of the v1 store");
+    let text = store.session().function_text();
+
+    store.save().unwrap();
+    let newest = store_files(&dir, "snapshot-").pop().unwrap();
+    assert_eq!(version(&newest), 2, "the save writes version 2");
+    assert!(dir.join("history.bin").exists(), "and the history log");
+    drop(store);
+
+    let (back, report) = SessionStore::open(&dir, fixture_session()).unwrap();
+    assert_eq!(report.snapshot_epoch, Some(2), "{report}");
+    assert_eq!(report.records_replayed, 0, "{report}");
+    assert_eq!(hist(back.session()), want, "history after the migration");
+    assert_eq!(back.session().function_text(), text);
     let _ = std::fs::remove_dir_all(&dir);
 }
