@@ -1,7 +1,7 @@
 //! Golden corruption-class tests for `scrub [--repair]`: each damage
 //! class the paper's interactive sessions can hit on real disks — torn
-//! journal tails, snapshot bit flips, missing generations, orphan temp
-//! files, stale locks — is seeded byte-for-byte, classified by a dry-run
+//! journal and history-log tails, snapshot bit flips, missing
+//! generations, orphan temp files, stale locks — is seeded byte-for-byte, classified by a dry-run
 //! scrub, repaired by `--repair`, and the store must reopen to the
 //! newest provably-consistent state. A clean store must come through a
 //! repair scrub byte-identical.
@@ -83,6 +83,79 @@ fn clean_store_scrub_is_a_byte_identical_noop() {
         before,
         "repair scrub of a clean store must not change a byte"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The history log is walked too. A torn tail past what the newest
+/// snapshot counts (a crash mid-append of a save that never wrote its
+/// snapshot) loses nothing: scrub classifies it, repair truncates it, and
+/// the store reopens with its whole history. A bit flip inside a frame
+/// the snapshot counts is reported as well, and after repair `open`
+/// installs the frames before it and counts the entries lost.
+#[test]
+fn history_log_damage_is_classified_then_repaired() {
+    let dir = tmp_dir("history-log");
+    let mut store = SessionStore::create(&dir, session(6)).unwrap();
+    store.add_rule_text(RULE_A).unwrap();
+    store.save().unwrap();
+    store.add_rule_text(RULE_B).unwrap();
+    store.save().unwrap();
+    let history: Vec<String> = store
+        .session()
+        .history()
+        .iter()
+        .map(|e| e.description.clone())
+        .collect();
+    drop(store);
+
+    let log = dir.join("history.bin");
+    let clean = std::fs::read(&log).unwrap();
+    let mut torn = clean.clone();
+    torn.extend_from_slice(&[0xAB; 11]);
+    std::fs::write(&log, &torn).unwrap();
+
+    let report = scrub(&dir, false).unwrap();
+    let found = report.of_class(ScrubClass::TornTail);
+    assert_eq!(found.len(), 1, "{report}");
+    assert!(found[0].detail.starts_with("history log"), "{report}");
+    let report = scrub(&dir, true).unwrap();
+    assert!(
+        report.of_class(ScrubClass::TornTail)[0].repaired,
+        "{report}"
+    );
+    assert_eq!(std::fs::read(&log).unwrap(), clean, "cut to the last frame");
+    let again = scrub(&dir, false).unwrap();
+    assert!(again.findings.is_empty(), "repair must converge: {again}");
+    let (back, recovery) = SessionStore::open(&dir, session(6)).unwrap();
+    assert_eq!(recovery.history_lost, 0, "{recovery}");
+    let got: Vec<String> = back
+        .session()
+        .history()
+        .iter()
+        .map(|e| e.description.clone())
+        .collect();
+    assert_eq!(got, history);
+    drop(back);
+
+    // A flip in the last frame, which the newest snapshot counts.
+    let mut flipped = clean;
+    let n = flipped.len();
+    flipped[n - 2] ^= 0x40;
+    std::fs::write(&log, &flipped).unwrap();
+    let report = scrub(&dir, true).unwrap();
+    assert!(
+        !report.of_class(ScrubClass::TornTail).is_empty(),
+        "{report}"
+    );
+    assert!(
+        !report.of_class(ScrubClass::MissingGeneration).is_empty(),
+        "the log no longer holds what the snapshot counts: {report}"
+    );
+    assert!(report.serviceable, "{report}");
+    let (back, recovery) = SessionStore::open(&dir, session(6)).unwrap();
+    assert_eq!(recovery.history_lost, 1, "{recovery}");
+    assert_eq!(back.session().history().len(), history.len() - 1);
+    assert_eq!(back.session().function().n_rules(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
