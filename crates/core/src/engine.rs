@@ -24,7 +24,7 @@ use crate::feature::FeatureId;
 use crate::function::MatchingFunction;
 use crate::incremental::DeltaEvent;
 use crate::memo::{DenseMemo, Memo};
-use crate::predicate::{PredId, Predicate};
+use crate::predicate::{CmpOp, PredId, Predicate};
 use crate::robust::{drive_sharded, drive_words, Shard};
 use crate::rule::BoundRule;
 use em_types::CandidateSet;
@@ -230,30 +230,71 @@ pub fn run_early_exit(
     })
 }
 
-/// The value of feature `f` for pair `i`: a memo lookup when present,
-/// otherwise computed and memoized.
-#[inline]
-fn memo_or_compute<M: Memo>(
-    f: FeatureId,
-    i: usize,
-    cands: &CandidateSet,
-    ctx: &EvalContext,
-    memo: &mut M,
-    stats: &mut EvalStats,
-) -> f64 {
-    if let Some(v) = memo.get(i, f) {
-        stats.memo_lookups += 1;
-        return v;
+/// Masks over a word's run of memo cells (bit `b` for cell `b`): the cells
+/// holding a value, and those of them `pred` is false for. The operator is
+/// matched once, outside one branch-free pass over the run.
+fn cell_masks(cells: &[f64], pred: &Predicate) -> (u64, u64) {
+    let t = pred.threshold;
+    match pred.op {
+        CmpOp::Ge => masks_where(cells, |v| v >= t),
+        CmpOp::Gt => masks_where(cells, |v| v > t),
+        CmpOp::Le => masks_where(cells, |v| v <= t),
+        CmpOp::Lt => masks_where(cells, |v| v < t),
     }
-    let v = ctx.compute(f, cands.pair(i));
-    stats.feature_computations += 1;
-    memo.put(i, f, v);
-    v
+}
+
+/// [`cell_masks`] for the test `holds`. Cells are taken eight at a time
+/// into a byte of each mask, which compiles to vector compares.
+#[inline(always)]
+fn masks_where(cells: &[f64], holds: impl Fn(f64) -> bool) -> (u64, u64) {
+    let (eights, rest) = cells.as_chunks::<8>();
+    let (mut present, mut failed) = (0u64, 0u64);
+    for (k, eight) in eights.iter().enumerate() {
+        let (mut p, mut f) = (0u8, 0u8);
+        for (b, &v) in eight.iter().enumerate() {
+            p |= u8::from(!v.is_nan()) << b;
+            f |= u8::from(!holds(v)) << b;
+        }
+        present |= u64::from(p) << (8 * k);
+        failed |= u64::from(f) << (8 * k);
+    }
+    for (b, &v) in rest.iter().enumerate() {
+        let b = 8 * eights.len() + b;
+        present |= u64::from(!v.is_nan()) << b;
+        failed |= u64::from(!holds(v)) << b;
+    }
+    (present, present & failed)
+}
+
+/// Below this many pairs to test, a word's memo cells are read one by
+/// one: a pass over all 64 cells costs about as much as a dozen reads.
+const WORD_READ_MIN_PAIRS: u32 = 8;
+
+/// The pairs of `among` in word `word` whose value of `pred`'s feature is
+/// memoized, and those of them `pred` is false for: the memo's run of the
+/// word's cells ([`Memo::word`]) in one pass, per pair past its end (all
+/// of them when few are tested).
+#[inline]
+fn memo_masks<M: Memo>(memo: &M, pred: &Predicate, word: usize, among: u64) -> (u64, u64) {
+    let cells = if among.count_ones() >= WORD_READ_MIN_PAIRS {
+        memo.word(word, pred.feature).unwrap_or(&[])
+    } else {
+        &[]
+    };
+    let (mut present, mut failed) = cell_masks(cells, pred);
+    let past_run = u64::MAX.checked_shl(cells.len() as u32).unwrap_or(0);
+    for i in word_pairs(word, among & past_run) {
+        if let Some(v) = memo.get(i, pred.feature) {
+            present |= 1 << (i % 64);
+            failed |= u64::from(!pred.eval(v)) << (i % 64);
+        }
+    }
+    (among & present, among & failed)
 }
 
 /// The pairs of `among` in word `word` for which `pred` is false, each
-/// value read through [`memo_or_compute`] and counted as one predicate
-/// evaluation.
+/// counted as one predicate evaluation: a memo lookup where the value is
+/// memoized, otherwise computed and memoized.
 pub(crate) fn failing<M: Memo>(
     pred: &Predicate,
     word: usize,
@@ -263,9 +304,12 @@ pub(crate) fn failing<M: Memo>(
     memo: &mut M,
     stats: &mut EvalStats,
 ) -> u64 {
-    let mut failed = 0;
-    for i in word_pairs(word, among) {
-        let v = memo_or_compute(pred.feature, i, cands, ctx, memo, stats);
+    let (hit, mut failed) = memo_masks(memo, pred, word, among);
+    stats.memo_lookups += u64::from(hit.count_ones());
+    for i in word_pairs(word, among & !hit) {
+        let v = ctx.compute(pred.feature, cands.pair(i));
+        stats.feature_computations += 1;
+        memo.put(i, pred.feature, v);
         if !pred.eval(v) {
             failed |= 1 << (i % 64);
         }
@@ -302,50 +346,47 @@ pub(crate) fn eval_rule_memoized<M: Memo>(
 
     // Which predicates were memoized, per pair, is fixed before any is
     // evaluated (a value computed here must not promote a later
-    // predicate), so record it: one mask per position, on the stack for up
-    // to 16 predicates.
-    let mut inline = [0u64; 16];
+    // predicate), so record it with the memoized values' verdicts: one
+    // pair of masks per position, on the stack for up to 16 predicates.
+    let mut inline = [(0u64, 0u64); 16];
     let mut spilled = Vec::new();
-    let cached: &mut [u64] = if !check_cache_first {
+    let cached: &mut [(u64, u64)] = if !check_cache_first {
         &mut []
     } else if preds.len() <= inline.len() {
         &mut inline[..preds.len()]
     } else {
-        spilled.resize(preds.len(), 0);
+        spilled.resize(preds.len(), (0, 0));
         &mut spilled
     };
     for (bp, cached) in preds.iter().zip(cached.iter_mut()) {
-        for i in word_pairs(word, mask) {
-            if memo.contains(i, bp.pred.feature) {
-                *cached |= 1 << (i % 64);
-            }
-        }
+        *cached = memo_masks(memo, &bp.pred, word, mask);
     }
 
-    // Without check cache first, one pass in stored order over every live
-    // pair (`cached` is empty); with it, each pair's memoized predicates
-    // first, then the rest, each pass in stored order.
-    let passes: &[bool] = if check_cache_first {
-        &[true, false]
-    } else {
-        &[false]
-    };
     let mut live = mask;
-    for &memoized in passes {
-        for (p, bp) in preds.iter().enumerate() {
-            let among = match cached.get(p) {
-                Some(&was_cached) if memoized => live & was_cached,
-                Some(&was_cached) => live & !was_cached,
-                None => live,
-            };
-            if among == 0 {
-                continue;
-            }
-            let failed = failing(&bp.pred, word, among, cands, ctx, memo, stats);
-            if failed != 0 {
-                live &= !failed;
-                on_false(bp.id, failed);
-            }
+    // With check cache first, each pair's memoized predicates first, in
+    // stored order: lookups whose verdicts are already known (`cached` is
+    // empty without it).
+    for (bp, &(memoized, failed)) in preds.iter().zip(cached.iter()) {
+        let among = live & memoized;
+        stats.memo_lookups += u64::from(among.count_ones());
+        stats.predicate_evals += u64::from(among.count_ones());
+        let failed = failed & among;
+        if failed != 0 {
+            live &= !failed;
+            on_false(bp.id, failed);
+        }
+    }
+    // Then, in stored order, every predicate over the live pairs it was
+    // not memoized for.
+    for (p, bp) in preds.iter().enumerate() {
+        let among = live & !cached.get(p).map_or(0, |&(memoized, _)| memoized);
+        if among == 0 {
+            continue;
+        }
+        let failed = failing(&bp.pred, word, among, cands, ctx, memo, stats);
+        if failed != 0 {
+            live &= !failed;
+            on_false(bp.id, failed);
         }
     }
     live
@@ -526,7 +567,6 @@ impl Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::CmpOp;
     use crate::rule::Rule;
     use em_similarity::Measure;
     use em_types::{Record, Schema, Table};
@@ -740,6 +780,64 @@ mod tests {
         assert_eq!(pos, 66);
         assert_eq!((stats.memo_lookups, stats.predicate_evals), (34, 34));
         assert_eq!(stats.feature_computations, 0);
+    }
+
+    #[test]
+    fn cell_masks_match_per_cell_eval() {
+        // One whole eight and a partial rest, NaN (absent) in both.
+        let cells = [
+            0.0,
+            0.2,
+            f64::NAN,
+            0.5,
+            0.7,
+            1.0,
+            0.4,
+            0.5,
+            0.3,
+            f64::NAN,
+            1.0,
+        ];
+        for op in [CmpOp::Ge, CmpOp::Gt, CmpOp::Le, CmpOp::Lt] {
+            for t in [0.0, 0.5, 1.0] {
+                let pred = Predicate::new(FeatureId(0), op, t);
+                let (present, failed) = cell_masks(&cells, &pred);
+                for (b, &v) in cells.iter().enumerate() {
+                    assert_eq!(present >> b & 1 == 1, !v.is_nan());
+                    assert_eq!(failed >> b & 1 == 1, !v.is_nan() && !pred.eval(v));
+                }
+                assert_eq!(present >> cells.len(), 0, "no bit past the run");
+            }
+        }
+    }
+
+    #[test]
+    fn failing_reads_dense_words_and_sparse_pairs_alike() {
+        let (ctx, cands, _) = fixture();
+        let f = FeatureId(1);
+        let pred = Predicate::new(f, CmpOp::Ge, 0.3);
+        // Every other cell memoized, in both layouts.
+        let mut dense = DenseMemo::new(cands.len(), ctx.registry().len());
+        let mut sparse = crate::memo::SparseMemo::new();
+        for i in (0..cands.len()).step_by(2) {
+            let v = ctx.compute(f, cands.pair(i));
+            dense.put(i, f, v);
+            sparse.put(i, f, v);
+        }
+        let all = (1u64 << cands.len()) - 1;
+        // Nine and eight pairs read the word's cells; one and six, each pair.
+        for among in [all, all & !0b100, 0b1, 0b1_0110_1011] {
+            let (mut d, mut s) = (dense.clone(), sparse.clone());
+            let (mut got, mut want) = (EvalStats::default(), EvalStats::default());
+            let failed = failing(&pred, 0, among, &cands, &ctx, &mut d, &mut got);
+            let expected = failing(&pred, 0, among, &cands, &ctx, &mut s, &mut want);
+            assert_eq!(failed, expected, "among {among:b}");
+            assert_eq!(got, want, "among {among:b}");
+            assert_eq!(got.predicate_evals, u64::from(among.count_ones()));
+            for i in 0..cands.len() {
+                assert_eq!(d.get(i, f), s.get(i, f), "cell {i}");
+            }
+        }
     }
 
     #[test]

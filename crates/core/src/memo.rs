@@ -8,6 +8,15 @@
 //!   memory proportional to the full grid whether or not values are filled.
 //! * [`SparseMemo`] — a hash map holding only computed values: less memory
 //!   when lazy evaluation leaves most of the grid empty, pricier lookups.
+//!
+//! The dense grid is feature-major: one `|C|`-long column per feature.
+//! Every pass tests one predicate, so one feature, over a 64-pair word at a
+//! time; in a column that word's cells are one contiguous run of at most 64
+//! values, which [`Memo::word`] hands out whole, where a pair-major grid
+//! spread them over 64 rows. A feature the analyst introduces mid-session
+//! appends a column, and the grid is never re-laid out. The layout does not
+//! change the §7.4 comparison: the dense memo still holds the full grid and
+//! accounts its bytes, the sparse one only what was computed.
 
 use crate::feature::FeatureId;
 use std::collections::HashMap;
@@ -26,6 +35,14 @@ pub trait Memo {
     fn contains(&self, pair: usize, feature: FeatureId) -> bool {
         self.get(pair, feature).is_some()
     }
+    /// The cells of `feature` for the pairs of word `word` — pairs `64 *
+    /// word` onwards, at most 64 of them, NaN where no value is stored —
+    /// when the layout holds them contiguously. `None`, the default, sends
+    /// the caller to per-pair [`Memo::get`]s.
+    fn word(&self, word: usize, feature: FeatureId) -> Option<&[f64]> {
+        let _ = (word, feature);
+        None
+    }
     /// Number of stored values.
     fn stored(&self) -> usize;
     /// Forgets everything.
@@ -34,42 +51,54 @@ pub trait Memo {
     fn heap_bytes(&self) -> usize;
 }
 
-/// Dense `pairs × features` array memo with NaN as the "absent" sentinel.
+/// The cells of word `word` in `column`: at most 64, fewer in the last
+/// word; `None` past the column's end.
+#[inline]
+fn word_cells(column: &[f64], word: usize) -> Option<&[f64]> {
+    let start = word.checked_mul(64)?;
+    column.get(start..column.len().min(start.saturating_add(64)))
+}
+
+/// The value of a cell, or `None` for the NaN "absent" sentinel.
+#[inline]
+fn present(v: f64) -> Option<f64> {
+    (!v.is_nan()).then_some(v)
+}
+
+/// Dense `pairs × features` memo with NaN as the "absent" sentinel, held
+/// feature-major (one `n_pairs`-long column per feature; see the module
+/// docs for why).
 ///
 /// Feature capacity grows on demand (the analyst may introduce new features
-/// mid-session); growth re-lays-out the array, which is rare and costs one
-/// pass over it.
+/// mid-session); growth appends columns and moves no stored value.
 #[derive(Debug, Clone)]
 pub struct DenseMemo {
     n_pairs: usize,
-    n_features: usize,
-    values: Vec<f64>,
+    /// Column `f` holds feature `f`'s value for every pair.
+    columns: Vec<Vec<f64>>,
     stored: usize,
 }
 
 impl DenseMemo {
     /// Creates a dense memo for `n_pairs` pairs and `n_features` features.
     pub fn new(n_pairs: usize, n_features: usize) -> Self {
-        DenseMemo {
+        let mut memo = DenseMemo {
             n_pairs,
-            n_features,
-            values: vec![f64::NAN; n_pairs * n_features],
+            columns: Vec::new(),
             stored: 0,
-        }
+        };
+        memo.ensure_features(n_features);
+        memo
     }
 
-    /// Ensures capacity for feature ids `0..n_features`.
+    /// Ensures capacity for feature ids `0..n_features`, appending an
+    /// empty column per new feature.
     pub fn ensure_features(&mut self, n_features: usize) {
-        if n_features <= self.n_features {
-            return;
+        let n_pairs = self.n_pairs;
+        if n_features > self.columns.len() {
+            self.columns
+                .resize_with(n_features, || vec![f64::NAN; n_pairs]);
         }
-        let mut values = vec![f64::NAN; self.n_pairs * n_features];
-        for p in 0..self.n_pairs {
-            let old = &self.values[p * self.n_features..(p + 1) * self.n_features];
-            values[p * n_features..p * n_features + self.n_features].copy_from_slice(old);
-        }
-        self.values = values;
-        self.n_features = n_features;
     }
 
     /// Number of pair slots.
@@ -79,13 +108,14 @@ impl DenseMemo {
 
     /// Number of feature slots.
     pub fn n_features(&self) -> usize {
-        self.n_features
+        self.columns.len()
     }
 
     /// Splits the memo into disjoint mutable views over contiguous pair
     /// ranges, so the sharded driver's workers write feature values
     /// **directly into this memo** — whatever a parallel run or delta
-    /// computes is retained in place.
+    /// computes is retained in place. A view holds its range of every
+    /// column.
     ///
     /// Shard views cannot grow the feature axis; call
     /// [`DenseMemo::ensure_features`] for the full feature registry first.
@@ -97,79 +127,70 @@ impl DenseMemo {
     /// Panics when the ranges do not tile a prefix of `0..n_pairs` in
     /// order.
     pub fn shard_views(&mut self, ranges: &[std::ops::Range<usize>]) -> Vec<MemoShard<'_>> {
-        let mut shards = Vec::with_capacity(ranges.len());
-        let mut rest = &mut self.values[..];
         let mut consumed = 0usize; // pairs already split off
-        for r in ranges {
-            assert!(
-                r.start == consumed && r.end <= self.n_pairs,
-                "shard ranges must tile the pair axis in order"
-            );
-            let (head, tail) = rest.split_at_mut((r.end - r.start) * self.n_features);
-            rest = tail;
-            consumed = r.end;
-            shards.push(MemoShard {
-                values: head,
-                n_features: self.n_features,
-                start: r.start,
-                stored: 0,
-            });
+        let mut shards: Vec<MemoShard<'_>> = ranges
+            .iter()
+            .map(|r| {
+                assert!(
+                    r.start == consumed && r.end <= self.n_pairs,
+                    "shard ranges must tile the pair axis in order"
+                );
+                consumed = r.end;
+                MemoShard {
+                    columns: Vec::with_capacity(self.columns.len()),
+                    start: r.start,
+                    len: r.len(),
+                    stored: 0,
+                }
+            })
+            .collect();
+        for column in &mut self.columns {
+            let mut rest = &mut column[..];
+            for shard in &mut shards {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(shard.len);
+                shard.columns.push(head);
+                rest = tail;
+            }
         }
         shards
     }
 
     /// Accounts for values stored through shard views (see
     /// [`DenseMemo::shard_views`]).
-    pub(crate) fn add_stored(&mut self, n: usize) {
+    pub fn add_stored(&mut self, n: usize) {
         self.stored += n;
     }
 
-    /// The raw value grid (row-major `pairs × features`, NaN = absent),
-    /// for stable binary serialization.
-    pub(crate) fn raw_values(&self) -> &[f64] {
-        &self.values
+    /// The columns (feature-major, NaN = absent), for stable binary
+    /// serialization.
+    pub(crate) fn columns(&self) -> &[Vec<f64>] {
+        &self.columns
     }
 
-    /// Rebuilds a memo from serialized parts. `None` when the grid does
-    /// not have `n_pairs × n_features` cells (corrupt input).
-    pub(crate) fn from_raw(
+    /// Rebuilds a memo from serialized columns. `None` when a column does
+    /// not have `n_pairs` cells or `stored` exceeds the grid (corrupt
+    /// input).
+    pub(crate) fn from_columns(
         n_pairs: usize,
-        n_features: usize,
-        values: Vec<f64>,
+        columns: Vec<Vec<f64>>,
         stored: usize,
     ) -> Option<Self> {
-        if values.len() != n_pairs.checked_mul(n_features)? || stored > values.len() {
+        let cells = n_pairs.checked_mul(columns.len())?;
+        if columns.iter().any(|c| c.len() != n_pairs) || stored > cells {
             return None;
         }
         Some(DenseMemo {
             n_pairs,
-            n_features,
-            values,
+            columns,
             stored,
         })
-    }
-
-    #[inline]
-    fn idx(&self, pair: usize, feature: FeatureId) -> Option<usize> {
-        let f = feature.index();
-        if pair < self.n_pairs && f < self.n_features {
-            Some(pair * self.n_features + f)
-        } else {
-            None
-        }
     }
 }
 
 impl Memo for DenseMemo {
     #[inline]
     fn get(&self, pair: usize, feature: FeatureId) -> Option<f64> {
-        let i = self.idx(pair, feature)?;
-        let v = self.values[i];
-        if v.is_nan() {
-            None
-        } else {
-            Some(v)
-        }
+        present(*self.columns.get(feature.index())?.get(pair)?)
     }
 
     #[inline]
@@ -178,16 +199,19 @@ impl Memo for DenseMemo {
         // value. Defensively normalize to 0.0 (the context already does —
         // this keeps the memo total even for values that bypass it).
         let value = if value.is_nan() { 0.0 } else { value };
-        if feature.index() >= self.n_features {
-            self.ensure_features(feature.index() + 1);
-        }
-        let i = self
-            .idx(pair, feature)
+        self.ensure_features(feature.index() + 1);
+        let cell = self.columns[feature.index()]
+            .get_mut(pair)
             .expect("pair index out of range for memo");
-        if self.values[i].is_nan() {
+        if cell.is_nan() {
             self.stored += 1;
         }
-        self.values[i] = value;
+        *cell = value;
+    }
+
+    #[inline]
+    fn word(&self, word: usize, feature: FeatureId) -> Option<&[f64]> {
+        word_cells(self.columns.get(feature.index())?, word)
     }
 
     fn stored(&self) -> usize {
@@ -195,17 +219,20 @@ impl Memo for DenseMemo {
     }
 
     fn reset(&mut self) {
-        self.values.fill(f64::NAN);
+        for column in &mut self.columns {
+            column.fill(f64::NAN);
+        }
         self.stored = 0;
     }
 
     fn heap_bytes(&self) -> usize {
-        self.values.capacity() * std::mem::size_of::<f64>()
+        let cells: usize = self.columns.iter().map(Vec::capacity).sum();
+        cells * std::mem::size_of::<f64>()
     }
 }
 
-/// A mutable view over one contiguous pair range of a [`DenseMemo`],
-/// addressed by **global** pair index.
+/// A mutable view over one contiguous pair range of a [`DenseMemo`] — that
+/// range of every column — addressed by **global** pair index.
 ///
 /// Implements [`Memo`], so the engines run unchanged over a shard — serial
 /// execution is simply the one-shard special case, which is what guarantees
@@ -213,10 +240,12 @@ impl Memo for DenseMemo {
 /// window, for passes that memoize nothing.
 #[derive(Debug, Default)]
 pub struct MemoShard<'a> {
-    values: &'a mut [f64],
-    n_features: usize,
+    /// Column `f`'s cells for this window's pairs.
+    columns: Vec<&'a mut [f64]>,
     /// Global pair index of the shard's first pair.
     start: usize,
+    /// Number of pairs in the window.
+    len: usize,
     /// Values newly stored through this view.
     stored: usize,
 }
@@ -224,49 +253,45 @@ pub struct MemoShard<'a> {
 impl MemoShard<'_> {
     /// Global pair range covered by this shard.
     pub fn pair_range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.values.len() / self.n_features.max(1)
+        self.start..self.start + self.len
     }
 
     /// Number of values newly stored through this view.
     pub fn new_stored(&self) -> usize {
         self.stored
     }
-
-    #[inline]
-    fn idx(&self, pair: usize, feature: FeatureId) -> Option<usize> {
-        let f = feature.index();
-        let local = pair.checked_sub(self.start)?;
-        let i = local * self.n_features + f;
-        if f < self.n_features && i < self.values.len() {
-            Some(i)
-        } else {
-            None
-        }
-    }
 }
 
 impl Memo for MemoShard<'_> {
     #[inline]
     fn get(&self, pair: usize, feature: FeatureId) -> Option<f64> {
-        let i = self.idx(pair, feature)?;
-        let v = self.values[i];
-        if v.is_nan() {
-            None
-        } else {
-            Some(v)
-        }
+        let local = pair.checked_sub(self.start)?;
+        present(*self.columns.get(feature.index())?.get(local)?)
     }
 
     #[inline]
     fn put(&mut self, pair: usize, feature: FeatureId, value: f64) {
         let value = if value.is_nan() { 0.0 } else { value }; // NaN = absent sentinel
-        let i = self
-            .idx(pair, feature)
+        let cell = pair
+            .checked_sub(self.start)
+            .and_then(|local| self.columns.get_mut(feature.index())?.get_mut(local))
             .expect("pair/feature out of range for memo shard (grow the memo before sharding)");
-        if self.values[i].is_nan() {
+        if cell.is_nan() {
             self.stored += 1;
         }
-        self.values[i] = value;
+        *cell = value;
+    }
+
+    /// Windows the sharded driver cuts start on a word, so a word's cells
+    /// are a run of the window's columns; a window starting mid-word reads
+    /// per pair.
+    #[inline]
+    fn word(&self, word: usize, feature: FeatureId) -> Option<&[f64]> {
+        if !self.start.is_multiple_of(64) {
+            return None;
+        }
+        let column = self.columns.get(feature.index())?;
+        word_cells(column, word.checked_sub(self.start / 64)?)
     }
 
     fn stored(&self) -> usize {

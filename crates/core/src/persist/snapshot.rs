@@ -257,13 +257,17 @@ pub(crate) fn encode_state(state: &MatchState) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(n_pairs as u64);
 
-    // Memo grid.
+    // Memo grid, pair-major (the memo itself is feature-major): each
+    // pair's cells in feature order, streamed from the columns.
     let memo = &state.memo;
     w.u64(memo.n_pairs() as u64);
     w.u64(memo.n_features() as u64);
     w.u64(memo.stored() as u64);
-    for &v in memo.raw_values() {
-        w.f64(v);
+    let columns = memo.columns();
+    for p in 0..memo.n_pairs() {
+        for column in columns {
+            w.f64(column[p]);
+        }
     }
 
     // Verdicts, bit-packed.
@@ -360,15 +364,22 @@ pub(crate) fn decode_state(
             "state: memo is {memo_pairs}×{memo_features} for {n_pairs} pairs / {n_features} features"
         )));
     }
-    let cells = memo_pairs
+    if memo_pairs
         .checked_mul(memo_features)
-        .filter(|&c| c <= budget / 8)
-        .ok_or_else(|| PersistError::Corrupt("state: implausible memo size".into()))?;
-    let mut values = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        values.push(r.f64()?);
+        .is_none_or(|cells| cells > budget / 8)
+    {
+        return Err(PersistError::Corrupt("state: implausible memo size".into()));
     }
-    let memo = DenseMemo::from_raw(memo_pairs, memo_features, values, stored)
+    // The grid is pair-major on disk; fill the memo's columns from it.
+    let mut columns: Vec<Vec<f64>> = (0..memo_features)
+        .map(|_| Vec::with_capacity(memo_pairs))
+        .collect();
+    for _ in 0..memo_pairs {
+        for column in &mut columns {
+            column.push(r.f64()?);
+        }
+    }
+    let memo = DenseMemo::from_columns(memo_pairs, columns, stored)
         .ok_or_else(|| PersistError::Corrupt("state: memo shape mismatch".into()))?;
 
     // Verdicts.

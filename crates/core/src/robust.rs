@@ -131,8 +131,8 @@ const SHARDS_PER_WORKER: usize = 4;
 
 /// One shard's working set, handed to the per-word step.
 pub(crate) struct Shard<'a> {
-    /// The memo rows from this shard's first word up to the next shard's
-    /// (an empty window when the pass has no memo).
+    /// The memo's cells, in every column, from this shard's first word up
+    /// to the next shard's (an empty window when the pass has no memo).
     pub memo: MemoShard<'a>,
     /// This shard's share of the work counters.
     pub stats: EvalStats,

@@ -212,12 +212,16 @@ impl MatchState {
         self.rule_bitmap_mut(r).set_word(w, mask);
     }
 
-    /// Clears the match (if any) of the pairs of `mask` in word `w`.
+    /// Clears the match (if any) of the pairs of `mask` in word `w`. A
+    /// removed rule's `M(r)` is already dropped when its cascade unfires
+    /// its pairs, so only a set that exists is cleared, never re-created.
     pub(crate) fn unfire(&mut self, w: usize, mask: u64) {
         for i in word_pairs(w, mask) {
             self.verdicts[i] = false;
             if let Some(r) = self.fired[i].take() {
-                self.rule_bitmap_mut(r).clear_word(w, 1 << (i % 64));
+                if let Some(Some(set)) = self.rule_fired.get_mut(r.0 as usize) {
+                    set.clear_word(w, 1 << (i % 64));
+                }
             }
         }
     }
@@ -520,6 +524,33 @@ mod tests {
             report.total_bytes(),
             report.memo_bytes + report.bitmap_bytes
         );
+    }
+
+    #[test]
+    fn an_undone_rule_try_leaves_no_set_behind() {
+        let (ctx, cands, mut func) = fixture();
+        let (exec, budget) = (Executor::serial(), EvalBudget::unlimited());
+        let mut state = MatchState::new(cands.len(), ctx.registry().len());
+        run_full(&func, &ctx, &cands, &mut state, false, &exec);
+        let before = state.memory_report();
+        // Try a rule that fires for the three pairs the first rule leaves,
+        // then undo it: the undo removes the rule, and its cascade unfires
+        // those pairs.
+        let f = func.rules()[0].preds[0].pred.feature;
+        let tried = Rule::new().pred(f, CmpOp::Ge, 0.0);
+        let (rid, _) = crate::incremental::add_rule(
+            &mut func, &mut state, &ctx, &cands, tried, false, &exec, &budget,
+        )
+        .unwrap();
+        assert_eq!(state.rule_bitmap(rid).unwrap().count_ones(), 3);
+        assert_eq!(state.memory_report().n_rule_bitmaps, 2);
+        crate::incremental::remove_rule(
+            &mut func, &mut state, &ctx, &cands, rid, false, &exec, &budget,
+        )
+        .unwrap();
+        assert_eq!(state.rule_bitmap(rid), None, "M(r) is not re-created");
+        assert_eq!(state.memory_report().n_rule_bitmaps, before.n_rule_bitmaps);
+        assert_eq!(state.memory_report(), before);
     }
 
     #[test]

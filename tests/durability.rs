@@ -5,11 +5,13 @@
 //! and 4 worker threads, with and without frequent autosaves — plus golden
 //! tests for torn journals, bit-flipped frames, stores that lost their
 //! snapshots, a damaged history log, snapshot size under a growing
-//! history, and a store written by format version 1.
+//! history, a snapshot's pinned bytes, and a store written by format
+//! version 1.
 
 use proptest::prelude::*;
 use rulem::blocking::Blocker;
 use rulem::core::{store_exists, DebugSession, OrderingAlgo, SessionConfig, SessionStore};
+use rulem::core::{FeatureId, Memo};
 use rulem::datagen::Domain;
 use rulem::types::{CandidateSet, Record, Schema, Table};
 use std::path::{Path, PathBuf};
@@ -570,8 +572,9 @@ fn damaged_history_log_loses_only_its_entries() {
 }
 
 /// Autosave at a steady cost: a try/undo loop over a fixed feature set
-/// grows the history by two entries per cycle, yet every snapshot it saves
-/// has the same size — the entries go to the history log.
+/// grows the history by four entries per cycle, yet every snapshot it
+/// saves has the same size — the entries go to the history log, and a
+/// tried rule that fired leaves no `M(r)` behind once it is undone.
 #[test]
 fn snapshot_size_stays_flat_while_history_grows() {
     let dir = tmp_store_dir("flat-snapshots");
@@ -598,6 +601,14 @@ fn snapshot_size_stays_flat_while_history_grows() {
         store.set_threshold(pid, [0.3, 0.8][i % 2]).unwrap();
         store.undo().unwrap();
         assert_eq!(store.records_since_save(), 0, "the undo autosaved");
+        // Try a rule that fires, then take it back.
+        let (rid, _) = store
+            .add_rule_text("jaccard_ws(title, title) >= 0.3")
+            .unwrap();
+        let fired = store.session().state().rule_bitmap(rid).unwrap();
+        assert!(fired.count_ones() > 0, "the tried rule fires");
+        store.undo().unwrap();
+        assert_eq!(store.records_since_save(), 0, "the undo autosaved");
         let newest = store_files(&dir, "snapshot-").pop().unwrap();
         sizes.push(std::fs::metadata(newest).unwrap().len());
         lengths.push(store.session().history().len());
@@ -610,6 +621,65 @@ fn snapshot_size_stays_flat_while_history_grows() {
         sizes.windows(2).all(|w| w[0] == w[1]),
         "snapshot sizes {sizes:?} at history lengths {lengths:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The snapshot's bytes are its format, not just whatever this build
+/// reads back: loads, then threshold and predicate edits with undos, then
+/// one save, must write the very bytes the format has always written for
+/// this script (so a store written by an older build still decodes the
+/// same). The reopened session's memo equals the live one cell for cell.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let dir = tmp_store_dir("pinned-bytes");
+    let mut store = SessionStore::create(&dir, demo_session(1)).unwrap();
+    for text in &RULE_MENU[..3] {
+        store.add_rule_text(text).unwrap();
+    }
+    let rules: Vec<_> = store.session().function().rules().to_vec();
+    let (p0, p2) = (rules[0].preds[0].id, rules[2].preds[0].id);
+    store.set_threshold(p0, 0.45).unwrap();
+    store.undo().unwrap();
+    let pred = store.parse_predicate(PRED_MENU[2]).unwrap();
+    store.add_predicate(rules[1].id, pred).unwrap();
+    store.set_threshold(p2, 0.8).unwrap();
+    store.remove_predicate(p2).unwrap();
+    store.undo().unwrap();
+    let pred = store.parse_predicate(PRED_MENU[3]).unwrap();
+    store.add_predicate(rules[0].id, pred).unwrap();
+    store.undo().unwrap();
+    store.save().unwrap();
+
+    let newest = store_files(&dir, "snapshot-").pop().unwrap();
+    let bytes = std::fs::read(newest).unwrap();
+    assert_eq!(
+        (bytes.len(), format!("{:016x}", fnv1a(&bytes))),
+        (25_258, "457098244adc4b3f".to_string()),
+        "snapshot bytes"
+    );
+
+    let live = store.into_session();
+    let (back, _) = SessionStore::open(&dir, demo_session(1)).unwrap();
+    let (got, want) = (&back.session().state().memo, &live.state().memo);
+    assert_eq!(got.n_features(), want.n_features());
+    assert_eq!(got.stored(), want.stored());
+    for p in 0..want.n_pairs() {
+        for f in 0..want.n_features() {
+            let f = FeatureId(f as u32);
+            assert_eq!(
+                got.get(p, f).map(f64::to_bits),
+                want.get(p, f).map(f64::to_bits),
+                "memo cell ({p}, {f:?})"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
